@@ -22,11 +22,13 @@
 // Byte-identity to the scalar kernels (the contract the scalar-vs-batched
 // golden gate asserts):
 //   * Per lane, the pop/bisect order is exactly the scalar order -- the HF
-//     heap priority (weight, seq) is a total order and lane_heap_push/pop
-//     replicate HfHeap's sift logic; the BA stacks push right-then-left like
-//     ba_run.  Lockstep interleaving across lanes cannot perturb a lane's
-//     own sequence because draws are path-hashed (pure functions of the
-//     node hash), not consumed from a shared stream.
+//     priority (weight, seq) is a total order, lane_heap_push/pop replicate
+//     HfHeap's sift logic, and the weight-band queue hf_lane_run uses from
+//     detail::kHfBandMinPieces pieces on pops HfHeap's sequence; the BA
+//     stacks push right-then-left like ba_run.  Lockstep interleaving
+//     across lanes cannot perturb a lane's own sequence because draws are
+//     path-hashed (pure functions of the node hash), not consumed from a
+//     shared stream.
 //   * Every weight is produced by the same inline expression on the same
 //     inputs as the scalar path ((1-alpha)*w / alpha*w, no reassociation),
 //     so each node's weight is bitwise equal.
@@ -39,6 +41,7 @@
 #pragma once
 
 #include <cstdint>
+#include <type_traits>
 
 #include "core/batch/batch_workspace.hpp"
 #include "core/simd/dispatch.hpp"
@@ -47,35 +50,31 @@
 
 namespace lbb::core::batch {
 
-/// Runs HF to completion on lane `l`'s scratch region for a subproblem
-/// (`hash`, `w`) owning `n` processors, folding leaf weights into
-/// ws.lane_max[l] and bisections into ws.lane_bisections[l].  This is the
-/// scalar tail used for BA-HF's HF phase (sub-batch-width subproblems);
-/// hf_batch_run below is the lockstep whole-trial version.
-template <typename Model>
-LBB_HOT inline void hf_lane_run(BatchWorkspace& ws, const Model& model,
-                                std::int32_t l, std::uint64_t hash, double w,
-                                std::int32_t n) {
-  if (n == 1) {
-    if (w > ws.lane_max[l]) ws.lane_max[l] = w;
-    return;
-  }
-  const auto base = static_cast<std::size_t>(l) *
-                    static_cast<std::size_t>(ws.stride());
-  std::uint64_t* sh = ws.slot_hash.data() + base;
-  double* sw = ws.slot_weight.data() + base;
-  HfHeapEntry* h = ws.heap.data() + base;
-  std::int32_t hsize = 0;
+/// A lane's raw-buffer 4-ary heap (lane_heap_push/pop) behind the queue
+/// interface hf_lane_select shares with detail::HfBandQueue.
+struct LaneHeap {
+  HfHeapEntry* h;
+  std::int32_t size = 0;
+
+  LBB_HOT void push(HfHeapEntry e) noexcept { lane_heap_push(h, size, e); }
+  LBB_HOT HfHeapEntry pop() noexcept { return lane_heap_pop(h, size); }
+  [[nodiscard]] const HfHeapEntry& top() const noexcept { return h[0]; }
+};
+
+/// hf_lane_run's selection loop over slot arrays `sh`/`sw` whose slot 0
+/// holds the root; `queue` is empty.  Mirrors detail::hf_select, so both
+/// queue types pop in HfHeap's total order.
+template <typename Model, typename Queue>
+LBB_HOT inline void hf_lane_select(BatchWorkspace& ws, const Model& model,
+                                   std::int32_t l, std::uint64_t* sh,
+                                   double* sw, Queue& queue, std::int32_t n) {
   std::int64_t seq = 0;
-  sh[0] = hash;
-  sw[0] = w;
   std::int32_t used = 1;
-  // Hand-held maximum, exactly as hf_run: the priority is a total order, so
-  // keeping the strict max outside the heap changes no pop -- it skips the
-  // sift-up + sift-down pair whenever the heavier child immediately
-  // outweighs every queued entry.  Ties go through the heap (smaller seq
-  // wins).
-  HfHeapEntry hand{w, seq++, 0};
+  // Hand-held maximum, exactly as hf_select: the priority is a total order,
+  // so keeping the strict max outside the queue changes no pop -- it skips
+  // the push + pop pair whenever the heavier child immediately outweighs
+  // every queued entry.  Ties go through the queue (smaller seq wins).
+  HfHeapEntry hand{sw[0], seq++, 0};
   for (std::int32_t live = 1; live < n; ++live) {
     std::uint64_t hh;
     std::uint64_t lh;
@@ -97,15 +96,55 @@ LBB_HOT inline void hf_lane_run(BatchWorkspace& ws, const Model& model,
     const HfHeapEntry heavy_entry{hw, seq++, hand.slot};
     sh[used] = lh;
     sw[used] = lw;
-    lane_heap_push(h, hsize, HfHeapEntry{lw, seq++, used});
+    queue.push(HfHeapEntry{lw, seq++, used});
     ++used;
     ++ws.lane_bisections[l];
-    if (live + 1 < n && hsize > 0 && hw > h[0].weight) {
+    if (live + 1 < n && hw > queue.top().weight) {
       hand = heavy_entry;
     } else {
-      lane_heap_push(h, hsize, heavy_entry);
-      if (live + 1 < n) hand = lane_heap_pop(h, hsize);
+      queue.push(heavy_entry);
+      if (live + 1 < n) hand = queue.pop();
     }
+    if constexpr (std::is_same_v<Queue, detail::HfBandQueue>) {
+      // Fetch the hot top's slot one bisection ahead (see hf_select).
+      LBB_PREFETCH(sh + queue.top().slot);
+      LBB_PREFETCH(sw + queue.top().slot);
+    }
+  }
+}
+
+/// Runs HF to completion on lane `l`'s scratch region for a subproblem
+/// (`hash`, `w`) owning `n` processors, folding leaf weights into
+/// ws.lane_max[l] and bisections into ws.lane_bisections[l].  This is the
+/// whole-trial-per-lane path of hf_batch_run (n > kHfLockstepMaxPieces)
+/// and the HF phase of ba_hf_batch_run (sub-threshold subproblems).  From
+/// detail::kHfBandMinPieces pieces on it selects with the workspace's
+/// weight-band queue (ws.hf_queue, shared by the lanes, which run one after
+/// another); below that with the lane's raw 4-ary heap.  The queue is
+/// reserved for the lane stride rather than for `n`: BA-HF hands in a
+/// different `n` on every seed, and the stride fixes the pool size once
+/// per prepare(), so a warm workspace never allocates here.
+template <typename Model>
+LBB_HOT inline void hf_lane_run(BatchWorkspace& ws, const Model& model,
+                                std::int32_t l, std::uint64_t hash, double w,
+                                std::int32_t n) {
+  if (n == 1) {
+    if (w > ws.lane_max[l]) ws.lane_max[l] = w;
+    return;
+  }
+  const auto base = static_cast<std::size_t>(l) *
+                    static_cast<std::size_t>(ws.stride());
+  std::uint64_t* sh = ws.slot_hash.data() + base;
+  double* sw = ws.slot_weight.data() + base;
+  sh[0] = hash;
+  sw[0] = w;
+  if (n < detail::kHfBandMinPieces) {
+    LaneHeap heap{ws.heap.data() + base};
+    hf_lane_select(ws, model, l, sh, sw, heap, n);
+  } else {
+    ws.hf_queue.clear();
+    ws.hf_queue.reserve(static_cast<std::size_t>(ws.stride()));
+    hf_lane_select(ws, model, l, sh, sw, ws.hf_queue, n);
   }
   const simd::LaneKernels& k = simd::active();
   if (k.isa != simd::Isa::kScalar) {
@@ -128,8 +167,11 @@ LBB_HOT inline void hf_lane_run(BatchWorkspace& ws, const Model& model,
 /// whole-trial-per-lane: each lockstep step touches every lane's heap, a
 /// working set of lanes * n * sizeof(HfHeapEntry) bytes that falls out of
 /// L2 for large n and makes the batched path slower than scalar, while a
-/// lane run keeps one heap hot until the trial finishes.  Outputs are
-/// identical either way (hf_lane_run pops in the same total order).
+/// lane run keeps one selection structure hot until the trial finishes.
+/// Outputs are identical either way (hf_lane_run pops in the same total
+/// order).  Lane runs of this size select with the weight-band queue
+/// (detail::kHfBandMinPieces is below this constant), which makes them
+/// faster still; the lockstep comparison below predates that queue.
 ///
 /// Re-tuned after the SIMD lane kernels landed (tail_study --algos=hf
 /// --batch=16 --budget=0, equal-work trial counts, avx512 dispatch,

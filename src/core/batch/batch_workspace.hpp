@@ -240,6 +240,10 @@ class BatchWorkspace {
   Buf<std::int64_t> lane_bisections;
   Buf<std::int64_t> next_seq;
   Buf<std::int32_t> slots_used;
+  /// Weight-band selection queue of hf_lane_run at n >=
+  /// detail::kHfBandMinPieces; lanes run one after another and share it.
+  /// Sized by hf_lane_run for stride() entries (growth-only).
+  detail::HfBandQueue hf_queue;
 
  private:
   template <typename T>

@@ -10,18 +10,28 @@
 // which makes the two partitions equal as multisets of problems, not merely
 // equal in ratio.
 //
-// The selection structure is an inline 4-ary max-heap (detail::HfHeap in
-// core/detail/scratch.hpp) rather than std::priority_queue: a d-ary heap
-// halves the tree height, sift-down touches 4 contiguous children per
-// level (one cache line), and the comparator is inlined with no
-// function-object indirection.  Because the priority (weight, seq) is a
-// TOTAL order (seq is unique), every correct heap pops in the same
-// sequence, so the partition is bit-identical to the previous
-// std::priority_queue implementation.
+// Selection: the priority (weight descending, then seq ascending) is a
+// TOTAL order because seq is unique, so every correct priority queue pops
+// the same sequence and the partition does not depend on which one runs.
+// hf_run picks by size (detail::kHfBandMinPieces, core/detail/scratch.hpp):
+//   * below the cut-over, detail::HfHeap, an inline 4-ary max-heap: half
+//     the height of a binary heap, a sift-down level reads 4 contiguous
+//     24-byte children (96 bytes, which can span two cache lines), and the
+//     comparator inlines with no function-object indirection;
+//   * from the cut-over on, detail::HfBandQueue.  HF's pops come out in
+//     non-increasing weight order (a child never outweighs its parent), so
+//     lighter entries wait in weight bands (256 per octave) that are
+//     written and read sequentially, and only the current band sits in a
+//     small heap.  At N=2^20 the global heap would be 24 MB and miss cache
+//     on almost every sift-down level; the band queue runs HF about 2x
+//     faster (DESIGN.md section 7.5).
+// Both are checked against std::priority_queue (tests/core/hf_test.cpp and
+// tests/property/hf_heap_test.cpp): partitions, recorded trees and goldens
+// do not depend on which structure ran.
 //
 // Memory: every overload routes through a TrialWorkspace.  The
 // workspace-taking entry points reuse the slot array, per-slot weights,
-// selection heap and Partition::pieces storage across trials (zero
+// selection structures and Partition::pieces storage across trials (zero
 // steady-state allocations -- the `perf` ctest gate pins this); the
 // workspace-free overloads keep the historical behavior by running on a
 // cold workspace.  Both produce byte-identical partitions.
@@ -29,6 +39,7 @@
 
 #include <cstdint>
 #include <stdexcept>
+#include <type_traits>
 #include <utility>
 
 #include "core/detail/build_context.hpp"
@@ -42,45 +53,26 @@ namespace lbb::core {
 
 namespace detail {
 
-/// Runs HF on `problem` with `n` processors, emitting pieces with processor
-/// ids proc_lo .. proc_lo+n-1 and depths offset by `depth0`.  Used directly
-/// by hf_partition and as the second phase of BA-HF.  Scratch (slots,
-/// weights, heap) comes from `ws` and is cleared on entry, so one warm
-/// workspace serves any number of consecutive runs.
-template <Bisectable P>
-LBB_HOT void hf_run(BuildContext<P>& ctx, TrialWorkspace<P>& ws, P problem,
-                    std::int32_t n, ProcessorId proc_lo, std::int32_t depth0,
-                    NodeId node0) {
-  const double w0 = problem.weight();
-  if (n == 1) {
-    ctx.piece(std::move(problem), w0, proc_lo, depth0, node0);
-    return;
-  }
-
+/// HF's selection loop: n-1 times, bisect the heaviest live slot (ties:
+/// earliest created), the heavier child reusing the parent's slot.  Slot 0
+/// holds the root on entry; `queue` is empty and reserved for n entries.
+/// `Queue` is HfHeap or HfBandQueue -- both pop in the same total order, so
+/// the partition does not depend on which one runs.
+template <Bisectable P, typename Queue>
+LBB_HOT void hf_select(BuildContext<P>& ctx, TrialWorkspace<P>& ws,
+                       Queue& queue, std::int32_t n, double w0) {
   auto& slots = ws.hf_slots;
   auto& slot_weight = ws.slot_weight;
-  auto& heap = ws.heap;
-  slots.clear();
-  slots.reserve(static_cast<std::size_t>(n));
-  // Current weight per slot; once the heap reaches n entries this holds
-  // every final piece weight, so no ordered drain of the heap is needed.
-  slot_weight.clear();
-  slot_weight.reserve(static_cast<std::size_t>(n));
-  heap.clear();
-  heap.reserve(static_cast<std::size_t>(n));
   std::int64_t next_seq = 0;
 
-  slots.push_back(HfSlot<P>{std::move(problem), depth0, node0});
-  slot_weight.push_back(w0);
-
   // The next problem to bisect is kept "in hand" instead of round-tripping
-  // through the heap.  Because the priority (weight, seq) is a total order,
+  // through the queue.  Because the priority (weight, seq) is a total order,
   // any heap arrangement of the same entries pops in the same sequence, so
-  // holding the strict maximum outside the heap changes no pop -- it only
-  // skips a full sift-up + sift-down pair whenever the heavier child of the
-  // current problem immediately outweighs every queued entry (the common
-  // case while descending a heavy chain).  Ties must go through the heap:
-  // an equal-weight queued entry has a smaller seq and wins.
+  // holding the strict maximum outside the queue changes no pop -- it only
+  // skips a push + pop pair whenever the heavier child of the current
+  // problem immediately outweighs every queued entry (the common case while
+  // descending a heavy chain).  Ties must go through the queue: an
+  // equal-weight queued entry has a smaller seq and wins.
   HfHeapEntry hand{w0, next_seq++, 0};
   for (std::int32_t live = 1; live < n; ++live) {
     HfSlot<P>& s = slots[static_cast<std::size_t>(hand.slot)];
@@ -101,13 +93,60 @@ LBB_HOT void hf_run(BuildContext<P>& ctx, TrialWorkspace<P>& ws, P problem,
     const auto right_slot = static_cast<std::int32_t>(slots.size());
     slots.push_back(HfSlot<P>{std::move(right), depth, node_r});
     slot_weight.push_back(wr);
-    heap.push(HfHeapEntry{wr, next_seq++, right_slot});
-    if (live + 1 < n && wl > heap.top().weight) {
+    queue.push(HfHeapEntry{wr, next_seq++, right_slot});
+    if (live + 1 < n && wl > queue.top().weight) {
       hand = left_entry;  // strict max: would be popped right back
     } else {
-      heap.push(left_entry);
-      if (live + 1 < n) hand = heap.pop();
+      queue.push(left_entry);
+      if (live + 1 < n) hand = queue.pop();
     }
+    if constexpr (std::is_same_v<Queue, HfBandQueue>) {
+      // The slot arrays outgrow the cache long before the band queue's
+      // hot heap does, and the hot top is almost always the next pop:
+      // start fetching its slot one bisection ahead.
+      const auto next = static_cast<std::size_t>(queue.top().slot);
+      LBB_PREFETCH(slots.data() + next);
+      LBB_PREFETCH(slot_weight.data() + next);
+    }
+  }
+}
+
+/// Runs HF on `problem` with `n` processors, emitting pieces with processor
+/// ids proc_lo .. proc_lo+n-1 and depths offset by `depth0`.  Used directly
+/// by hf_partition and as the second phase of BA-HF.  Scratch (slots,
+/// weights, selection structure) comes from `ws` and is cleared on entry,
+/// so one warm workspace serves any number of consecutive runs.
+template <Bisectable P>
+LBB_HOT void hf_run(BuildContext<P>& ctx, TrialWorkspace<P>& ws, P problem,
+                    std::int32_t n, ProcessorId proc_lo, std::int32_t depth0,
+                    NodeId node0) {
+  const double w0 = problem.weight();
+  if (n == 1) {
+    ctx.piece(std::move(problem), w0, proc_lo, depth0, node0);
+    return;
+  }
+
+  auto& slots = ws.hf_slots;
+  auto& slot_weight = ws.slot_weight;
+  slots.clear();
+  slots.reserve(static_cast<std::size_t>(n));
+  // Current weight per slot; once the queue reaches n entries this holds
+  // every final piece weight, so no ordered drain of the queue is needed.
+  slot_weight.clear();
+  slot_weight.reserve(static_cast<std::size_t>(n));
+  slots.push_back(HfSlot<P>{std::move(problem), depth0, node0});
+  slot_weight.push_back(w0);
+
+  if (n < kHfBandMinPieces) {
+    auto& heap = ws.heap;
+    heap.clear();
+    heap.reserve(static_cast<std::size_t>(n));
+    hf_select(ctx, ws, heap, n, w0);
+  } else {
+    auto& queue = ws.hf_queue;
+    queue.clear();
+    queue.reserve(static_cast<std::size_t>(n));
+    hf_select(ctx, ws, queue, n, w0);
   }
 
   // Emit in slot (creation) order for determinism.

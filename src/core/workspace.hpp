@@ -3,7 +3,9 @@
 // One workspace per thread, reused across trials.  It owns
 //
 //   * the scratch buffers of the algorithm kernels (HF's slot array,
-//     per-slot weights and selection heap; the BA-family frame stack),
+//     per-slot weights and selection structures -- the heap below
+//     detail::kHfBandMinPieces pieces, the weight-band queue from there
+//     on; the BA-family frame stack),
 //   * a piece pool that recycles the Partition::pieces storage of finished
 //     trials back into the next partition call, and
 //   * a MonotonicArena for arena-backed AnyProblem storage (problems too
@@ -82,6 +84,7 @@ class TrialWorkspace {
     hf_slots = std::vector<detail::HfSlot<P>>();
     slot_weight = std::vector<double>();
     heap = detail::HfHeap();
+    hf_queue = detail::HfBandQueue();
     frames = std::vector<detail::BaFrame<P>>();
     piece_pool_ = std::vector<Piece<P>>();
     arena_.release();
@@ -93,6 +96,7 @@ class TrialWorkspace {
   std::vector<detail::HfSlot<P>> hf_slots;
   std::vector<double> slot_weight;
   detail::HfHeap heap;
+  detail::HfBandQueue hf_queue;
   std::vector<detail::BaFrame<P>> frames;
 
  private:

@@ -3,10 +3,17 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <bit>
 #include <cmath>
+#include <queue>
+#include <string>
 #include <tuple>
+#include <utility>
+#include <vector>
 
 #include "core/bounds.hpp"
+#include "core/detail/scratch.hpp"
 #include "problems/alpha_dist.hpp"
 #include "problems/synthetic.hpp"
 #include "stats/rng.hpp"
@@ -100,6 +107,135 @@ TEST(Hf, HeaviestAlwaysBisectedProperty) {
     }
   }
   EXPECT_LE(part.max_weight(), min_internal + 1e-12);
+}
+
+// --- Reference: HF on std::priority_queue ---------------------------------
+//
+// hf_partition selects with an inline 4-ary heap below
+// detail::kHfBandMinPieces pieces and with a weight-band queue from there
+// on.  Both must reproduce, piece for piece and tree node for tree node,
+// the textbook HF below: pop the heaviest (earliest created on ties),
+// bisect it, push both children (heavier first), n-1 times.
+
+Partition<SyntheticProblem> reference_hf(const SyntheticProblem& root,
+                                         std::int32_t n, bool record_tree) {
+  struct Entry {
+    double weight;
+    std::int64_t seq;
+    std::size_t slot;
+  };
+  struct Lower {
+    bool operator()(const Entry& a, const Entry& b) const {
+      if (a.weight != b.weight) return a.weight < b.weight;
+      return a.seq > b.seq;
+    }
+  };
+  struct Slot {
+    SyntheticProblem problem;
+    double weight;
+    std::int32_t depth;
+    NodeId node;
+  };
+  Partition<SyntheticProblem> out;
+  out.processors = n;
+  out.total_weight = root.weight();
+  const NodeId root_node =
+      record_tree ? out.tree.set_root(root.weight()) : kNoNode;
+  std::vector<Slot> slots{Slot{root, root.weight(), 0, root_node}};
+  std::priority_queue<Entry, std::vector<Entry>, Lower> queue;
+  std::int64_t seq = 0;
+  queue.push(Entry{root.weight(), seq++, 0});
+  for (std::int32_t live = 1; live < n; ++live) {
+    const Entry top = queue.top();
+    queue.pop();
+    auto [heavy, light] = slots[top.slot].problem.bisect();
+    if (heavy.weight() < light.weight()) std::swap(heavy, light);
+    NodeId heavy_node = kNoNode;
+    NodeId light_node = kNoNode;
+    if (record_tree) {
+      std::tie(heavy_node, light_node) = out.tree.add_bisection(
+          slots[top.slot].node, heavy.weight(), light.weight());
+    }
+    ++out.bisections;
+    const std::int32_t depth = slots[top.slot].depth + 1;
+    const double wh = heavy.weight();
+    const double wl = light.weight();
+    slots[top.slot] = Slot{heavy, wh, depth, heavy_node};
+    slots.push_back(Slot{light, wl, depth, light_node});
+    queue.push(Entry{wh, seq++, top.slot});
+    queue.push(Entry{wl, seq++, slots.size() - 1});
+  }
+  for (std::size_t i = 0; i < slots.size(); ++i) {
+    out.max_depth = std::max(out.max_depth, slots[i].depth);
+    out.pieces.push_back(Piece<SyntheticProblem>{
+        slots[i].problem, slots[i].weight, static_cast<ProcessorId>(i),
+        slots[i].depth, slots[i].node});
+  }
+  return out;
+}
+
+std::uint64_t bits(double w) { return std::bit_cast<std::uint64_t>(w); }
+
+void expect_same_partition(const Partition<SyntheticProblem>& got,
+                           const Partition<SyntheticProblem>& want,
+                           const std::string& what) {
+  ASSERT_EQ(got.pieces.size(), want.pieces.size()) << what;
+  EXPECT_EQ(got.bisections, want.bisections) << what;
+  EXPECT_EQ(got.max_depth, want.max_depth) << what;
+  for (std::size_t i = 0; i < want.pieces.size(); ++i) {
+    const auto& g = got.pieces[i];
+    const auto& w = want.pieces[i];
+    ASSERT_EQ(bits(g.weight), bits(w.weight)) << what << " piece " << i;
+    ASSERT_EQ(g.processor, w.processor) << what << " piece " << i;
+    ASSERT_EQ(g.depth, w.depth) << what << " piece " << i;
+    ASSERT_EQ(g.node, w.node) << what << " piece " << i;
+    ASSERT_EQ(g.problem.node_hash(), w.problem.node_hash())
+        << what << " piece " << i;
+  }
+  ASSERT_EQ(got.tree.size(), want.tree.size()) << what;
+  for (std::size_t i = 0; i < want.tree.size(); ++i) {
+    const auto& g = got.tree.node(static_cast<NodeId>(i));
+    const auto& w = want.tree.node(static_cast<NodeId>(i));
+    ASSERT_EQ(bits(g.weight), bits(w.weight)) << what << " node " << i;
+    ASSERT_EQ(g.parent, w.parent) << what << " node " << i;
+    ASSERT_EQ(g.left, w.left) << what << " node " << i;
+    ASSERT_EQ(g.right, w.right) << what << " node " << i;
+    ASSERT_EQ(g.depth, w.depth) << what << " node " << i;
+  }
+}
+
+TEST(Hf, MatchesPriorityQueueReferenceAcrossSelectionCutOver) {
+  const std::pair<const char*, AlphaDistribution> dists[] = {
+      {"U[0.01,0.5]", AlphaDistribution::uniform(0.01, 0.5)},
+      {"U[0.1,0.5]", AlphaDistribution::uniform(0.1, 0.5)},
+      {"point(0.5)", AlphaDistribution::point(0.5)},
+      {"point(0.1)", AlphaDistribution::point(0.1)},
+      {"two_point(0.1,0.5)", AlphaDistribution::two_point(0.1, 0.5)},
+  };
+  // One warm workspace for every case, so each run also checks that the
+  // selection structures forget the previous run on clear.
+  TrialWorkspace<SyntheticProblem> ws;
+  for (const std::int32_t n :
+       {detail::kHfBandMinPieces - 1, detail::kHfBandMinPieces,
+        std::int32_t{1} << 12, std::int32_t{1} << 16}) {
+    for (const auto& [name, dist] : dists) {
+      for (const std::uint64_t seed : {1ULL, 2ULL}) {
+        for (const bool record : {false, true}) {
+          const SyntheticProblem problem(seed, dist);
+          const std::string what = std::string(name) +
+                                   " n=" + std::to_string(n) +
+                                   " seed=" + std::to_string(seed) +
+                                   (record ? " tree" : "");
+          PartitionOptions opt;
+          opt.record_tree = record;
+          auto got = hf_partition(ws, problem, n, opt);
+          expect_same_partition(got, reference_hf(problem, n, record), what);
+          if (HasFatalFailure()) return;
+          ws.recycle(std::move(got));
+        }
+      }
+    }
+  }
 }
 
 // --- Theorem 2 sweep: the worst-case guarantee holds across alpha and N ---

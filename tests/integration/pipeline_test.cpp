@@ -11,7 +11,8 @@
 #include "problems/backtrack.hpp"
 #include "problems/fe_tree.hpp"
 #include "runtime/executor.hpp"
-#include "runtime/parallel_ba.hpp"
+#include "runtime/par_partition.hpp"
+#include "runtime/par_partitioners.hpp"
 #include "runtime/thread_pool.hpp"
 #include "sim/par_ba.hpp"
 #include "sim/phf.hpp"
@@ -59,11 +60,12 @@ TEST(Pipeline, FemWorkloadEndToEnd) {
   EXPECT_LT(phf_big.metrics.makespan, 2.0 * (big - 1));
 
   // 5. The parallel partitioner agrees with sequential BA.
-  runtime::ThreadPool pool(4);
-  const auto par_ba = runtime::parallel_ba_partition(root, n, pool);
+  const auto par_ba =
+      runtime::par_ba_partition(runtime::shared_pool(4), root, n);
   EXPECT_TRUE(core::same_weights(par_ba, ba, 0.0));
 
   // 6. Executing the partition does all the work exactly once.
+  runtime::ThreadPool pool(4);
   std::atomic<long long> elements{0};
   static_cast<void>(runtime::execute_partition(
       hf, pool, [&elements](const problems::FeTreeProblem& piece) {

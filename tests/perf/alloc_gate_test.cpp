@@ -87,6 +87,22 @@ TEST(AllocGate, HfPartitionSteadyStateIsAllocationFree) {
                             << " bytes across " << kTrials << " warm trials";
 }
 
+TEST(AllocGate, HfPartitionLargeNSteadyStateIsAllocationFree) {
+  // At 2^16 pieces HF selects with the weight-band queue, whose chunk pool
+  // must be sized by n alone: thousands of bands are in use, and the seeds
+  // measured here differ from the warm-up seeds.
+  constexpr std::int32_t kLargeN = std::int32_t{1} << 16;
+  const auto delta = steady_state_allocs(
+      [](TrialWorkspace<SyntheticProblem>& ws, std::uint64_t seed) {
+        auto part = hf_partition(ws, make_problem(seed), kLargeN);
+        EXPECT_EQ(part.pieces.size(), static_cast<std::size_t>(kLargeN));
+        ws.recycle(std::move(part));
+      });
+  EXPECT_EQ(delta.count, 0) << "hf_partition at n=2^16 allocated "
+                            << delta.bytes << " bytes across " << kTrials
+                            << " warm trials";
+}
+
 TEST(AllocGate, BaPartitionSteadyStateIsAllocationFree) {
   const auto delta = steady_state_allocs(
       [](TrialWorkspace<SyntheticProblem>& ws, std::uint64_t seed) {
@@ -306,6 +322,66 @@ TEST(AllocGate, BatchedTrialRunnerSteadyStateIsAllocationFree) {
       EXPECT_GE(outcome.ratio, 1.0) << algo;
     }
   }
+}
+
+TEST(AllocGate, BatchedHfLargeNSteadyStateIsAllocationFree) {
+  // The batched HF runner at 2^14 runs each lane on the workspace's
+  // weight-band queue; 16 batches of fresh seeds after warm-up on others
+  // must not allocate.
+  constexpr std::int32_t kLargeN = std::int32_t{1} << 14;
+  constexpr std::int32_t kWidth = 2;
+  const AlphaDistribution dist = AlphaDistribution::uniform(0.1, 0.5);
+  const auto part = PartitionerRegistry::instance().create(
+      "hf", PartitionerConfig{0.1, 1.0, 0, {}});
+  lbb::experiments::BatchTrialRunner runner;
+  lbb::experiments::BatchTrialOutcome outcomes[kWidth];
+  for (std::int64_t warm = 0; warm < 2; ++warm) {
+    runner.run(part->builtin(), dist, /*base_seed=*/3, warm * kWidth,
+               (warm + 1) * kWidth, kLargeN, kWidth, outcomes);
+  }
+  const auto before = lbb::stats::alloc_stats();
+  for (std::int64_t t = 100; t < 100 + kTrials; ++t) {
+    runner.run(part->builtin(), dist, /*base_seed=*/3, t * kWidth,
+               (t + 1) * kWidth, kLargeN, kWidth, outcomes);
+  }
+  const auto delta = lbb::stats::alloc_stats() - before;
+  EXPECT_EQ(delta.count, 0) << "batched hf at n=2^14 allocated "
+                            << delta.bytes << " bytes across " << kTrials
+                            << " warm batches";
+  for (const auto& outcome : outcomes) EXPECT_GE(outcome.ratio, 1.0);
+}
+
+TEST(AllocGate, BatchedBaHfQueuePoolDoesNotDependOnHfPhaseSizes) {
+  // BA-HF's HF phase runs hf_lane_run on subproblems of fewer than
+  // beta/alpha + 1 processors, banded from detail::kHfBandMinPieces on.
+  // Warm up with beta = 0.4 (HF phases below 41 processors), then measure
+  // with beta = 1 (below 101) on the same workspace: the lane queue's pool
+  // must already be large enough for the bigger phases.
+  const AlphaDistribution dist = AlphaDistribution::uniform(0.01, 0.5);
+  constexpr std::int32_t kWidth = 4;
+  BuiltinAlgo algo = PartitionerRegistry::instance()
+                         .create("ba_hf", PartitionerConfig{0.01, 1.0, 0, {}})
+                         ->builtin();
+  lbb::experiments::BatchTrialRunner runner;
+  lbb::experiments::BatchTrialOutcome outcomes[kWidth];
+  algo.beta = 0.4;
+  ASSERT_GT(ba_hf_switch_threshold(algo.alpha, algo.beta),
+            detail::kHfBandMinPieces);
+  for (std::int64_t warm = 0; warm < 2; ++warm) {
+    runner.run(algo, dist, /*base_seed=*/5, warm * kWidth,
+               (warm + 1) * kWidth, kN, kWidth, outcomes);
+  }
+  algo.beta = 1.0;
+  const auto before = lbb::stats::alloc_stats();
+  for (std::int64_t t = 100; t < 100 + kTrials; ++t) {
+    runner.run(algo, dist, /*base_seed=*/5, t * kWidth, (t + 1) * kWidth,
+               kN, kWidth, outcomes);
+  }
+  const auto delta = lbb::stats::alloc_stats() - before;
+  EXPECT_EQ(delta.count, 0) << "batched ba_hf allocated " << delta.bytes
+                            << " bytes across " << kTrials
+                            << " warm batches";
+  for (const auto& outcome : outcomes) EXPECT_GE(outcome.ratio, 1.0);
 }
 
 TEST(AllocGate, SimdKernelPathsSteadyStateAreAllocationFree) {

@@ -135,10 +135,11 @@ TEST(ExecutionReport, ImbalanceComputation) {
 }  // namespace
 }  // namespace lbb::runtime
 
-// Appended: tests for the real-thread BA partitioner.
+// Appended: tests for the real-thread BA partitioner (the work-stealing
+// par_ba_partition on the shared pool of a given thread count).
 #include "core/ba.hpp"
-#include "problems/fe_tree.hpp"
-#include "runtime/parallel_ba.hpp"
+#include "runtime/par_partition.hpp"
+#include "runtime/par_partitioners.hpp"
 
 namespace lbb::runtime {
 namespace {
@@ -147,11 +148,11 @@ using lbb::problems::AlphaDistribution;
 using lbb::problems::SyntheticProblem;
 
 TEST(ParallelBa, MatchesSequentialBaExactly) {
-  ThreadPool pool(4);
+  WorkStealingPool& pool = shared_pool(4);
   for (std::uint64_t seed : {1ULL, 7ULL}) {
     SyntheticProblem p(seed, AlphaDistribution::uniform(0.1, 0.5));
     for (int n : {1, 2, 16, 128, 500}) {
-      const auto par = parallel_ba_partition(p, n, pool);
+      const auto par = par_ba_partition(pool, p, n);
       const auto seq = lbb::core::ba_partition(p, n);
       ASSERT_EQ(par.pieces.size(), seq.pieces.size()) << "n=" << n;
       for (std::size_t i = 0; i < par.pieces.size(); ++i) {
@@ -165,38 +166,19 @@ TEST(ParallelBa, MatchesSequentialBaExactly) {
 }
 
 TEST(ParallelBa, ValidatesAndConserves) {
-  ThreadPool pool(3);
   SyntheticProblem p(9, AlphaDistribution::uniform(0.05, 0.5));
-  const auto part = parallel_ba_partition(p, 200, pool);
+  const auto part = par_ba_partition(shared_pool(3), p, 200);
   EXPECT_TRUE(part.validate());
   EXPECT_DOUBLE_EQ(part.ratio(),
                    lbb::core::ba_partition(p, 200).ratio());
 }
 
-TEST(ParallelBa, WorksWithExpensiveBisectionProblems) {
-  // The point of parallelizing the partitioning: FE-tree separator
-  // computation is O(fragment size) per bisection.
-  ThreadPool pool(4);
-  const auto tree = lbb::problems::FeTree::adaptive_refinement(3, 3000, 2.0);
-  const auto par =
-      parallel_ba_partition(lbb::problems::FeTreeProblem(tree), 24, pool);
-  const auto seq =
-      lbb::core::ba_partition(lbb::problems::FeTreeProblem(tree), 24);
-  EXPECT_EQ(par.sorted_weights(), seq.sorted_weights());
-}
-
 TEST(ParallelBa, RepeatedRunsAreDeterministic) {
-  ThreadPool pool(8);
+  WorkStealingPool& pool = shared_pool(8);
   SyntheticProblem p(11, AlphaDistribution::uniform(0.2, 0.5));
-  const auto a = parallel_ba_partition(p, 64, pool);
-  const auto b = parallel_ba_partition(p, 64, pool);
+  const auto a = par_ba_partition(pool, p, 64);
+  const auto b = par_ba_partition(pool, p, 64);
   EXPECT_EQ(a.sorted_weights(), b.sorted_weights());
-}
-
-TEST(ParallelBa, RejectsBadN) {
-  ThreadPool pool(1);
-  SyntheticProblem p(1, AlphaDistribution::uniform(0.2, 0.5));
-  EXPECT_THROW(parallel_ba_partition(p, 0, pool), std::invalid_argument);
 }
 
 }  // namespace
