@@ -12,9 +12,10 @@
 //   lbb_bench tail_study --threads=8 --batch=16    same output bytes
 //   lbb_bench tail_study --csv=tail.csv --out=BENCH_tail_study.json
 //   lbb_bench tail_study --smoke               batched-vs-scalar identity
-//                                              gate (widths 1/4/8/16 x
-//                                              threads 1/2); exit 1 on any
-//                                              divergence
+//                                              gate (U[0.01,0.5] and
+//                                              U[0.02,0.04], widths
+//                                              1/4/8/16 x threads 1/2);
+//                                              exit 1 on any divergence
 #include <cstdint>
 #include <fstream>
 #include <iostream>
@@ -94,33 +95,44 @@ bool cells_identical(const TailStudyResult& a, const TailStudyResult& b) {
 
 /// --smoke: a small study run through the scalar path and then through
 /// every batched width and a threaded configuration, each required to be
-/// bit-identical to the scalar reference.
+/// bit-identical to the scalar reference.  Two distributions: the default
+/// U[0.01, 0.5], whose HF lanes take the walk, and the narrow
+/// U[0.02, 0.04], whose HF lanes give it up and fall back to the selection
+/// queue.
 int run_smoke() {
-  TailStudyConfig base;
-  base.trials = 256;
-  base.log2_n = {6, 9};
-  base.algos = {"ba", "ba_star", "ba_hf", "hf"};
-  base.bisection_budget = 0;
-  base.hist_bins = 64;
-  base.seed = 7;
-
-  TailStudyConfig scalar = base;
-  scalar.batch = 1;
-  scalar.threads = 1;
-  const TailStudyResult reference = lbb::experiments::run_tail_study(scalar);
-
+  const lbb::problems::AlphaDistribution dists[] = {
+      lbb::problems::AlphaDistribution::uniform(0.01, 0.5),
+      lbb::problems::AlphaDistribution::uniform(0.02, 0.04)};
   int failures = 0;
-  for (const std::int32_t batch : {1, 4, 8, 16}) {
-    for (const std::int32_t threads : {1, 2}) {
-      TailStudyConfig config = base;
-      config.batch = batch;
-      config.threads = threads;
-      const TailStudyResult result = lbb::experiments::run_tail_study(config);
-      const bool ok = cells_identical(reference, result);
-      std::cout << "tail_study smoke: batch=" << batch
-                << " threads=" << threads
-                << (ok ? " identical" : " DIVERGED") << "\n";
-      if (!ok) ++failures;
+  for (const auto& dist : dists) {
+    TailStudyConfig base;
+    base.dist = dist;
+    base.trials = 256;
+    base.log2_n = {6, 9};
+    base.algos = {"ba", "ba_star", "ba_hf", "hf"};
+    base.bisection_budget = 0;
+    base.hist_bins = 64;
+    base.seed = 7;
+
+    TailStudyConfig scalar = base;
+    scalar.batch = 1;
+    scalar.threads = 1;
+    const TailStudyResult reference =
+        lbb::experiments::run_tail_study(scalar);
+
+    for (const std::int32_t batch : {1, 4, 8, 16}) {
+      for (const std::int32_t threads : {1, 2}) {
+        TailStudyConfig config = base;
+        config.batch = batch;
+        config.threads = threads;
+        const TailStudyResult result =
+            lbb::experiments::run_tail_study(config);
+        const bool ok = cells_identical(reference, result);
+        std::cout << "tail_study smoke: " << dist.describe()
+                  << " batch=" << batch << " threads=" << threads
+                  << (ok ? " identical" : " DIVERGED") << "\n";
+        if (!ok) ++failures;
+      }
     }
   }
   if (failures > 0) {

@@ -1,12 +1,18 @@
 // Batched (structure-of-arrays) HF / BA / BA' / BA-HF drivers.
 //
-// Each driver advances B independent trials ("lanes") of the same algorithm
-// in lockstep over a BatchWorkspace: gather the per-lane frontier into dense
-// staging arrays, run the bisection arithmetic as one contiguous loop across
-// lanes (the loop the model can vectorize), scatter the children back into
-// the per-lane heaps/stacks.  The drivers are templated on a LaneModel --
-// a problem class expressed as pure functions over (node_hash, weight)
-// pairs -- so this layer stays free of any problems/ dependency:
+// Each driver runs B independent trials ("lanes") of the same algorithm over
+// a BatchWorkspace.  The BA-family drivers advance the lanes in lockstep:
+// gather the per-lane frames into dense staging arrays, run the bisection
+// arithmetic as one contiguous loop across lanes (the loop the model can
+// vectorize), scatter the children back into the per-lane stacks.  HF runs
+// one lane after another (hf_lane_run): from detail::kHfBandMinPieces
+// pieces on it finds the heaviest piece as the n-th heaviest node of the
+// bisection tree with a bounded walk and a bucketed selection, and below
+// that, or when the walk gives up, it simulates HF's selection on the
+// lane's slot arrays.
+// The drivers are templated on a LaneModel -- a problem class expressed as
+// pure functions over (node_hash, weight) pairs -- so this layer stays free
+// of any problems/ dependency:
 //
 //   struct LaneModel {
 //     // Children of one node; first pair is the heavier-or-equal child and
@@ -21,14 +27,15 @@
 //
 // Byte-identity to the scalar kernels (the contract the scalar-vs-batched
 // golden gate asserts):
-//   * Per lane, the pop/bisect order is exactly the scalar order -- the HF
-//     priority (weight, seq) is a total order, lane_heap_push/pop replicate
-//     HfHeap's sift logic, and the weight-band queue hf_lane_run uses from
-//     detail::kHfBandMinPieces pieces on pops HfHeap's sequence; the BA
-//     stacks push right-then-left like ba_run.  Lockstep interleaving
-//     across lanes cannot perturb a lane's own sequence because draws are
-//     path-hashed (pure functions of the node hash), not consumed from a
-//     shared stream.
+//   * Per lane, HF's heaviest piece is the scalar one.  The simulated
+//     selection pops in exactly the scalar order -- the HF priority
+//     (weight, seq) is a total order, lane_heap_push/pop replicate HfHeap's
+//     sift logic, and the weight-band queue pops HfHeap's sequence -- and
+//     the walk returns the n-th heaviest node, which is what that order
+//     leaves as the heaviest piece (see hf_lane_walk).  The BA stacks push
+//     right-then-left like ba_run.  Lockstep interleaving across lanes
+//     cannot perturb a lane's own sequence because draws are path-hashed
+//     (pure functions of the node hash), not consumed from a shared stream.
 //   * Every weight is produced by the same inline expression on the same
 //     inputs as the scalar path ((1-alpha)*w / alpha*w, no reassociation),
 //     so each node's weight is bitwise equal.
@@ -40,7 +47,11 @@
 // only piece-free builtin configurations here).
 #pragma once
 
+#include <algorithm>
+#include <bit>
+#include <cstddef>
 #include <cstdint>
+#include <functional>
 #include <type_traits>
 
 #include "core/batch/batch_workspace.hpp"
@@ -113,17 +124,115 @@ LBB_HOT inline void hf_lane_select(BatchWorkspace& ws, const Model& model,
   }
 }
 
-/// Runs HF to completion on lane `l`'s scratch region for a subproblem
-/// (`hash`, `w`) owning `n` processors, folding leaf weights into
-/// ws.lane_max[l] and bisections into ws.lane_bisections[l].  This is the
-/// whole-trial-per-lane path of hf_batch_run (n > kHfLockstepMaxPieces)
-/// and the HF phase of ba_hf_batch_run (sub-threshold subproblems).  From
-/// detail::kHfBandMinPieces pieces on it selects with the workspace's
-/// weight-band queue (ws.hf_queue, shared by the lanes, which run one after
-/// another); below that with the lane's raw 4-ary heap.  The queue is
-/// reserved for the lane stride rather than for `n`: BA-HF hands in a
-/// different `n` on every seed, and the stride fixes the pool size once
-/// per prepare(), so a warm workspace never allocates here.
+/// The n-th largest weight among the `count` nodes of a finished walk,
+/// ws.walk_node[0..count), all of them positive and in [t, w].  Buckets the
+/// weights by their bit distance from the root weight w,
+/// bit_cast<u64>(w) - bit_cast<u64>(x), which grows as x falls (positive
+/// doubles order like their bit patterns), then runs nth_element inside
+/// the one bucket that holds rank n.  About n buckets over the span keep
+/// that bucket a few dozen entries long.
+LBB_HOT inline double hf_walk_select(BatchWorkspace& ws, double w, double t,
+                                     std::size_t count, std::int32_t n) {
+  const WalkNode* node = ws.walk_node.data();
+  double* bucket = ws.walk_weight.data();
+  std::int32_t* hist = ws.walk_hist.data();
+  const std::uint64_t top_bits = std::bit_cast<std::uint64_t>(w);
+  const std::uint64_t span = top_bits - std::bit_cast<std::uint64_t>(t);
+  // Shift the span down to at most bit_floor(n) buckets.
+  const int bucket_bits = std::bit_width(static_cast<std::uint32_t>(n)) - 1;
+  const int span_bits = std::bit_width(span);
+  const int shift = span_bits > bucket_bits ? span_bits - bucket_bits : 0;
+  const auto bucket_of = [&](double x) noexcept {
+    return static_cast<std::size_t>(
+        (top_bits - std::bit_cast<std::uint64_t>(x)) >> shift);
+  };
+  std::fill_n(hist, (span >> shift) + 1, 0);
+  for (std::size_t i = 0; i < count; ++i) ++hist[bucket_of(node[i].weight)];
+  std::size_t b = 0;
+  std::int32_t rank = n;  // 1-based, heaviest first, within bucket b
+  while (hist[b] < rank) rank -= hist[b++];
+  std::size_t size = 0;
+  for (std::size_t i = 0; i < count; ++i) {
+    bucket[size] = node[i].weight;
+    size += static_cast<std::size_t>(bucket_of(node[i].weight) == b);
+  }
+  double* nth = bucket + (rank - 1);
+  std::nth_element(bucket, nth, bucket + size, std::greater<double>());
+  return *nth;
+}
+
+/// HF's heaviest piece on an n-piece lane without simulating HF.  HF always
+/// bisects the heaviest live subproblem, and no child outweighs its parent,
+/// so its k-th bisection takes the k-th heaviest node of the whole
+/// bisection tree and, after n-1 bisections, its heaviest piece is the n-th
+/// heaviest node (a value that ties cannot change).  The nodes of weight
+/// >= t form a subtree around the root, since ancestors are heavier, and a
+/// walk that bisects every node it visits and keeps only children >= t
+/// visits exactly that subtree.  The pieces sum to w, so the answer is at
+/// least w/n: the walk starts just below it (the margin absorbs the
+/// rounding of the children's sums) and halves t if fewer than n nodes
+/// come back.
+///
+/// The walk is breadth-first over ws.walk_node, which is at once its queue
+/// and the list of visited nodes: the next node to bisect never depends on
+/// the last bisection, so consecutive bisections overlap in the core (a
+/// depth-first stack made every pop wait for the previous children).  Both
+/// children are appended and the end advances past each one that is >= t,
+/// with no branch.
+///
+/// Returns false, leaving `nth` unset, when the walk must not be trusted
+/// or does not pay: a child heavier than its parent, a non-positive or NaN
+/// weight, or more than hf_walk_budget(n) nodes.  The caller then runs the
+/// selection queue, which handles all of these.
+template <typename Model>
+LBB_HOT inline bool hf_lane_walk(BatchWorkspace& ws, const Model& model,
+                                 std::uint64_t hash, double w, std::int32_t n,
+                                 double& nth) {
+  const std::size_t budget = hf_walk_budget(n);
+  WalkNode* node = ws.walk_node.data();
+  double t = w / static_cast<double>(n) * (1.0 - 0x1p-20);
+  for (;;) {
+    node[0] = WalkNode{hash, w};
+    std::size_t end = 1;
+    for (std::size_t i = 0; i < end; ++i) {
+      if (end > budget) return false;
+      const WalkNode x = node[i];
+      std::uint64_t hh;
+      std::uint64_t lh;
+      double hw;
+      double lw;
+      model.bisect(x.hash, x.weight, hh, hw, lh, lw);
+      if (!(hw <= x.weight && lw <= x.weight && hw > 0.0 && lw > 0.0)) {
+        return false;
+      }
+      node[end] = WalkNode{hh, hw};
+      end += static_cast<std::size_t>(hw >= t);
+      node[end] = WalkNode{lh, lw};
+      end += static_cast<std::size_t>(lw >= t);
+    }
+    if (end >= static_cast<std::size_t>(n)) {
+      nth = hf_walk_select(ws, w, t, end, n);
+      return true;
+    }
+    t *= 0.5;
+  }
+}
+
+/// Runs HF on lane `l` for a subproblem (`hash`, `w`) owning `n`
+/// processors, folding its heaviest piece into ws.lane_max[l] and its n-1
+/// bisections into ws.lane_bisections[l].  This is every lane of
+/// hf_batch_run and the HF phase of ba_hf_batch_run (sub-threshold
+/// subproblems).
+///
+/// Below detail::kHfBandMinPieces pieces it simulates HF with the lane's
+/// raw 4-ary heap.  From there on it tries hf_lane_walk while ws.hf_walk is
+/// set, clears that flag when a walk gives up, and otherwise simulates HF
+/// with the workspace's weight-band queue (ws.hf_queue, shared by the
+/// lanes, which run one after another).  One cut-over serves both: the
+/// walk loses to the heap at 16 pieces and breaks even at 24 (DESIGN.md
+/// section 7.6).  prepare() sizes the walk's buffers and the queue from the
+/// lane stride, so a warm workspace never allocates here, whatever `n` and
+/// whichever path.
 template <typename Model>
 LBB_HOT inline void hf_lane_run(BatchWorkspace& ws, const Model& model,
                                 std::int32_t l, std::uint64_t hash, double w,
@@ -131,6 +240,15 @@ LBB_HOT inline void hf_lane_run(BatchWorkspace& ws, const Model& model,
   if (n == 1) {
     if (w > ws.lane_max[l]) ws.lane_max[l] = w;
     return;
+  }
+  if (n >= detail::kHfBandMinPieces && ws.hf_walk) {
+    double m;
+    if (hf_lane_walk(ws, model, hash, w, n, m)) {
+      if (m > ws.lane_max[l]) ws.lane_max[l] = m;
+      ws.lane_bisections[l] += n - 1;
+      return;
+    }
+    ws.hf_walk = false;
   }
   const auto base = static_cast<std::size_t>(l) *
                     static_cast<std::size_t>(ws.stride());
@@ -143,7 +261,6 @@ LBB_HOT inline void hf_lane_run(BatchWorkspace& ws, const Model& model,
     hf_lane_select(ws, model, l, sh, sw, heap, n);
   } else {
     ws.hf_queue.clear();
-    ws.hf_queue.reserve(static_cast<std::size_t>(ws.stride()));
     hf_lane_select(ws, model, l, sh, sw, ws.hf_queue, n);
   }
   const simd::LaneKernels& k = simd::active();
@@ -159,131 +276,15 @@ LBB_HOT inline void hf_lane_run(BatchWorkspace& ws, const Model& model,
   }
 }
 
-/// Lockstep HF over lanes [0, lanes): every lane performs exactly n-1
-/// pop/bisect/push steps, with the bisection arithmetic of all lanes fused
-/// into one dense bisect_lanes call per step.  Inputs: ws.root_hash /
-/// ws.root_weight per lane.  Outputs: ws.lane_max / ws.lane_bisections.
-/// Above this piece count hf_batch_run abandons lockstep for
-/// whole-trial-per-lane: each lockstep step touches every lane's heap, a
-/// working set of lanes * n * sizeof(HfHeapEntry) bytes that falls out of
-/// L2 for large n and makes the batched path slower than scalar, while a
-/// lane run keeps one selection structure hot until the trial finishes.
-/// Outputs are identical either way (hf_lane_run pops in the same total
-/// order).  Lane runs of this size select with the weight-band queue
-/// (detail::kHfBandMinPieces is below this constant), which makes them
-/// faster still; the lockstep comparison below predates that queue.
-///
-/// Re-tuned after the SIMD lane kernels landed (tail_study --algos=hf
-/// --batch=16 --budget=0, equal-work trial counts, avx512 dispatch,
-/// 3 runs/point): per-lane wins at every n >= 256 (e.g. n=2^10 per-lane
-/// 1.02-1.06 s vs lockstep 1.13-1.28 s; n=2^12 1.23-1.35 s vs
-/// 1.58-1.68 s) -- heap locality dominates even though only lockstep
-/// vectorizes the bisect.  At n <= 128 the two are within run-to-run
-/// noise (n=64: 0.073-0.084 s per-lane vs 0.079-0.098 s lockstep), so
-/// the threshold sits at the top of the noise-equal range, keeping the
-/// dense bisect_lanes path live in production-sized small-n runs.
-inline constexpr std::int32_t kHfLockstepMaxPieces = 128;
-
+/// HF over lanes [0, lanes): each lane runs hf_lane_run from its root
+/// (ws.root_hash / ws.root_weight) to ws.lane_max / ws.lane_bisections.
 template <typename Model>
 LBB_HOT void hf_batch_run(BatchWorkspace& ws, const Model& model,
                           std::int32_t lanes, std::int32_t n) {
-  if (n > kHfLockstepMaxPieces) {
-    for (std::int32_t l = 0; l < lanes; ++l) {
-      ws.lane_max[l] = 0.0;
-      ws.lane_bisections[l] = 0;
-      hf_lane_run(ws, model, l, ws.root_hash[l], ws.root_weight[l], n);
-    }
-    return;
-  }
-  const auto stride = static_cast<std::size_t>(ws.stride());
   for (std::int32_t l = 0; l < lanes; ++l) {
+    ws.lane_max[l] = 0.0;
     ws.lane_bisections[l] = 0;
-    if (n == 1) {
-      ws.lane_max[l] = ws.root_weight[l];
-      continue;
-    }
-    const std::size_t base = static_cast<std::size_t>(l) * stride;
-    ws.slot_hash[base] = ws.root_hash[l];
-    ws.slot_weight[base] = ws.root_weight[l];
-    ws.heap_size[l] = 0;
-    lane_heap_push(ws.heap.data() + base, ws.heap_size[l],
-                   HfHeapEntry{ws.root_weight[l], 0, 0});
-    ws.slots_used[l] = 1;
-    ws.next_seq[l] = 1;
-  }
-  if (n == 1) return;
-
-  const simd::LaneKernels& k = simd::active();
-  for (std::int32_t step = 0; step < n - 1; ++step) {
-    // Gather: pop each lane's heaviest slot into the staging arrays with
-    // plain scalar loads.  A k.gather_pairs staging variant (record the
-    // absolute offsets, one indexed vector gather) was measured here and
-    // LOST ~5-8% end to end at batch=16 on avx512: hardware gathers are
-    // microcoded on common cores, while these loads hit lines the pops
-    // just touched.  The kernel stays in the LaneKernels table (pinned by
-    // property_simd_lanes_test) for gather-friendly targets, but the
-    // driver keeps the scalar loads; the dense bisect below and the max
-    // reduce are where the vector tables actually pay.
-    for (std::int32_t l = 0; l < lanes; ++l) {
-      const std::size_t base = static_cast<std::size_t>(l) * stride;
-      const HfHeapEntry top =
-          lane_heap_pop(ws.heap.data() + base, ws.heap_size[l]);
-      ws.stage_slot[l] = top.slot;
-      ws.stage_hash[l] =
-          ws.slot_hash[base + static_cast<std::size_t>(top.slot)];
-      ws.stage_weight[l] =
-          ws.slot_weight[base + static_cast<std::size_t>(top.slot)];
-    }
-    // Dense bisect across all lanes -- the vectorizable inner loop.
-    model.bisect_lanes(lanes, ws.stage_hash.data(), ws.stage_weight.data(),
-                       ws.heavy_hash.data(), ws.heavy_weight.data(),
-                       ws.light_hash.data(), ws.light_weight.data());
-    // Scatter: heavy child reuses the parent slot, light child opens one.
-    for (std::int32_t l = 0; l < lanes; ++l) {
-      const std::size_t base = static_cast<std::size_t>(l) * stride;
-      std::uint64_t hh = ws.heavy_hash[l];
-      double hw = ws.heavy_weight[l];
-      std::uint64_t lh = ws.light_hash[l];
-      double lw = ws.light_weight[l];
-      if (hw < lw) {
-        const std::uint64_t th = hh;
-        hh = lh;
-        lh = th;
-        const double tw = hw;
-        hw = lw;
-        lw = tw;
-      }
-      const std::int32_t parent_slot = ws.stage_slot[l];
-      ws.slot_hash[base + static_cast<std::size_t>(parent_slot)] = hh;
-      ws.slot_weight[base + static_cast<std::size_t>(parent_slot)] = hw;
-      lane_heap_push(ws.heap.data() + base, ws.heap_size[l],
-                     HfHeapEntry{hw, ws.next_seq[l]++, parent_slot});
-      const std::int32_t light_slot = ws.slots_used[l]++;
-      ws.slot_hash[base + static_cast<std::size_t>(light_slot)] = lh;
-      ws.slot_weight[base + static_cast<std::size_t>(light_slot)] = lw;
-      lane_heap_push(ws.heap.data() + base, ws.heap_size[l],
-                     HfHeapEntry{lw, ws.next_seq[l]++, light_slot});
-      ++ws.lane_bisections[l];
-    }
-  }
-
-  // Reduce: the final n slot weights per lane are the piece weights.  The
-  // vector max is exact and order-free, hence bit-identical to the scan.
-  if (k.isa != simd::Isa::kScalar) {
-    for (std::int32_t l = 0; l < lanes; ++l) {
-      const std::size_t base = static_cast<std::size_t>(l) * stride;
-      ws.lane_max[l] = k.max_f64(ws.slot_weight.data() + base, n);
-    }
-  } else {
-    for (std::int32_t l = 0; l < lanes; ++l) {
-      const std::size_t base = static_cast<std::size_t>(l) * stride;
-      double m = ws.slot_weight[base];
-      for (std::int32_t i = 1; i < n; ++i) {
-        const double w = ws.slot_weight[base + static_cast<std::size_t>(i)];
-        if (w > m) m = w;
-      }
-      ws.lane_max[l] = m;
-    }
+    hf_lane_run(ws, model, l, ws.root_hash[l], ws.root_weight[l], n);
   }
 }
 

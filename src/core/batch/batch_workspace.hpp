@@ -2,11 +2,13 @@
 //
 // A BatchWorkspace holds B independent trials' ("lanes'") in-flight state in
 // lane-major contiguous buffers: lane l's slots live at [l*stride, l*stride+n),
-// its heap entries at [l*heap_stride, ...), and so on.  The batched drivers in
+// its heap entries and BA frames likewise.  The BA-family drivers in
 // core/batch/batch_kernels.hpp advance every lane in lockstep, gathering the
-// per-lane tops into the staging arrays, running the bisection arithmetic as
-// one dense loop over lanes (the loop the compiler can vectorize), and
-// scattering the children back.
+// per-lane frames into the staging arrays, running the bisection arithmetic
+// as one dense loop over lanes (the loop the compiler can vectorize), and
+// scattering the children back.  HF runs one lane after another
+// (hf_lane_run) on the lane's slots plus the walk and selection buffers the
+// lanes share.
 //
 // Like TrialWorkspace, all storage is sized once (prepare()) and recycled
 // across batches: once warm, a batch run performs exactly zero heap
@@ -125,6 +127,30 @@ LBB_HOT inline HfHeapEntry lane_heap_pop(HfHeapEntry* h,
   return result;
 }
 
+/// A tree node visited by hf_lane_run's walk.
+struct WalkNode {
+  std::uint64_t hash;
+  double weight;
+};
+
+/// hf_lane_run's walk budget: a lane of n pieces may visit at most
+/// kHfWalkPerPiece * n tree nodes before it gives up and falls back to the
+/// selection queue.  An unbounded walk visits the nodes of weight >= w/n:
+/// per piece 1.4-2.0 on average on the wide uniform distributions (never
+/// above 2.71 for U[0.01,0.5] or U[0.1,0.5] over 400,000 seeds at each of
+/// n = 24, 32, 48, 64, 100), but 3.1-27 on narrow or point distributions
+/// (U[0.05,0.1], U[0.02,0.04], point(0.1), point(0.01)), where the queue is
+/// the cheaper path at small n (the walk measured 1.3-9x slower at
+/// n = 32-64).  3n separates the two groups at every n; an additive slack
+/// (3n + 64 was tried) lets narrow ones fit at n = 32-64 and lose there.
+/// Numbers in DESIGN.md section 7.6.
+inline constexpr std::int64_t kHfWalkPerPiece = 3;
+
+/// Most nodes an n-piece walk may visit (see kHfWalkPerPiece).
+[[nodiscard]] constexpr std::size_t hf_walk_budget(std::int32_t n) noexcept {
+  return static_cast<std::size_t>(kHfWalkPerPiece * n);
+}
+
 /// SoA scratch for up to `width` lanes partitioning into up to `n` pieces.
 /// All vectors are plain flat buffers indexed by the kernels; none are
 /// resized on the hot path.
@@ -163,7 +189,17 @@ class BatchWorkspace {
     slot_weight.resize(slots);
     // Per-lane 4-ary selection heaps, lane-major with stride_ entries each.
     heap.resize(slots);
-    heap_size.resize(lanes);
+    // HF's walk and selection scratch, shared by the lanes (hf_lane_run
+    // runs them one after another).  A walk within budget appends at most
+    // two nodes past it before it checks.
+    const std::size_t budget = hf_walk_budget(stride_);
+    walk_node.resize(budget + 2);
+    walk_hist.resize(static_cast<std::size_t>(stride_));
+    walk_weight.resize(budget);
+    // The band queue hf_lane_run falls back to, sized for the stride rather
+    // than for a run's n: BA-HF hands in a different n on every seed, and
+    // the first fallback may come on any of them.
+    hf_queue.reserve(static_cast<std::size_t>(stride_));
     // Per-lane BA/BA-HF frame stacks.  Depth can reach n on a degenerate
     // heavy chain (every split peels one processor), hence the full stride.
     frame_hash.resize(slots);
@@ -173,8 +209,6 @@ class BatchWorkspace {
     // Lockstep staging: gathered parents and their computed children.  The
     // dense loops over these arrays are the vectorization target.
     stage_lane.resize(lanes);
-    stage_slot.resize(lanes);
-    stage_index.resize(lanes);
     stage_n.resize(lanes);
     stage_hash.resize(lanes);
     stage_weight.resize(lanes);
@@ -187,15 +221,12 @@ class BatchWorkspace {
     root_weight.resize(lanes);
     lane_max.resize(lanes);
     lane_bisections.resize(lanes);
-    next_seq.resize(lanes);
-    slots_used.resize(lanes);
     // The allocator guarantees these; assert the contract the vector
     // kernels (and their full-cacheline accesses) are written against.
     require_aligned(slot_hash.data());
     require_aligned(slot_weight.data());
     require_aligned(frame_hash.data());
     require_aligned(frame_weight.data());
-    require_aligned(stage_index.data());
     require_aligned(stage_hash.data());
     require_aligned(stage_weight.data());
     require_aligned(heavy_hash.data());
@@ -213,20 +244,11 @@ class BatchWorkspace {
   Buf<std::uint64_t> slot_hash;
   Buf<double> slot_weight;
   Buf<HfHeapEntry> heap;
-  Buf<std::int32_t> heap_size;
   Buf<std::uint64_t> frame_hash;
   Buf<double> frame_weight;
   Buf<std::int32_t> frame_n;
   Buf<std::int32_t> frame_top;
   Buf<std::int32_t> stage_lane;
-  Buf<std::int32_t> stage_slot;
-  /// Absolute element offsets (lane base + slot) of the staged parents in
-  /// slot_hash/slot_weight; input format of the vector gather kernel
-  /// (simd::LaneKernels::gather_pairs).  The HF lockstep driver currently
-  /// stages with scalar loads instead -- hardware gathers measured slower
-  /// there (see hf_batch_run) -- so this buffer is reserved for
-  /// gather-friendly targets.
-  Buf<std::int64_t> stage_index;
   Buf<std::int32_t> stage_n;
   Buf<std::uint64_t> stage_hash;
   Buf<double> stage_weight;
@@ -238,12 +260,22 @@ class BatchWorkspace {
   Buf<double> root_weight;
   Buf<double> lane_max;
   Buf<std::int64_t> lane_bisections;
-  Buf<std::int64_t> next_seq;
-  Buf<std::int32_t> slots_used;
+  /// hf_lane_run's walk: the nodes it visited, in visiting order, then the
+  /// selection's bucket histogram and the weights of the bucket that holds
+  /// the answer.
+  Buf<WalkNode> walk_node;
+  Buf<std::int32_t> walk_hist;
+  Buf<double> walk_weight;
   /// Weight-band selection queue of hf_lane_run at n >=
-  /// detail::kHfBandMinPieces; lanes run one after another and share it.
-  /// Sized by hf_lane_run for stride() entries (growth-only).
+  /// detail::kHfBandMinPieces when the walk does not run; lanes run one
+  /// after another and share it.  Reserved for stride() entries.
   detail::HfBandQueue hf_queue;
+  /// True while hf_lane_run tries the walk.  The first walk that overflows
+  /// its budget or meets a child heavier than its parent clears it, and the
+  /// lanes select with the queue from then on; experiments::
+  /// BatchTrialRunner sets it again when the distribution changes.  Only
+  /// speed depends on it: both paths return the same bits.
+  bool hf_walk = true;
 
  private:
   template <typename T>

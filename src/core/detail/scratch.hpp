@@ -418,7 +418,9 @@ class HfBandQueue {
 };
 
 /// HF runners (detail::hf_run, batch::hf_lane_run) select with HfBandQueue
-/// from this many pieces on and with HfHeap / the lane heap below it.
+/// from this many pieces on and with HfHeap / the lane heap below it; from
+/// here on batch::hf_lane_run first tries its tree walk, which needs no
+/// selection structure (core/batch/batch_kernels.hpp).
 ///
 /// Each loop timed whole on each structure (warm workspaces, p50 over 15
 /// pairs whose order alternates, 4-core Xeon VM with 48 KiB L1d and 2 MiB

@@ -1,11 +1,11 @@
 // Runtime CPU dispatch for the batched trial kernels (core/batch).
 //
-// The dense lane loops -- SyntheticLaneModel::bisect_lanes and the
-// gather/reduce staging loops in core/batch/batch_kernels.hpp -- are
-// straight-line 64-bit hash/multiply arithmetic that the baseline x86-64
-// target cannot auto-vectorize.  This subsystem provides hand-vectorized
-// implementations behind a function-pointer table (LaneKernels) selected
-// once per process from the CPU's capabilities:
+// The dense lane loops -- SyntheticLaneModel::bisect_lanes, straight-line
+// 64-bit hash/multiply arithmetic that the baseline x86-64 target cannot
+// auto-vectorize, and the max reduce of the HF lanes in
+// core/batch/batch_kernels.hpp -- get hand-vectorized implementations
+// behind a function-pointer table (LaneKernels) selected once per process
+// from the CPU's capabilities:
 //
 //   * kScalar -- portable C++ loops, always compiled, bit-identical to the
 //     inline loops the batch drivers shipped with.
@@ -82,11 +82,6 @@ struct LaneKernels {
                            const double* w, double lo, double hi,
                            std::uint64_t* heavy_hash, double* heavy_w,
                            std::uint64_t* light_hash, double* light_w);
-  /// Staging gather: out_hash[i] = slot_hash[index[i]], out_w[i] =
-  /// slot_weight[index[i]].  Indices are element offsets (>= 0).
-  void (*gather_pairs)(std::int32_t count, const std::uint64_t* slot_hash,
-                       const double* slot_weight, const std::int64_t* index,
-                       std::uint64_t* out_hash, double* out_w);
   /// Exact maximum of values[0..count), count >= 1 (no NaN inputs).
   double (*max_f64)(const double* values, std::int32_t count);
 };

@@ -153,27 +153,6 @@ void bisect_two_point_t(std::int32_t count, const std::uint64_t* hash,
 }
 
 template <class VU, class VF>
-void gather_pairs_t(std::int32_t count, const std::uint64_t* slot_hash,
-                    const double* slot_weight, const std::int64_t* index,
-                    std::uint64_t* out_hash, double* out_w) {
-  constexpr std::int32_t kW = VU::kWidth;
-  std::int32_t i = 0;
-  for (; i + kW <= count; i += kW) {
-    // Indices are non-negative element offsets; reading them through the
-    // u64 lane type is a bit-preserving reinterpretation.
-    const VU idx =
-        VU::load(reinterpret_cast<const std::uint64_t*>(index + i));
-    gather_u64(slot_hash, idx).store(out_hash + i);
-    gather_f64(slot_weight, idx).store(out_w + i);
-  }
-  for (; i < count; ++i) {
-    const auto j = static_cast<std::size_t>(index[i]);
-    out_hash[i] = slot_hash[j];
-    out_w[i] = slot_weight[j];
-  }
-}
-
-template <class VU, class VF>
 double max_f64_t(const double* values, std::int32_t count) {
   constexpr std::int32_t kW = VF::kWidth;
   double m = values[0];
@@ -205,7 +184,6 @@ template <class VU, class VF>
   k.bisect_uniform = &bisect_uniform_t<VU, VF>;
   k.bisect_point = &bisect_point_t<VU, VF>;
   k.bisect_two_point = &bisect_two_point_t<VU, VF>;
-  k.gather_pairs = &gather_pairs_t<VU, VF>;
   k.max_f64 = &max_f64_t<VU, VF>;
   return k;
 }

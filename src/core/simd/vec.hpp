@@ -2,10 +2,10 @@
 //
 // Each pair (U64xN, F64xN) wraps one register width with the exact set of
 // operations kernels_inl.hpp needs: unaligned load/store, broadcast, u64
-// add/xor/shift/multiply, f64 add/sub/mul/max/compare-select, the exact
-// 53-bit u64->f64 conversion, and 64-bit-indexed gathers.  The width-1 pair
-// wraps plain scalars so the shared kernel templates instantiate to the
-// portable fallback with no separate code path.
+// add/xor/shift/multiply, f64 add/sub/mul/max/compare-select, and the exact
+// 53-bit u64->f64 conversion.  The width-1 pair wraps plain scalars so the
+// shared kernel templates instantiate to the portable fallback with no
+// separate code path.
 //
 // Exactness notes (the bit-identity contract leans on these):
 //   * All integer ops are exact by definition.  The AVX2 64x64->64 multiply
@@ -76,13 +76,6 @@ inline F64x1 select_lt(F64x1 a, F64x1 b, F64x1 t, F64x1 f) noexcept {
 /// Exact conversion of a value < 2^53.
 inline F64x1 to_f64_53(U64x1 x) noexcept {
   return {static_cast<double>(x.v)};
-}
-
-inline U64x1 gather_u64(const std::uint64_t* base, U64x1 idx) noexcept {
-  return {base[idx.v]};
-}
-inline F64x1 gather_f64(const double* base, U64x1 idx) noexcept {
-  return {base[idx.v]};
 }
 
 // ---------------------------------------------------------------------------
@@ -168,14 +161,6 @@ inline F64x4 to_f64_53(U64x4 x) noexcept {
   return {_mm256_add_pd(d_hi, d_lo)};
 }
 
-inline U64x4 gather_u64(const std::uint64_t* base, U64x4 idx) noexcept {
-  return {_mm256_i64gather_epi64(reinterpret_cast<const long long*>(base),
-                                 idx.v, 8)};
-}
-inline F64x4 gather_f64(const double* base, U64x4 idx) noexcept {
-  return {_mm256_i64gather_pd(base, idx.v, 8)};
-}
-
 #endif  // __AVX2__
 
 // ---------------------------------------------------------------------------
@@ -239,13 +224,6 @@ inline F64x8 select_lt(F64x8 a, F64x8 b, F64x8 t, F64x8 f) noexcept {
 
 inline F64x8 to_f64_53(U64x8 x) noexcept {
   return {_mm512_cvtepu64_pd(x.v)};
-}
-
-inline U64x8 gather_u64(const std::uint64_t* base, U64x8 idx) noexcept {
-  return {_mm512_i64gather_epi64(idx.v, base, 8)};
-}
-inline F64x8 gather_f64(const double* base, U64x8 idx) noexcept {
-  return {_mm512_i64gather_pd(idx.v, base, 8)};
 }
 
 #endif  // __AVX512F__ && __AVX512DQ__

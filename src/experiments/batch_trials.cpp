@@ -58,6 +58,12 @@ void BatchTrialRunner::run(const BuiltinAlgo& algo,
           : 0;
 
   ws_.prepare(width, n);
+  if (&model.distribution() != dist_) {
+    // The walk's give-up is sticky per distribution: a narrow one that
+    // overflowed the walk once would do so again on most seeds.
+    dist_ = &model.distribution();
+    ws_.hf_walk = true;
+  }
   for (std::int64_t t = lo; t < hi; t += width) {
     const auto lanes = static_cast<std::int32_t>(
         hi - t < static_cast<std::int64_t>(width) ? hi - t : width);

@@ -52,6 +52,9 @@ class BatchTrialRunner {
 
  private:
   core::batch::BatchWorkspace ws_;
+  /// Distribution of the previous run (interned).  A new one re-enables
+  /// HF's walk in ws_ (see BatchWorkspace::hf_walk).
+  const problems::AlphaDistribution* dist_ = nullptr;
 };
 
 }  // namespace lbb::experiments

@@ -85,7 +85,6 @@ TEST(SimdDispatch, TablesReportConsistentWidths) {
     EXPECT_NE(k.bisect_uniform, nullptr);
     EXPECT_NE(k.bisect_point, nullptr);
     EXPECT_NE(k.bisect_two_point, nullptr);
-    EXPECT_NE(k.gather_pairs, nullptr);
     EXPECT_NE(k.max_f64, nullptr);
   }
 }

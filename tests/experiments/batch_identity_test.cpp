@@ -11,6 +11,9 @@
 //      falling back to the scalar path;
 //   3. run_tail_study cells (RunningStats, bisections, every histogram
 //      bin) across the same grid;
+//   (layers 2 and 3 run a wide distribution, whose HF lanes take the walk,
+//   and the narrow U[0.02, 0.04], whose HF lanes give the walk up and fall
+//   back to the selection queue for the rest of the run;)
 //   4. the whole grid again under every runnable SIMD lane-kernel ISA
 //      (forced via ScopedForceIsa) -- vectorized bisection must not move
 //      a single bit anywhere (on portable builds the sweep degenerates
@@ -103,9 +106,13 @@ TEST(BatchIdentity, LaneModelBitExactTwoPoint) {
 // ---------------------------------------------------------------------------
 // Layer 2: run_ratio_experiment across the (batch, threads) grid.
 
-RatioExperimentConfig ratio_config() {
+/// Inputs of layers 2 and 3; layer 4 runs the first.
+const AlphaDistribution kDists[] = {AlphaDistribution::uniform(0.05, 0.5),
+                                    AlphaDistribution::uniform(0.02, 0.04)};
+
+RatioExperimentConfig ratio_config(const AlphaDistribution& dist = kDists[0]) {
   RatioExperimentConfig c;
-  c.dist = AlphaDistribution::uniform(0.05, 0.5);
+  c.dist = dist;
   c.trials = 96;  // exercises partial chunks (96 = 3 x kTrialChunk)
   c.seed = 21;
   c.log2_n = {4, 7, 10};
@@ -138,51 +145,56 @@ void expect_ratio_results_identical(const RatioExperimentResult& a,
 }
 
 TEST(BatchIdentity, RatioCellsBitIdenticalAcrossBatchWidthsAndThreads) {
-  RatioExperimentConfig scalar = ratio_config();
-  scalar.batch = 1;
-  scalar.threads = 1;
-  const auto reference = run_ratio_experiment(scalar);
-  for (const std::int32_t batch : {1, 4, 8, 16}) {
-    for (const std::int32_t threads : {1, 4}) {
-      RatioExperimentConfig config = ratio_config();
-      config.batch = batch;
-      config.threads = threads;
-      const auto result = run_ratio_experiment(config);
-      expect_ratio_results_identical(
-          reference, result,
-          "batch=" + std::to_string(batch) +
-              " threads=" + std::to_string(threads));
+  for (const AlphaDistribution& dist : kDists) {
+    RatioExperimentConfig scalar = ratio_config(dist);
+    scalar.batch = 1;
+    scalar.threads = 1;
+    const auto reference = run_ratio_experiment(scalar);
+    for (const std::int32_t batch : {1, 4, 8, 16}) {
+      for (const std::int32_t threads : {1, 4}) {
+        RatioExperimentConfig config = ratio_config(dist);
+        config.batch = batch;
+        config.threads = threads;
+        const auto result = run_ratio_experiment(config);
+        expect_ratio_results_identical(
+            reference, result,
+            dist.describe() + " batch=" + std::to_string(batch) +
+                " threads=" + std::to_string(threads));
+      }
     }
   }
 }
 
 TEST(BatchIdentity, RatioCsvBytesIdenticalAcrossBatchWidths) {
-  const auto csv_bytes = [](std::int32_t batch) {
-    RatioExperimentConfig config = ratio_config();
-    config.batch = batch;
-    const auto result = run_ratio_experiment(config);
-    const std::string path =
-        "batch_identity_w" + std::to_string(batch) + ".csv";
-    write_ratio_csv(result, path);
-    std::ifstream in(path, std::ios::binary);
-    std::ostringstream buf;
-    buf << in.rdbuf();
-    std::remove(path.c_str());
-    return buf.str();
-  };
-  const std::string want = csv_bytes(1);
-  ASSERT_FALSE(want.empty());
-  for (const std::int32_t batch : {4, 8, 16}) {
-    EXPECT_EQ(csv_bytes(batch), want) << "batch width " << batch;
+  for (const AlphaDistribution& dist : kDists) {
+    const auto csv_bytes = [&dist](std::int32_t batch) {
+      RatioExperimentConfig config = ratio_config(dist);
+      config.batch = batch;
+      const auto result = run_ratio_experiment(config);
+      const std::string path =
+          "batch_identity_w" + std::to_string(batch) + ".csv";
+      write_ratio_csv(result, path);
+      std::ifstream in(path, std::ios::binary);
+      std::ostringstream buf;
+      buf << in.rdbuf();
+      std::remove(path.c_str());
+      return buf.str();
+    };
+    const std::string want = csv_bytes(1);
+    ASSERT_FALSE(want.empty());
+    for (const std::int32_t batch : {4, 8, 16}) {
+      EXPECT_EQ(csv_bytes(batch), want)
+          << dist.describe() << " batch width " << batch;
+    }
   }
 }
 
 // ---------------------------------------------------------------------------
 // Layer 3: run_tail_study across the same grid, down to every bin.
 
-TailStudyConfig tail_config() {
+TailStudyConfig tail_config(const AlphaDistribution& dist = kDists[0]) {
   TailStudyConfig c;
-  c.dist = AlphaDistribution::uniform(0.05, 0.5);
+  c.dist = dist;
   c.trials = 200;
   c.seed = 13;
   c.log2_n = {5, 8};
@@ -193,32 +205,35 @@ TailStudyConfig tail_config() {
 }
 
 TEST(BatchIdentity, TailStudyCellsBitIdenticalAcrossBatchWidthsAndThreads) {
-  TailStudyConfig scalar = tail_config();
-  scalar.batch = 1;
-  scalar.threads = 1;
-  const TailStudyResult reference = run_tail_study(scalar);
-  for (const std::int32_t batch : {1, 4, 8, 16}) {
-    for (const std::int32_t threads : {1, 4}) {
-      TailStudyConfig config = tail_config();
-      config.batch = batch;
-      config.threads = threads;
-      const TailStudyResult result = run_tail_study(config);
-      ASSERT_EQ(result.cells.size(), reference.cells.size());
-      for (std::size_t i = 0; i < reference.cells.size(); ++i) {
-        const TailStudyCell& x = reference.cells[i];
-        const TailStudyCell& y = result.cells[i];
-        const std::string what = x.algo + " n=2^" + std::to_string(x.log2_n) +
-                                 " batch=" + std::to_string(batch) +
-                                 " threads=" + std::to_string(threads);
-        EXPECT_EQ(x.bisections, y.bisections) << what;
-        EXPECT_EQ(x.ratio.mean(), y.ratio.mean()) << what;
-        EXPECT_EQ(x.ratio.max(), y.ratio.max()) << what;
-        EXPECT_EQ(x.tail.count(), y.tail.count()) << what;
-        EXPECT_EQ(x.tail.min(), y.tail.min()) << what;
-        EXPECT_EQ(x.tail.max(), y.tail.max()) << what;
-        for (std::int32_t b = 0; b < x.tail.bins(); ++b) {
-          ASSERT_EQ(x.tail.bin_count(b), y.tail.bin_count(b))
-              << what << " bin " << b;
+  for (const AlphaDistribution& dist : kDists) {
+    TailStudyConfig scalar = tail_config(dist);
+    scalar.batch = 1;
+    scalar.threads = 1;
+    const TailStudyResult reference = run_tail_study(scalar);
+    for (const std::int32_t batch : {1, 4, 8, 16}) {
+      for (const std::int32_t threads : {1, 4}) {
+        TailStudyConfig config = tail_config(dist);
+        config.batch = batch;
+        config.threads = threads;
+        const TailStudyResult result = run_tail_study(config);
+        ASSERT_EQ(result.cells.size(), reference.cells.size());
+        for (std::size_t i = 0; i < reference.cells.size(); ++i) {
+          const TailStudyCell& x = reference.cells[i];
+          const TailStudyCell& y = result.cells[i];
+          const std::string what =
+              dist.describe() + " " + x.algo + " n=2^" +
+              std::to_string(x.log2_n) + " batch=" + std::to_string(batch) +
+              " threads=" + std::to_string(threads);
+          EXPECT_EQ(x.bisections, y.bisections) << what;
+          EXPECT_EQ(x.ratio.mean(), y.ratio.mean()) << what;
+          EXPECT_EQ(x.ratio.max(), y.ratio.max()) << what;
+          EXPECT_EQ(x.tail.count(), y.tail.count()) << what;
+          EXPECT_EQ(x.tail.min(), y.tail.min()) << what;
+          EXPECT_EQ(x.tail.max(), y.tail.max()) << what;
+          for (std::int32_t b = 0; b < x.tail.bins(); ++b) {
+            ASSERT_EQ(x.tail.bin_count(b), y.tail.bin_count(b))
+                << what << " bin " << b;
+          }
         }
       }
     }

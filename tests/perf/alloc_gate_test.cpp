@@ -291,10 +291,11 @@ TEST(AllocGate, ServiceWarmCacheHitsAreAllocationFree) {
 
 TEST(AllocGate, BatchedTrialRunnerSteadyStateIsAllocationFree) {
   // The batched SoA engine's contract: once prepare() sized the workspace,
-  // a full sub-batch sweep -- gathers, dense bisections, scatters, heap
-  // sifts -- performs EXACTLY ZERO heap allocations, for every batchable
-  // kind.  (Held to the same bar as the scalar kernels above; lbb-lint
-  // covers core/batch/ statically, this covers it dynamically.)
+  // a full sub-batch sweep -- gathers, dense bisections, scatters, HF's
+  // tree walks and selections -- performs EXACTLY ZERO heap allocations,
+  // for every batchable kind.  (Held to the same bar as the scalar kernels
+  // above; lbb-lint covers core/batch/ statically, this covers it
+  // dynamically.)
   const AlphaDistribution dist = AlphaDistribution::uniform(0.1, 0.5);
   constexpr std::int32_t kWidth = 8;
   for (const char* algo : {"hf", "ba", "ba_star", "ba_hf"}) {
@@ -325,9 +326,10 @@ TEST(AllocGate, BatchedTrialRunnerSteadyStateIsAllocationFree) {
 }
 
 TEST(AllocGate, BatchedHfLargeNSteadyStateIsAllocationFree) {
-  // The batched HF runner at 2^14 runs each lane on the workspace's
-  // weight-band queue; 16 batches of fresh seeds after warm-up on others
-  // must not allocate.
+  // The batched HF runner at 2^14 finds each lane's heaviest piece with the
+  // workspace's tree walk and bucket selection, whose buffers prepare()
+  // sized from the stride; 16 batches of fresh seeds after warm-up on
+  // others must not allocate.
   constexpr std::int32_t kLargeN = std::int32_t{1} << 14;
   constexpr std::int32_t kWidth = 2;
   const AlphaDistribution dist = AlphaDistribution::uniform(0.1, 0.5);
@@ -351,12 +353,41 @@ TEST(AllocGate, BatchedHfLargeNSteadyStateIsAllocationFree) {
   for (const auto& outcome : outcomes) EXPECT_GE(outcome.ratio, 1.0);
 }
 
+TEST(AllocGate, BatchedHfFallbackSteadyStateIsAllocationFree) {
+  // U[0.02, 0.04] visits about 8.6 tree nodes per piece at 2^14, far past
+  // the walk's budget: the first lane gives the walk up and every lane
+  // after it simulates HF with the weight-band queue.  16 batches of fresh
+  // seeds after warm-up on others must not allocate on that path either.
+  constexpr std::int32_t kLargeN = std::int32_t{1} << 14;
+  constexpr std::int32_t kWidth = 2;
+  const AlphaDistribution dist = AlphaDistribution::uniform(0.02, 0.04);
+  const auto part = PartitionerRegistry::instance().create(
+      "hf", PartitionerConfig{0.02, 1.0, 0, {}});
+  lbb::experiments::BatchTrialRunner runner;
+  lbb::experiments::BatchTrialOutcome outcomes[kWidth];
+  for (std::int64_t warm = 0; warm < 2; ++warm) {
+    runner.run(part->builtin(), dist, /*base_seed=*/9, warm * kWidth,
+               (warm + 1) * kWidth, kLargeN, kWidth, outcomes);
+  }
+  const auto before = lbb::stats::alloc_stats();
+  for (std::int64_t t = 100; t < 100 + kTrials; ++t) {
+    runner.run(part->builtin(), dist, /*base_seed=*/9, t * kWidth,
+               (t + 1) * kWidth, kLargeN, kWidth, outcomes);
+  }
+  const auto delta = lbb::stats::alloc_stats() - before;
+  EXPECT_EQ(delta.count, 0) << "batched hf fallback at n=2^14 allocated "
+                            << delta.bytes << " bytes across " << kTrials
+                            << " warm batches";
+  for (const auto& outcome : outcomes) EXPECT_GE(outcome.ratio, 1.0);
+}
+
 TEST(AllocGate, BatchedBaHfQueuePoolDoesNotDependOnHfPhaseSizes) {
   // BA-HF's HF phase runs hf_lane_run on subproblems of fewer than
-  // beta/alpha + 1 processors, banded from detail::kHfBandMinPieces on.
-  // Warm up with beta = 0.4 (HF phases below 41 processors), then measure
-  // with beta = 1 (below 101) on the same workspace: the lane queue's pool
-  // must already be large enough for the bigger phases.
+  // beta/alpha + 1 processors, walked or banded from
+  // detail::kHfBandMinPieces on.  Warm up with beta = 0.4 (HF phases below
+  // 41 processors), then measure with beta = 1 (below 101) on the same
+  // workspace: the walk buffers and the lane queue's pool, both sized from
+  // the stride, must already be large enough for the bigger phases.
   const AlphaDistribution dist = AlphaDistribution::uniform(0.01, 0.5);
   constexpr std::int32_t kWidth = 4;
   BuiltinAlgo algo = PartitionerRegistry::instance()
@@ -386,10 +417,10 @@ TEST(AllocGate, BatchedBaHfQueuePoolDoesNotDependOnHfPhaseSizes) {
 
 TEST(AllocGate, SimdKernelPathsSteadyStateAreAllocationFree) {
   // Same bar as the batched test above, but with the strongest runnable
-  // vector ISA forced, so the dispatched kernels (dense bisect, gather,
-  // max reduce) and the 64-byte-aligned workspace buffers are what run
-  // inside the measured window.  On a portable build this degenerates to
-  // the scalar table -- the gate still pins that path.
+  // vector ISA forced, so the dispatched kernels (dense bisect, max
+  // reduce) and the 64-byte-aligned workspace buffers are what run inside
+  // the measured window.  On a portable build this degenerates to the
+  // scalar table -- the gate still pins that path.
   lbb::core::simd::ScopedForceIsa force(lbb::core::simd::Isa::kAvx512);
   const AlphaDistribution dist = AlphaDistribution::uniform(0.1, 0.5);
   constexpr std::int32_t kWidth = 8;
@@ -430,7 +461,6 @@ TEST(AllocGate, BatchWorkspaceBuffersAre64ByteAligned) {
   EXPECT_TRUE(aligned(ws.slot_weight.data()));
   EXPECT_TRUE(aligned(ws.frame_hash.data()));
   EXPECT_TRUE(aligned(ws.frame_weight.data()));
-  EXPECT_TRUE(aligned(ws.stage_index.data()));
   EXPECT_TRUE(aligned(ws.stage_hash.data()));
   EXPECT_TRUE(aligned(ws.stage_weight.data()));
   EXPECT_TRUE(aligned(ws.heavy_hash.data()));

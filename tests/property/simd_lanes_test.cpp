@@ -155,36 +155,6 @@ TEST_F(SimdLanesProperty, Mix64ChainsStayBitExact) {
   }
 }
 
-TEST_F(SimdLanesProperty, GatherMatchesDirectIndexing) {
-  constexpr std::int32_t kSlots = 257;
-  std::vector<std::uint64_t> slot_hash(kSlots);
-  std::vector<double> slot_weight(kSlots);
-  Xoshiro256 rng(0x6a7);
-  for (std::int32_t i = 0; i < kSlots; ++i) {
-    slot_hash[i] = rng();
-    slot_weight[i] = rng.next_double();
-  }
-  for (const simd::Isa isa : runnable()) {
-    const simd::LaneKernels& k = simd::kernels(isa);
-    for (std::int32_t count = 1; count <= kMaxCount; ++count) {
-      std::vector<std::int64_t> idx(count);
-      for (auto& j : idx) {
-        j = static_cast<std::int64_t>(rng.below(kSlots));
-      }
-      std::vector<std::uint64_t> out_hash(count);
-      std::vector<double> out_w(count);
-      k.gather_pairs(count, slot_hash.data(), slot_weight.data(), idx.data(),
-                     out_hash.data(), out_w.data());
-      for (std::int32_t i = 0; i < count; ++i) {
-        const auto j = static_cast<std::size_t>(idx[i]);
-        ASSERT_EQ(out_hash[i], slot_hash[j])
-            << simd::isa_name(isa) << " count=" << count << " i=" << i;
-        ASSERT_TRUE(BitEqual(out_w[i], slot_weight[j]));
-      }
-    }
-  }
-}
-
 TEST_F(SimdLanesProperty, MaxMatchesScalarScan) {
   Xoshiro256 rng(0x3a5);
   for (const simd::Isa isa : runnable()) {

@@ -8,11 +8,12 @@
 # --smoke` so the resident PartitionService's cache-hit / cache-miss /
 # cache-bypass answers are byte-compared and warm serving is proven
 # allocation-free, runs `lbb_bench tail_study --smoke` so the batched SoA
-# trial engine is byte-compared against the scalar path across batch widths
-# and thread counts, re-runs that smoke plus a table1 CSV byte-compare
-# under LBB_SIMD_FORCE=scalar|avx2|avx512 so the runtime-dispatched vector
-# lane kernels are proven bit-identical at every ISA the binary + CPU can
-# run, then smoke-checks that `lbb_bench perf_report` emits a well-formed
+# trial engine -- including both paths of its HF lanes, the tree walk and
+# the queue fallback -- is byte-compared against the scalar path across
+# batch widths and thread counts, re-runs that smoke plus a table1 CSV
+# byte-compare under LBB_SIMD_FORCE=scalar|avx2|avx512 so the
+# runtime-dispatched vector lane kernels are proven bit-identical at every
+# ISA the binary + CPU can run, then smoke-checks that `lbb_bench perf_report` emits a well-formed
 # BENCH_ratio_experiment.json.  Pure output comparison -- no wall-clock
 # assertions, so it is safe on loaded or single-core CI runners.
 # (Build with --preset simd, or simd-ubsan for the sanitized variant, to
@@ -97,7 +98,9 @@ echo "ok: service hit==miss==bypass byte-identical, warm serving clean"
 echo "== batched-engine byte-identity: lbb_bench tail_study --smoke =="
 # The structure-of-arrays batch kernels must reproduce the scalar trial
 # path exactly -- RunningStats, bisection counts and every histogram bin --
-# for batch widths {1,4,8,16} at one and several threads.
+# for batch widths {1,4,8,16} at one and several threads, on U[0.01,0.5]
+# (HF lanes take the tree walk) and U[0.02,0.04] (they fall back to the
+# selection queue).
 "$LBB" tail_study --smoke
 echo "ok: batched trial engine byte-identical to scalar across widths"
 
