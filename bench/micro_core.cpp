@@ -13,14 +13,12 @@
 
 #include "core/hf.hpp"
 #include "core/lbb.hpp"
-#include "core/simd/dispatch.hpp"
 #include "core/workspace.hpp"
 #include "problems/alpha_dist.hpp"
 #include "problems/fe_tree.hpp"
 #include "problems/grid_domain.hpp"
 #include "problems/pivot_list.hpp"
 #include "problems/synthetic.hpp"
-#include "problems/synthetic_lanes.hpp"
 #include "runtime/par_partition.hpp"
 #include "runtime/thread_pool.hpp"
 #include "runtime/work_stealing.hpp"
@@ -179,51 +177,6 @@ void BM_HfHeapPushPop(benchmark::State& state) {
     benchmark::DoNotOptimize(sink);
   }
   state.SetItemsProcessed(state.iterations() * n);
-}
-
-// Dense lane bisection -- the inner loop of the batched SoA trial engine
-// (core/batch/batch_kernels.hpp) -- under a forced lane-kernel ISA.  The
-// Scalar/Simd pair measures exactly what the simd_speedup column of
-// BENCH_ratio_experiment.json summarizes; both produce bit-identical
-// outputs (pinned by experiments_batch_identity_test), only the rate may
-// differ.  On a portable build (or a non-AVX CPU) the forced "simd" level
-// clamps to scalar and the two benchmarks coincide.
-void bisect_lanes_under(benchmark::State& state, lbb::core::simd::Isa level) {
-  const lbb::core::simd::ScopedForceIsa force(level);
-  const auto count = static_cast<std::int32_t>(state.range(0));
-  const AlphaDistribution dist = AlphaDistribution::uniform(0.1, 0.5);
-  const lbb::problems::SyntheticLaneModel model(dist);
-  std::vector<std::uint64_t> hash(static_cast<std::size_t>(count));
-  std::vector<double> weight(static_cast<std::size_t>(count), 1.0);
-  for (std::int32_t i = 0; i < count; ++i) {
-    hash[static_cast<std::size_t>(i)] =
-        lbb::problems::SyntheticLaneModel::root_hash(
-            static_cast<std::uint64_t>(i) + 1);
-  }
-  std::vector<std::uint64_t> hh(hash.size()), lh(hash.size());
-  std::vector<double> hw(hash.size()), lw(hash.size());
-  for (auto _ : state) {
-    model.bisect_lanes(count, hash.data(), weight.data(), hh.data(),
-                       hw.data(), lh.data(), lw.data());
-    benchmark::DoNotOptimize(hh.data());
-    benchmark::DoNotOptimize(hw.data());
-    // Feed the heavy children back as parents so the hash stream keeps
-    // evolving like a real descent instead of re-hashing constants.
-    hash.swap(hh);
-    weight.swap(hw);
-  }
-  state.counters["isa"] = static_cast<double>(
-      static_cast<int>(lbb::core::simd::active_isa()));
-  state.SetItemsProcessed(state.iterations() * count);
-}
-
-void BM_BisectLanesScalar(benchmark::State& state) {
-  bisect_lanes_under(state, lbb::core::simd::Isa::kScalar);
-}
-
-void BM_BisectLanesSimd(benchmark::State& state) {
-  // kAvx512 clamps to the strongest compiled + CPU-supported table.
-  bisect_lanes_under(state, lbb::core::simd::Isa::kAvx512);
 }
 
 // Pop-side sift-down of the 4-ary HF heap in isolation: refill the heap
@@ -418,12 +371,6 @@ void register_micro_core_benchmarks() {
   benchmark::RegisterBenchmark("BM_HfHeapPushPop", BM_HfHeapPushPop)
       ->RangeMultiplier(8)
       ->Range(64, 1 << 15);
-  benchmark::RegisterBenchmark("BM_BisectLanesScalar", BM_BisectLanesScalar)
-      ->RangeMultiplier(4)
-      ->Range(64, 1 << 12);
-  benchmark::RegisterBenchmark("BM_BisectLanesSimd", BM_BisectLanesSimd)
-      ->RangeMultiplier(4)
-      ->Range(64, 1 << 12);
   benchmark::RegisterBenchmark("BM_HfSiftDown", BM_HfSiftDown)
       ->RangeMultiplier(8)
       ->Range(512, 1 << 15);

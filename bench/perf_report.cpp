@@ -5,17 +5,12 @@
 // per-cell wall time, bisection counts and throughput to a JSON file, so CI
 // and PRs can track the hot-path kernels and thread scaling over time.
 //
-// Each cell is measured THREE ways -- through the batched SoA kernels with
-// the runtime-dispatched SIMD lane kernels active (the production default),
-// through the batched kernels with the lane kernels forced to scalar, and
-// through the scalar batch=1 path -- and the report carries the throughputs
-// plus their ratios (batch_speedup, simd_speedup).  All runs must agree
-// bit-for-bit on the statistics (the batched engine's core contract);
+// Each cell is measured twice -- through the batched lane kernels (the
+// production default) and through the scalar batch=1 path -- and the report
+// carries both throughputs plus their ratio (batch_speedup).  Both runs must
+// agree bit-for-bit on the statistics (the batched engine's core contract);
 // perf_report exits nonzero if they ever diverge, so every perf run doubles
-// as an identity check.  When the dispatched ISA is already scalar (portable
-// build or non-AVX CPU) the forced-scalar run is skipped and simd_speedup
-// is exactly 1.0; bench_diff.py additionally refuses to judge simd_speedup
-// across reports with different "simd_isa".
+// as an identity check.
 //
 // Usage: lbb_bench perf_report [--out=BENCH_ratio_experiment.json]
 //                              [--threads=K] [--trials=N] [--batch=B]
@@ -31,7 +26,6 @@
 
 #include "bench/bench_cli.hpp"
 #include "bench/experiment_registry.hpp"
-#include "core/simd/dispatch.hpp"
 #include "experiments/batch_trials.hpp"
 #include "experiments/ratio_experiment.hpp"
 #include "stats/alloc_stats.hpp"
@@ -72,13 +66,10 @@ int lbb::bench::run_perf_report(int argc, char** argv) {
   // lbb_bench links the interposing allocation probe, so the alloc_* cell
   // members below are live; they read 0 in a binary without the probe.
   json.member("alloc_probe", stats::alloc_probe_linked());
-  // Same-hardware guard for tools/bench_diff.py: batch_speedup and
-  // simd_speedup compare wall-clock rates, so they are only judged between
-  // matching machines running the same dispatched ISA.
+  // Same-hardware guard for tools/bench_diff.py: batch_speedup compares
+  // wall-clock rates, so it is only judged between matching machines.
   json.member("hardware_concurrency",
               static_cast<std::int64_t>(std::thread::hardware_concurrency()));
-  const core::simd::Isa isa = core::simd::active_isa();
-  json.member("simd_isa", core::simd::isa_name(isa));
   json.key("experiments");
   json.begin_array();
 
@@ -95,18 +86,6 @@ int lbb::bench::run_perf_report(int argc, char** argv) {
 
     config.batch = batch;
     const auto result = experiments::run_ratio_experiment(config);
-    // Same batched grid with the lane kernels pinned to scalar: the only
-    // difference from `result` may be wall time.  Skipped (aliased to
-    // `result`) when the dispatcher already selected scalar -- rerunning
-    // would measure noise and report it as simd_speedup.
-    experiments::RatioExperimentResult simd_off;
-    const bool have_simd = isa != core::simd::Isa::kScalar;
-    if (have_simd) {
-      core::simd::ScopedForceIsa force(core::simd::Isa::kScalar);
-      simd_off = experiments::run_ratio_experiment(config);
-    } else {
-      simd_off = result;
-    }
     config.batch = 1;
     const auto scalar = experiments::run_ratio_experiment(config);
 
@@ -119,7 +98,6 @@ int lbb::bench::run_perf_report(int argc, char** argv) {
     for (std::size_t i = 0; i < result.cells.size(); ++i) {
       const auto& cell = result.cells[i];
       const auto& scell = scalar.cells[i];
-      const auto& vcell = simd_off.cells[i];
       // Batched-vs-scalar identity: the statistics must agree exactly.
       if (cell.ratio.mean() != scell.ratio.mean() ||
           cell.ratio.max() != scell.ratio.max() ||
@@ -127,16 +105,6 @@ int lbb::bench::run_perf_report(int argc, char** argv) {
         std::cerr << "perf_report: batched and scalar statistics DIVERGED in "
                   << pin.name << " " << cell.algo << " n=2^" << cell.log2_n
                   << "\n";
-        identical = false;
-      }
-      // SIMD-on vs SIMD-off identity: the vectorized lane kernels must not
-      // move a single bit either.
-      if (cell.ratio.mean() != vcell.ratio.mean() ||
-          cell.ratio.max() != vcell.ratio.max() ||
-          cell.bisections != vcell.bisections) {
-        std::cerr << "perf_report: simd-on and simd-off statistics DIVERGED "
-                  << "in " << pin.name << " " << cell.algo << " n=2^"
-                  << cell.log2_n << "\n";
         identical = false;
       }
       const double bisections_per_sec =
@@ -164,15 +132,6 @@ int lbb::bench::run_perf_report(int argc, char** argv) {
                   scalar_bisections_per_sec > 0.0
                       ? bisections_per_sec / scalar_bisections_per_sec
                       : 0.0);
-      const double simd_off_bisections_per_sec =
-          vcell.wall_seconds > 0.0
-              ? static_cast<double>(vcell.bisections) / vcell.wall_seconds
-              : 0.0;
-      json.member("simd_off_bisections_per_sec", simd_off_bisections_per_sec);
-      json.member("simd_speedup",
-                  have_simd && simd_off_bisections_per_sec > 0.0
-                      ? bisections_per_sec / simd_off_bisections_per_sec
-                      : 1.0);
       json.member("mean_ratio", cell.ratio.mean());
       json.member("alloc_count", cell.alloc_count);
       json.member("alloc_bytes", cell.alloc_bytes);
@@ -192,6 +151,6 @@ int lbb::bench::run_perf_report(int argc, char** argv) {
   }
   std::cout << "perf report written to " << out_path << " (threads = "
             << threads << ", trials <= " << trials << ", batch = " << batch
-            << ", simd = " << core::simd::isa_name(isa) << ")\n";
+            << ")\n";
   return 0;
 }

@@ -25,7 +25,6 @@
 
 #include "bench/bench_cli.hpp"
 #include "bench/experiment_registry.hpp"
-#include "core/simd/dispatch.hpp"
 #include "experiments/tail_study.hpp"
 #include "stats/alloc_stats.hpp"
 #include "stats/json.hpp"
@@ -140,12 +139,8 @@ int run_smoke() {
               << " configuration(s) diverged from the scalar reference)\n";
     return 1;
   }
-  // Name the dispatched ISA so check_determinism.sh's LBB_SIMD_FORCE legs
-  // can assert the force actually took effect (not just that bits matched).
   std::cout << "tail_study smoke: all batched/threaded runs byte-identical "
-               "to scalar (simd = "
-            << lbb::core::simd::isa_name(lbb::core::simd::active_isa())
-            << ")\n";
+               "to scalar\n";
   return 0;
 }
 
@@ -164,12 +159,9 @@ void write_json(const TailStudyResult& result, const std::string& path) {
   json.member("hist_bins", result.config.hist_bins);
   json.member("alloc_probe", lbb::stats::alloc_probe_linked());
   // Lets tools/bench_diff.py refuse to compare wall-clock numbers (and
-  // only those -- the statistics are machine-independent) across machines
-  // or across different dispatched lane-kernel ISAs.
+  // only those -- the statistics are machine-independent) across machines.
   json.member("hardware_concurrency",
               static_cast<std::int64_t>(std::thread::hardware_concurrency()));
-  json.member("simd_isa",
-              lbb::core::simd::isa_name(lbb::core::simd::active_isa()));
   json.key("cells");
   json.begin_array();
   for (const TailStudyCell& cell : result.cells) {

@@ -1,17 +1,18 @@
-// Batched (structure-of-arrays) HF / BA / BA' / BA-HF drivers.
+// Batched HF / BA / BA' / BA-HF drivers.
 //
 // Each driver runs B independent trials ("lanes") of the same algorithm over
-// a BatchWorkspace.  The BA-family drivers advance the lanes in lockstep:
-// gather the per-lane frames into dense staging arrays, run the bisection
-// arithmetic as one contiguous loop across lanes (the loop the model can
-// vectorize), scatter the children back into the per-lane stacks.  HF runs
-// one lane after another (hf_lane_run): from detail::kHfBandMinPieces
-// pieces on it finds the heaviest piece as the n-th heaviest node of the
-// bisection tree with a bounded walk and a bucketed selection, and below
-// that, or when the walk gives up, it simulates HF's selection on the
-// lane's slot arrays.
+// a BatchWorkspace, one lane after another, and reports per lane only the
+// heaviest piece and the bisection count.  BA and BA' (ba_batch_run) walk a
+// lane depth-first like ba_run, keeping the heavier child in hand and
+// stacking only the lighter one.  BA-HF (ba_hf_batch_run) does the same
+// above its switch threshold and hands each smaller subproblem to
+// hf_lane_run, which is also every lane of hf_batch_run: from
+// detail::kHfBandMinPieces pieces on it finds the heaviest piece as the
+// n-th heaviest node of the bisection tree with a bounded walk and a
+// bucketed selection, and below that, or when the walk gives up, it
+// simulates HF's selection on the workspace's slot arrays.
 // The drivers are templated on a LaneModel -- a problem class expressed as
-// pure functions over (node_hash, weight) pairs -- so this layer stays free
+// a pure function over (node_hash, weight) pairs -- so this layer stays free
 // of any problems/ dependency:
 //
 //   struct LaneModel {
@@ -19,10 +20,6 @@
 //     // must match the scalar problem's bisect() bit for bit.
 //     void bisect(u64 hash, double w, u64& heavy_hash, double& heavy_w,
 //                 u64& light_hash, double& light_w) const;
-//     // Dense form over `count` nodes; identical arithmetic per element.
-//     void bisect_lanes(i32 count, const u64* hash, const double* w,
-//                       u64* heavy_hash, double* heavy_w,
-//                       u64* light_hash, double* light_w) const;
 //   };
 //
 // Byte-identity to the scalar kernels (the contract the scalar-vs-batched
@@ -32,10 +29,11 @@
 //     (weight, seq) is a total order, lane_heap_push/pop replicate HfHeap's
 //     sift logic, and the weight-band queue pops HfHeap's sequence -- and
 //     the walk returns the n-th heaviest node, which is what that order
-//     leaves as the heaviest piece (see hf_lane_walk).  The BA stacks push
-//     right-then-left like ba_run.  Lockstep interleaving across lanes
-//     cannot perturb a lane's own sequence because draws are path-hashed
-//     (pure functions of the node hash), not consumed from a shared stream.
+//     leaves as the heaviest piece (see hf_lane_walk).  A BA lane visits
+//     its frames in ba_run's order: the heavier child next, the stacked
+//     lighter one when that subtree is done.  Lanes cannot perturb each
+//     other because draws are path-hashed (pure functions of the node
+//     hash), not consumed from a shared stream.
 //   * Every weight is produced by the same inline expression on the same
 //     inputs as the scalar path ((1-alpha)*w / alpha*w, no reassociation),
 //     so each node's weight is bitwise equal.
@@ -53,9 +51,9 @@
 #include <cstdint>
 #include <functional>
 #include <type_traits>
+#include <utility>
 
 #include "core/batch/batch_workspace.hpp"
-#include "core/simd/dispatch.hpp"
 #include "core/split.hpp"
 #include "core/thread_annotations.hpp"
 
@@ -230,9 +228,9 @@ LBB_HOT inline bool hf_lane_walk(BatchWorkspace& ws, const Model& model,
 /// with the workspace's weight-band queue (ws.hf_queue, shared by the
 /// lanes, which run one after another).  One cut-over serves both: the
 /// walk loses to the heap at 16 pieces and breaks even at 24 (DESIGN.md
-/// section 7.6).  prepare() sizes the walk's buffers and the queue from the
-/// lane stride, so a warm workspace never allocates here, whatever `n` and
-/// whichever path.
+/// section 7.6).  prepare() sizes the walk's buffers and the queue for its
+/// n, so a warm workspace never allocates here for any `n` up to that, on
+/// either path.
 template <typename Model>
 LBB_HOT inline void hf_lane_run(BatchWorkspace& ws, const Model& model,
                                 std::int32_t l, std::uint64_t hash, double w,
@@ -250,29 +248,19 @@ LBB_HOT inline void hf_lane_run(BatchWorkspace& ws, const Model& model,
     }
     ws.hf_walk = false;
   }
-  const auto base = static_cast<std::size_t>(l) *
-                    static_cast<std::size_t>(ws.stride());
-  std::uint64_t* sh = ws.slot_hash.data() + base;
-  double* sw = ws.slot_weight.data() + base;
+  std::uint64_t* sh = ws.slot_hash.data();
+  double* sw = ws.slot_weight.data();
   sh[0] = hash;
   sw[0] = w;
   if (n < detail::kHfBandMinPieces) {
-    LaneHeap heap{ws.heap.data() + base};
+    LaneHeap heap{ws.heap.data()};
     hf_lane_select(ws, model, l, sh, sw, heap, n);
   } else {
     ws.hf_queue.clear();
     hf_lane_select(ws, model, l, sh, sw, ws.hf_queue, n);
   }
-  const simd::LaneKernels& k = simd::active();
-  if (k.isa != simd::Isa::kScalar) {
-    // max is exact and order-free over positive weights, so the vector
-    // reduce returns the bitwise-same value as the scalar scan.
-    const double m = k.max_f64(sw, n);
-    if (m > ws.lane_max[l]) ws.lane_max[l] = m;
-  } else {
-    for (std::int32_t i = 0; i < n; ++i) {
-      if (sw[i] > ws.lane_max[l]) ws.lane_max[l] = sw[i];
-    }
+  for (std::int32_t i = 0; i < n; ++i) {
+    if (sw[i] > ws.lane_max[l]) ws.lane_max[l] = sw[i];
   }
 }
 
@@ -288,160 +276,85 @@ LBB_HOT void hf_batch_run(BatchWorkspace& ws, const Model& model,
   }
 }
 
-/// Lockstep BA / BA' over lanes [0, lanes).  `prune_below >= 0` emits
-/// subproblems at or below that weight as leaves regardless of processor
-/// count (Algorithm BA'); pass -1 for plain BA.  Per step, each live lane
-/// drains leaves off its stack until it stages one internal frame; the
-/// staged frames then bisect densely and push right-then-left like ba_run.
+/// One BA-style lane from frame `f`: bisects every frame that `leaf`
+/// rejects, splitting its processors like ba_run, and hands every frame
+/// that `leaf` accepts to `visit`.  The heavier child stays in hand and
+/// only the lighter one goes on ws.frames, so frames come in ba_run's order
+/// (ba_run pushes right, then left, and pops left at once).  The stack
+/// holds one lighter child per bisection on the path to the frame in hand,
+/// and processor counts fall strictly along a path, so it never holds more
+/// than n - 1 frames.  Returns the lane's bisection count.
+template <typename Model, typename Leaf, typename Visit>
+LBB_HOT inline std::int64_t ba_lane_run(BatchWorkspace& ws, const Model& model,
+                                        LaneFrame f, const Leaf& leaf,
+                                        const Visit& visit) {
+  LaneFrame* stack = ws.frames.data();
+  std::int32_t top = 0;
+  std::int64_t bisections = 0;
+  for (;;) {
+    if (leaf(f)) {
+      visit(f);
+      if (top == 0) return bisections;
+      f = stack[--top];
+      continue;
+    }
+    std::uint64_t hh;
+    std::uint64_t lh;
+    double hw;
+    double lw;
+    model.bisect(f.hash, f.weight, hh, hw, lh, lw);
+    if (hw < lw) {
+      std::swap(hh, lh);
+      std::swap(hw, lw);
+    }
+    const std::int32_t n1 = ba_split_processors(hw, lw, f.n);
+    stack[top++] = LaneFrame{lh, lw, f.n - n1};
+    f = LaneFrame{hh, hw, n1};
+    ++bisections;
+  }
+}
+
+/// BA / BA' over lanes [0, lanes), one lane after another.
+/// `prune_below >= 0` emits subproblems at or below that weight as leaves
+/// regardless of processor count (Algorithm BA'); pass -1 for plain BA.
 template <typename Model>
 LBB_HOT void ba_batch_run(BatchWorkspace& ws, const Model& model,
                           std::int32_t lanes, std::int32_t n,
                           double prune_below) {
-  const auto stride = static_cast<std::size_t>(ws.stride());
   for (std::int32_t l = 0; l < lanes; ++l) {
-    const std::size_t base = static_cast<std::size_t>(l) * stride;
-    ws.frame_hash[base] = ws.root_hash[l];
-    ws.frame_weight[base] = ws.root_weight[l];
-    ws.frame_n[base] = n;
-    ws.frame_top[l] = 1;
-    ws.lane_max[l] = 0.0;
-    ws.lane_bisections[l] = 0;
-  }
-
-  for (;;) {
-    // Gather: pop leaves until each lane stages one internal frame.
-    std::int32_t staged = 0;
-    for (std::int32_t l = 0; l < lanes; ++l) {
-      const std::size_t base = static_cast<std::size_t>(l) * stride;
-      while (ws.frame_top[l] > 0) {
-        const std::size_t t =
-            base + static_cast<std::size_t>(--ws.frame_top[l]);
-        const double w = ws.frame_weight[t];
-        const std::int32_t fn = ws.frame_n[t];
-        if (fn == 1 || (prune_below >= 0.0 && w <= prune_below)) {
-          if (w > ws.lane_max[l]) ws.lane_max[l] = w;
-          continue;
-        }
-        ws.stage_lane[staged] = l;
-        ws.stage_hash[staged] = ws.frame_hash[t];
-        ws.stage_weight[staged] = w;
-        ws.stage_n[staged] = fn;
-        ++staged;
-        break;
-      }
-    }
-    if (staged == 0) break;
-
-    // Dense bisect over the staged frames.
-    model.bisect_lanes(staged, ws.stage_hash.data(), ws.stage_weight.data(),
-                       ws.heavy_hash.data(), ws.heavy_weight.data(),
-                       ws.light_hash.data(), ws.light_weight.data());
-
-    // Scatter: split the processors and push right (lighter) then left, so
-    // the next pop descends the heavy chain exactly like ba_run.
-    for (std::int32_t i = 0; i < staged; ++i) {
-      const std::int32_t l = ws.stage_lane[i];
-      const std::size_t base = static_cast<std::size_t>(l) * stride;
-      std::uint64_t hh = ws.heavy_hash[i];
-      double hw = ws.heavy_weight[i];
-      std::uint64_t lh = ws.light_hash[i];
-      double lw = ws.light_weight[i];
-      if (hw < lw) {
-        const std::uint64_t th = hh;
-        hh = lh;
-        lh = th;
-        const double tw = hw;
-        hw = lw;
-        lw = tw;
-      }
-      const std::int32_t n1 = ba_split_processors(hw, lw, ws.stage_n[i]);
-      const std::int32_t n2 = ws.stage_n[i] - n1;
-      std::size_t t = base + static_cast<std::size_t>(ws.frame_top[l]);
-      ws.frame_hash[t] = lh;
-      ws.frame_weight[t] = lw;
-      ws.frame_n[t] = n2;
-      ++t;
-      ws.frame_hash[t] = hh;
-      ws.frame_weight[t] = hw;
-      ws.frame_n[t] = n1;
-      ws.frame_top[l] += 2;
-      ++ws.lane_bisections[l];
-    }
+    double max = 0.0;
+    ws.lane_bisections[l] = ba_lane_run(
+        ws, model, LaneFrame{ws.root_hash[l], ws.root_weight[l], n},
+        [prune_below](const LaneFrame& f) {
+          return f.n == 1 || (prune_below >= 0.0 && f.weight <= prune_below);
+        },
+        [&max](const LaneFrame& f) {
+          if (f.weight > max) max = f.weight;
+        });
+    ws.lane_max[l] = max;
   }
 }
 
-/// Lockstep BA-HF over lanes [0, lanes): BA-style splitting while a frame
-/// owns >= switch_threshold processors, HF (hf_lane_run) below it --
-/// mirroring ba_hf_run frame for frame.
+/// BA-HF over lanes [0, lanes), one lane after another: BA-style splitting
+/// while a frame owns >= switch_threshold processors, HF (hf_lane_run)
+/// below it -- mirroring ba_hf_run frame for frame.
 template <typename Model>
 LBB_HOT void ba_hf_batch_run(BatchWorkspace& ws, const Model& model,
                              std::int32_t lanes, std::int32_t n,
                              std::int32_t switch_threshold) {
-  const auto stride = static_cast<std::size_t>(ws.stride());
   for (std::int32_t l = 0; l < lanes; ++l) {
-    const std::size_t base = static_cast<std::size_t>(l) * stride;
-    ws.frame_hash[base] = ws.root_hash[l];
-    ws.frame_weight[base] = ws.root_weight[l];
-    ws.frame_n[base] = n;
-    ws.frame_top[l] = 1;
+    // hf_lane_run folds each HF phase into lane l's outcome as it runs.
     ws.lane_max[l] = 0.0;
     ws.lane_bisections[l] = 0;
-  }
-
-  for (;;) {
-    std::int32_t staged = 0;
-    for (std::int32_t l = 0; l < lanes; ++l) {
-      const std::size_t base = static_cast<std::size_t>(l) * stride;
-      while (ws.frame_top[l] > 0) {
-        const std::size_t t =
-            base + static_cast<std::size_t>(--ws.frame_top[l]);
-        const std::int32_t fn = ws.frame_n[t];
-        if (fn < switch_threshold) {
-          hf_lane_run(ws, model, l, ws.frame_hash[t], ws.frame_weight[t], fn);
-          continue;
-        }
-        ws.stage_lane[staged] = l;
-        ws.stage_hash[staged] = ws.frame_hash[t];
-        ws.stage_weight[staged] = ws.frame_weight[t];
-        ws.stage_n[staged] = fn;
-        ++staged;
-        break;
-      }
-    }
-    if (staged == 0) break;
-
-    model.bisect_lanes(staged, ws.stage_hash.data(), ws.stage_weight.data(),
-                       ws.heavy_hash.data(), ws.heavy_weight.data(),
-                       ws.light_hash.data(), ws.light_weight.data());
-
-    for (std::int32_t i = 0; i < staged; ++i) {
-      const std::int32_t l = ws.stage_lane[i];
-      const std::size_t base = static_cast<std::size_t>(l) * stride;
-      std::uint64_t hh = ws.heavy_hash[i];
-      double hw = ws.heavy_weight[i];
-      std::uint64_t lh = ws.light_hash[i];
-      double lw = ws.light_weight[i];
-      if (hw < lw) {
-        const std::uint64_t th = hh;
-        hh = lh;
-        lh = th;
-        const double tw = hw;
-        hw = lw;
-        lw = tw;
-      }
-      const std::int32_t n1 = ba_split_processors(hw, lw, ws.stage_n[i]);
-      const std::int32_t n2 = ws.stage_n[i] - n1;
-      std::size_t t = base + static_cast<std::size_t>(ws.frame_top[l]);
-      ws.frame_hash[t] = lh;
-      ws.frame_weight[t] = lw;
-      ws.frame_n[t] = n2;
-      ++t;
-      ws.frame_hash[t] = hh;
-      ws.frame_weight[t] = hw;
-      ws.frame_n[t] = n1;
-      ws.frame_top[l] += 2;
-      ++ws.lane_bisections[l];
-    }
+    const std::int64_t ba_bisections = ba_lane_run(
+        ws, model, LaneFrame{ws.root_hash[l], ws.root_weight[l], n},
+        [switch_threshold](const LaneFrame& f) {
+          return f.n < switch_threshold;
+        },
+        [&ws, &model, l](const LaneFrame& f) {
+          hf_lane_run(ws, model, l, f.hash, f.weight, f.n);
+        });
+    ws.lane_bisections[l] += ba_bisections;
   }
 }
 

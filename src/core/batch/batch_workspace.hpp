@@ -1,14 +1,12 @@
-// Structure-of-arrays scratch for the batched trial kernels.
+// Scratch for the batched trial kernels.
 //
-// A BatchWorkspace holds B independent trials' ("lanes'") in-flight state in
-// lane-major contiguous buffers: lane l's slots live at [l*stride, l*stride+n),
-// its heap entries and BA frames likewise.  The BA-family drivers in
-// core/batch/batch_kernels.hpp advance every lane in lockstep, gathering the
-// per-lane frames into the staging arrays, running the bisection arithmetic
-// as one dense loop over lanes (the loop the compiler can vectorize), and
-// scattering the children back.  HF runs one lane after another
-// (hf_lane_run) on the lane's slots plus the walk and selection buffers the
-// lanes share.
+// A BatchWorkspace runs B independent trials ("lanes") one after another:
+// the drivers in core/batch/batch_kernels.hpp take lane l's root from
+// root_hash/root_weight, run it to the end on the single-lane scratch below
+// (HF's slots, heap, walk and queue; BA's frame stack), and leave its
+// outcome in lane_max/lane_bisections.  Only one lane is live at a time, so
+// the scratch is sized for one lane of n pieces, not B of them; only the
+// roots and outcomes are per lane.
 //
 // Like TrialWorkspace, all storage is sized once (prepare()) and recycled
 // across batches: once warm, a batch run performs exactly zero heap
@@ -27,7 +25,6 @@
 
 #include <cstddef>
 #include <cstdint>
-#include <new>
 #include <stdexcept>
 #include <vector>
 
@@ -37,38 +34,6 @@
 namespace lbb::core::batch {
 
 using detail::HfHeapEntry;
-
-/// Minimal aligned allocator for the SoA buffers: the vector lane kernels
-/// issue full-cacheline loads/stores, and 64-byte alignment keeps a width-8
-/// AVX-512 access inside one line.  Allocations route through the aligned
-/// operator new, which the alloc probe interposes like every other form, so
-/// the zero-allocation gate still covers these buffers.
-template <typename T, std::size_t Align>
-struct AlignedAllocator {
-  static_assert(Align >= alignof(T) && (Align & (Align - 1)) == 0);
-  using value_type = T;
-
-  AlignedAllocator() = default;
-  template <typename U>
-  explicit AlignedAllocator(const AlignedAllocator<U, Align>&) noexcept {}
-
-  [[nodiscard]] T* allocate(std::size_t n) {
-    return static_cast<T*>(
-        ::operator new(n * sizeof(T), std::align_val_t{Align}));
-  }
-  void deallocate(T* p, std::size_t) noexcept {
-    ::operator delete(p, std::align_val_t{Align});
-  }
-
-  template <typename U>
-  struct rebind {
-    using other = AlignedAllocator<U, Align>;
-  };
-  friend bool operator==(const AlignedAllocator&,
-                         const AlignedAllocator&) noexcept {
-    return true;
-  }
-};
 
 /// Pushes `e` onto the 4-ary max-heap stored at `h[0..size)`, growing `size`.
 /// Exactly HfHeap::push's hole-sift on a raw buffer: same comparator
@@ -151,22 +116,21 @@ inline constexpr std::int64_t kHfWalkPerPiece = 3;
   return static_cast<std::size_t>(kHfWalkPerPiece * n);
 }
 
-/// SoA scratch for up to `width` lanes partitioning into up to `n` pieces.
-/// All vectors are plain flat buffers indexed by the kernels; none are
-/// resized on the hot path.
+/// A frame of the BA-family lane stacks: a subproblem awaiting a visit.
+struct LaneFrame {
+  std::uint64_t hash;
+  double weight;
+  std::int32_t n;
+};
+
+/// Scratch for up to `width` lanes partitioning into up to `n` pieces.  All
+/// vectors are plain flat buffers indexed by the kernels; none are resized
+/// on the hot path.
 class BatchWorkspace {
  public:
   /// Maximum lanes a single prepare() accepts; batches wider than the
   /// engine's 32-trial chunk never occur.
   static constexpr std::int32_t kMaxWidth = 32;
-
-  /// Byte alignment of every SoA buffer (one cacheline / one AVX-512
-  /// register); prepare() asserts it on construction of the buffers.
-  static constexpr std::size_t kAlign = 64;
-
-  /// All SoA buffers use cacheline-aligned storage (see AlignedAllocator).
-  template <typename T>
-  using Buf = std::vector<T, AlignedAllocator<T, kAlign>>;
 
   /// Ensures capacity for `width` lanes of `n` pieces each.  Growth-only
   /// (capacity is retained across calls), so alternating cell sizes do not
@@ -179,96 +143,54 @@ class BatchWorkspace {
     if (n < 1) {
       throw std::invalid_argument("BatchWorkspace::prepare: n must be >= 1");
     }
-    if (width <= width_ && n <= stride_) return;
+    if (width <= width_ && n <= n_) return;
     width_ = width > width_ ? width : width_;
-    stride_ = n > stride_ ? n : stride_;
+    n_ = n > n_ ? n : n_;
     const auto lanes = static_cast<std::size_t>(width_);
-    const auto slots = lanes * static_cast<std::size_t>(stride_);
-    // Slot arrays (HF): one (hash, weight) pair per live subproblem.
+    const auto slots = static_cast<std::size_t>(n_);
+    // HF: one (hash, weight) slot per live subproblem and the 4-ary
+    // selection heap over them.
     slot_hash.resize(slots);
     slot_weight.resize(slots);
-    // Per-lane 4-ary selection heaps, lane-major with stride_ entries each.
     heap.resize(slots);
-    // HF's walk and selection scratch, shared by the lanes (hf_lane_run
-    // runs them one after another).  A walk within budget appends at most
-    // two nodes past it before it checks.
-    const std::size_t budget = hf_walk_budget(stride_);
+    // HF's walk and selection scratch.  A walk within budget appends at
+    // most two nodes past it before it checks.
+    const std::size_t budget = hf_walk_budget(n_);
     walk_node.resize(budget + 2);
-    walk_hist.resize(static_cast<std::size_t>(stride_));
+    walk_hist.resize(slots);
     walk_weight.resize(budget);
-    // The band queue hf_lane_run falls back to, sized for the stride rather
-    // than for a run's n: BA-HF hands in a different n on every seed, and
-    // the first fallback may come on any of them.
-    hf_queue.reserve(static_cast<std::size_t>(stride_));
-    // Per-lane BA/BA-HF frame stacks.  Depth can reach n on a degenerate
-    // heavy chain (every split peels one processor), hence the full stride.
-    frame_hash.resize(slots);
-    frame_weight.resize(slots);
-    frame_n.resize(slots);
-    frame_top.resize(lanes);
-    // Lockstep staging: gathered parents and their computed children.  The
-    // dense loops over these arrays are the vectorization target.
-    stage_lane.resize(lanes);
-    stage_n.resize(lanes);
-    stage_hash.resize(lanes);
-    stage_weight.resize(lanes);
-    heavy_hash.resize(lanes);
-    heavy_weight.resize(lanes);
-    light_hash.resize(lanes);
-    light_weight.resize(lanes);
+    // The band queue hf_lane_run falls back to, sized for n_ rather than
+    // for a run's n: BA-HF hands in a different n on every seed, and the
+    // first fallback may come on any of them.
+    hf_queue.reserve(slots);
+    // BA/BA-HF frame stack, never deeper than n - 1 (see ba_lane_run).
+    frames.resize(slots);
     // Per-lane inputs and outcomes.
     root_hash.resize(lanes);
     root_weight.resize(lanes);
     lane_max.resize(lanes);
     lane_bisections.resize(lanes);
-    // The allocator guarantees these; assert the contract the vector
-    // kernels (and their full-cacheline accesses) are written against.
-    require_aligned(slot_hash.data());
-    require_aligned(slot_weight.data());
-    require_aligned(frame_hash.data());
-    require_aligned(frame_weight.data());
-    require_aligned(stage_hash.data());
-    require_aligned(stage_weight.data());
-    require_aligned(heavy_hash.data());
-    require_aligned(heavy_weight.data());
-    require_aligned(light_hash.data());
-    require_aligned(light_weight.data());
   }
 
-  [[nodiscard]] std::int32_t width() const noexcept { return width_; }
-  /// Per-lane element stride of the slot/heap/frame buffers.
-  [[nodiscard]] std::int32_t stride() const noexcept { return stride_; }
-
-  // --- SoA buffers (public by design: kernels index them directly, the
-  // --- same scratch idiom as TrialWorkspace's hf_slots/heap/frames). ---
-  Buf<std::uint64_t> slot_hash;
-  Buf<double> slot_weight;
-  Buf<HfHeapEntry> heap;
-  Buf<std::uint64_t> frame_hash;
-  Buf<double> frame_weight;
-  Buf<std::int32_t> frame_n;
-  Buf<std::int32_t> frame_top;
-  Buf<std::int32_t> stage_lane;
-  Buf<std::int32_t> stage_n;
-  Buf<std::uint64_t> stage_hash;
-  Buf<double> stage_weight;
-  Buf<std::uint64_t> heavy_hash;
-  Buf<double> heavy_weight;
-  Buf<std::uint64_t> light_hash;
-  Buf<double> light_weight;
-  Buf<std::uint64_t> root_hash;
-  Buf<double> root_weight;
-  Buf<double> lane_max;
-  Buf<std::int64_t> lane_bisections;
+  // --- Buffers (public by design: kernels index them directly, the same
+  // --- scratch idiom as TrialWorkspace's hf_slots/heap/frames). ---
+  std::vector<std::uint64_t> slot_hash;
+  std::vector<double> slot_weight;
+  std::vector<HfHeapEntry> heap;
+  std::vector<LaneFrame> frames;
+  std::vector<std::uint64_t> root_hash;
+  std::vector<double> root_weight;
+  std::vector<double> lane_max;
+  std::vector<std::int64_t> lane_bisections;
   /// hf_lane_run's walk: the nodes it visited, in visiting order, then the
   /// selection's bucket histogram and the weights of the bucket that holds
   /// the answer.
-  Buf<WalkNode> walk_node;
-  Buf<std::int32_t> walk_hist;
-  Buf<double> walk_weight;
+  std::vector<WalkNode> walk_node;
+  std::vector<std::int32_t> walk_hist;
+  std::vector<double> walk_weight;
   /// Weight-band selection queue of hf_lane_run at n >=
-  /// detail::kHfBandMinPieces when the walk does not run; lanes run one
-  /// after another and share it.  Reserved for stride() entries.
+  /// detail::kHfBandMinPieces when the walk does not run.  Reserved for the
+  /// prepared n.
   detail::HfBandQueue hf_queue;
   /// True while hf_lane_run tries the walk.  The first walk that overflows
   /// its budget or meets a child heavier than its parent clears it, and the
@@ -278,16 +200,8 @@ class BatchWorkspace {
   bool hf_walk = true;
 
  private:
-  template <typename T>
-  static void require_aligned(const T* p) {
-    if ((reinterpret_cast<std::uintptr_t>(p) & (kAlign - 1)) != 0) {
-      throw std::logic_error(
-          "BatchWorkspace: SoA buffer is not 64-byte aligned");
-    }
-  }
-
   std::int32_t width_ = 0;
-  std::int32_t stride_ = 0;
+  std::int32_t n_ = 0;
 };
 
 }  // namespace lbb::core::batch

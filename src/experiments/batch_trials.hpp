@@ -1,7 +1,7 @@
 // Batched trial execution for the experiment engines.
 //
 // BatchTrialRunner routes a contiguous range of synthetic trials through the
-// structure-of-arrays kernels (core/batch): lane l of a batch runs trial
+// batched kernels (core/batch): lane l of a batch runs trial
 // t = lo + l with instance seed mix64(base_seed, t) -- the SAME per-trial
 // seed derivation as the scalar engine's chunk loop, so the lane streams are
 // independent by construction and every outcome is bitwise equal to the
@@ -24,8 +24,9 @@
 
 namespace lbb::experiments {
 
-/// Default lane width of the batched trial engine.  Divides kTrialChunk;
-/// wide enough to fill a 4-lane AVX2 double vector twice.
+/// Default lane width of the batched trial engine.  Divides kTrialChunk.
+/// Lanes run one after another, so the width only sets how many trials
+/// share one call into the kernels (core/batch/batch_kernels.hpp).
 inline constexpr std::int32_t kDefaultTrialBatch = 8;
 
 /// Outcome of one synthetic trial (the two numbers the engines consume).

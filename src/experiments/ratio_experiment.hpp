@@ -93,10 +93,9 @@ struct RatioExperimentConfig {
   /// 0 = one per hardware thread, k = exactly k.  Results are identical
   /// for every value -- see the determinism note at the top of this file.
   std::int32_t threads = 1;
-  /// Lane width of the batched (structure-of-arrays) trial kernels:
-  /// <= 1 runs the scalar path, b > 1 runs the builtin HF/BA/BA'/BA-HF
-  /// families b trials per batch (the BA family advances them in lockstep,
-  /// HF one after another; custom partitioners always fall back to the
+  /// Lane width of the batched trial kernels: <= 1 runs the scalar path,
+  /// b > 1 runs the builtin HF/BA/BA'/BA-HF families b trials per batch
+  /// (one lane after another; custom partitioners always fall back to the
   /// scalar path).  Results are BYTE-IDENTICAL for every width --
   /// lane seeds are the scalar per-trial seeds and per-chunk statistics
   /// accumulate in trial order (asserted by the batch determinism gate).

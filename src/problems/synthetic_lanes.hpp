@@ -2,25 +2,19 @@
 //
 // The synthetic stochastic model's draws are path-hashed -- a node's
 // alpha-hat is a pure function of its node hash, not of a consumed RNG
-// stream -- so the whole problem class collapses to two pure functions over
-// (node_hash, weight) pairs.  SyntheticLaneModel provides them in the shape
-// the batched kernels need: a scalar bisect for the per-lane tails and a
-// dense bisect_lanes whose distribution-kind switch is hoisted OUT of the
-// lane loop, leaving straight-line hash/multiply arithmetic the compiler
-// can vectorize.
+// stream -- so the whole problem class collapses to one pure function over
+// (node_hash, weight) pairs, the bisect() the batched kernels call.
 //
-// Bit-exactness contract: every expression below is copied verbatim from
-// SyntheticProblem::bisect / AlphaDistribution::sample (single-rounding
-// per operation, no reassociation), so for any node the produced child
-// hashes and weights are bitwise equal to the scalar problem's.  The
-// synthetic_lanes_test pins this against SyntheticProblem across all
-// distribution kinds; the scalar-vs-batched experiment golden gate pins it
-// end to end.
+// Bit-exactness contract: the expression below is SyntheticProblem::bisect's
+// (single-rounding per operation, no reassociation), so for any node the
+// produced child hashes and weights are bitwise equal to the scalar
+// problem's.  Layer 1 of tests/experiments/batch_identity_test.cpp pins this
+// against SyntheticProblem across all distribution kinds; its other layers
+// pin it end to end.
 #pragma once
 
 #include <cstdint>
 
-#include "core/simd/dispatch.hpp"
 #include "core/thread_annotations.hpp"
 #include "problems/alpha_dist.hpp"
 #include "problems/synthetic.hpp"
@@ -51,76 +45,6 @@ class SyntheticLaneModel {
     light_hash = lbb::stats::mix64(hash, 2);
     heavy_w = (1.0 - alpha_hat) * w;
     light_w = alpha_hat * w;
-  }
-
-  /// Dense form over `count` nodes.  The kind switch runs once; each case
-  /// is a branch-free contiguous loop (the batched drivers' vectorization
-  /// target).  Arithmetic per element is identical to bisect() above.
-  /// When the runtime dispatcher selected a vector ISA (core/simd), the
-  /// dense loop runs its hand-vectorized twin -- bit-identical by the
-  /// exactness argument in core/simd/dispatch.hpp; the inline loops below
-  /// stay as the scalar fast path (no indirect call in the portable build).
-  LBB_HOT void bisect_lanes(std::int32_t count, const std::uint64_t* hash,
-                            const double* w, std::uint64_t* heavy_hash,
-                            double* heavy_w, std::uint64_t* light_hash,
-                            double* light_w) const noexcept {
-    const double lo = dist_->lower_bound();
-    const double hi = dist_->upper_bound();
-    const core::simd::LaneKernels& k = core::simd::active();
-    if (k.isa != core::simd::Isa::kScalar) {
-      switch (dist_->kind()) {
-        case AlphaDistribution::Kind::kUniform:
-          k.bisect_uniform(count, hash, w, lo, hi, heavy_hash, heavy_w,
-                           light_hash, light_w);
-          return;
-        case AlphaDistribution::Kind::kPoint:
-          k.bisect_point(count, hash, w, lo, heavy_hash, heavy_w, light_hash,
-                         light_w);
-          return;
-        case AlphaDistribution::Kind::kTwoPoint:
-          k.bisect_two_point(count, hash, w, lo, hi, heavy_hash, heavy_w,
-                             light_hash, light_w);
-          return;
-      }
-    }
-    switch (dist_->kind()) {
-      case AlphaDistribution::Kind::kUniform:
-        for (std::int32_t i = 0; i < count; ++i) {
-          const double u =
-              lbb::stats::hash_to_unit(lbb::stats::splitmix64(hash[i]));
-          const double alpha_hat = lo + (hi - lo) * u;
-          heavy_hash[i] = lbb::stats::mix64(hash[i], 1);
-          light_hash[i] = lbb::stats::mix64(hash[i], 2);
-          heavy_w[i] = (1.0 - alpha_hat) * w[i];
-          light_w[i] = alpha_hat * w[i];
-        }
-        return;
-      case AlphaDistribution::Kind::kPoint:
-        for (std::int32_t i = 0; i < count; ++i) {
-          heavy_hash[i] = lbb::stats::mix64(hash[i], 1);
-          light_hash[i] = lbb::stats::mix64(hash[i], 2);
-          heavy_w[i] = (1.0 - lo) * w[i];
-          light_w[i] = lo * w[i];
-        }
-        return;
-      case AlphaDistribution::Kind::kTwoPoint:
-        for (std::int32_t i = 0; i < count; ++i) {
-          const double u =
-              lbb::stats::hash_to_unit(lbb::stats::splitmix64(hash[i]));
-          const double alpha_hat = u < 0.5 ? lo : hi;
-          heavy_hash[i] = lbb::stats::mix64(hash[i], 1);
-          light_hash[i] = lbb::stats::mix64(hash[i], 2);
-          heavy_w[i] = (1.0 - alpha_hat) * w[i];
-          light_w[i] = alpha_hat * w[i];
-        }
-        return;
-    }
-    // Unreachable for valid kinds; fall back to the scalar path so a future
-    // kind cannot silently diverge.
-    for (std::int32_t i = 0; i < count; ++i) {
-      bisect(hash[i], w[i], heavy_hash[i], heavy_w[i], light_hash[i],
-             light_w[i]);
-    }
   }
 
   [[nodiscard]] const AlphaDistribution& distribution() const noexcept {

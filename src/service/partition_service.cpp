@@ -5,7 +5,6 @@
 #include <utility>
 
 #include "core/problem.hpp"
-#include "core/simd/dispatch.hpp"
 #include "problems/alpha_dist.hpp"
 #include "runtime/par_partitioners.hpp"
 #include "stats/alloc_stats.hpp"
@@ -503,9 +502,6 @@ ServiceStats PartitionService::snapshot() const {
 
 void PartitionService::report(core::MetricsSink& sink) const {
   const ServiceStats s = snapshot();
-  // One-shot process-wide record of which lane-kernel ISA the runtime
-  // dispatcher selected (no-op after the first report; see core/simd).
-  core::simd::emit_isa_once(sink);
   sink.on_counter("service.workers", static_cast<double>(s.workers));
   sink.on_counter("service.submitted", static_cast<double>(s.submitted));
   sink.on_counter("service.completed", static_cast<double>(s.completed));

@@ -3,9 +3,9 @@
 // width and every thread count -- the core contract of core/batch/ (see
 // batch_kernels.hpp for the identity argument).  Three layers are pinned:
 //
-//   1. SyntheticLaneModel's scalar and dense bisections vs
-//      SyntheticProblem::bisect, for every distribution kind (the FP
-//      expressions must be the same instructions);
+//   1. SyntheticLaneModel::bisect vs SyntheticProblem::bisect, for every
+//      distribution kind (the FP expressions must be the same
+//      instructions);
 //   2. run_ratio_experiment cells and CSV bytes across batch widths
 //      {1, 4, 8, 16} x threads {1, 4}, including non-batchable algorithms
 //      falling back to the scalar path;
@@ -13,11 +13,7 @@
 //      bin) across the same grid;
 //   (layers 2 and 3 run a wide distribution, whose HF lanes take the walk,
 //   and the narrow U[0.02, 0.04], whose HF lanes give the walk up and fall
-//   back to the selection queue for the rest of the run;)
-//   4. the whole grid again under every runnable SIMD lane-kernel ISA
-//      (forced via ScopedForceIsa) -- vectorized bisection must not move
-//      a single bit anywhere (on portable builds the sweep degenerates
-//      to {scalar} and still binds).
+//   back to the selection queue for the rest of the run.)
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -25,9 +21,7 @@
 #include <fstream>
 #include <sstream>
 #include <string>
-#include <vector>
 
-#include "core/simd/dispatch.hpp"
 #include "experiments/ratio_experiment.hpp"
 #include "experiments/tail_study.hpp"
 #include "problems/synthetic.hpp"
@@ -67,7 +61,6 @@ void expect_lane_model_matches(const AlphaDistribution& dist) {
     node = (i % 2 == 0) ? heavy : light;
   }
 
-  // Scalar lane-model bisect.
   for (int i = 0; i < kNodes; ++i) {
     std::uint64_t hh = 0, lh = 0;
     double hw = 0.0, lw = 0.0;
@@ -76,17 +69,6 @@ void expect_lane_model_matches(const AlphaDistribution& dist) {
     ASSERT_EQ(lh, want_lh[i]) << "node " << i;
     ASSERT_EQ(hw, want_hw[i]) << "node " << i;
     ASSERT_EQ(lw, want_lw[i]) << "node " << i;
-  }
-
-  // Dense bisect_lanes over all nodes at once.
-  std::uint64_t hh[kNodes], lh[kNodes];
-  double hw[kNodes], lw[kNodes];
-  model.bisect_lanes(kNodes, hash, weight, hh, hw, lh, lw);
-  for (int i = 0; i < kNodes; ++i) {
-    EXPECT_EQ(hh[i], want_hh[i]) << "lane " << i;
-    EXPECT_EQ(lh[i], want_lh[i]) << "lane " << i;
-    EXPECT_EQ(hw[i], want_hw[i]) << "lane " << i;
-    EXPECT_EQ(lw[i], want_lw[i]) << "lane " << i;
   }
 }
 
@@ -106,7 +88,7 @@ TEST(BatchIdentity, LaneModelBitExactTwoPoint) {
 // ---------------------------------------------------------------------------
 // Layer 2: run_ratio_experiment across the (batch, threads) grid.
 
-/// Inputs of layers 2 and 3; layer 4 runs the first.
+/// Inputs of layers 2 and 3.
 const AlphaDistribution kDists[] = {AlphaDistribution::uniform(0.05, 0.5),
                                     AlphaDistribution::uniform(0.02, 0.04)};
 
@@ -234,93 +216,6 @@ TEST(BatchIdentity, TailStudyCellsBitIdenticalAcrossBatchWidthsAndThreads) {
             ASSERT_EQ(x.tail.bin_count(b), y.tail.bin_count(b))
                 << what << " bin " << b;
           }
-        }
-      }
-    }
-  }
-}
-
-// ---------------------------------------------------------------------------
-// Layer 4: the full grid under every runnable vector ISA.  The reference is
-// computed with the kernels forced to scalar; each runnable level must then
-// reproduce it bit for bit at every batch width and thread count.  This is
-// the gate the SIMD build must clear before an AVX table may ship.
-
-std::vector<core::simd::Isa> runnable_isas() {
-  core::simd::Isa levels[8];
-  const std::int32_t n = core::simd::runnable_isas(levels, 8);
-  return {levels, levels + n};
-}
-
-TEST(BatchIdentity, LaneModelBitExactUnderEveryIsa) {
-  for (const core::simd::Isa isa : runnable_isas()) {
-    SCOPED_TRACE(core::simd::isa_name(isa));
-    core::simd::ScopedForceIsa force(isa);
-    ASSERT_EQ(force.selected(), isa);
-    expect_lane_model_matches(AlphaDistribution::uniform(0.01, 0.5));
-    expect_lane_model_matches(AlphaDistribution::point(0.25));
-    expect_lane_model_matches(AlphaDistribution::two_point(0.1, 0.4));
-  }
-}
-
-TEST(BatchIdentity, RatioCellsBitIdenticalUnderEveryIsa) {
-  RatioExperimentConfig scalar_cfg = ratio_config();
-  scalar_cfg.batch = 1;
-  scalar_cfg.threads = 1;
-  RatioExperimentResult reference;
-  {
-    core::simd::ScopedForceIsa force(core::simd::Isa::kScalar);
-    reference = run_ratio_experiment(scalar_cfg);
-  }
-  for (const core::simd::Isa isa : runnable_isas()) {
-    core::simd::ScopedForceIsa force(isa);
-    for (const std::int32_t batch : {1, 4, 8, 16}) {
-      for (const std::int32_t threads : {1, 2}) {
-        RatioExperimentConfig config = ratio_config();
-        config.batch = batch;
-        config.threads = threads;
-        const auto result = run_ratio_experiment(config);
-        expect_ratio_results_identical(
-            reference, result,
-            std::string("isa=") + core::simd::isa_name(isa) +
-                " batch=" + std::to_string(batch) +
-                " threads=" + std::to_string(threads));
-      }
-    }
-  }
-}
-
-TEST(BatchIdentity, TailStudyCellsBitIdenticalUnderEveryIsa) {
-  TailStudyConfig scalar_cfg = tail_config();
-  scalar_cfg.batch = 1;
-  scalar_cfg.threads = 1;
-  TailStudyResult reference;
-  {
-    core::simd::ScopedForceIsa force(core::simd::Isa::kScalar);
-    reference = run_tail_study(scalar_cfg);
-  }
-  for (const core::simd::Isa isa : runnable_isas()) {
-    core::simd::ScopedForceIsa force(isa);
-    for (const std::int32_t batch : {8, 16}) {
-      TailStudyConfig config = tail_config();
-      config.batch = batch;
-      config.threads = 2;
-      const TailStudyResult result = run_tail_study(config);
-      ASSERT_EQ(result.cells.size(), reference.cells.size());
-      for (std::size_t i = 0; i < reference.cells.size(); ++i) {
-        const TailStudyCell& x = reference.cells[i];
-        const TailStudyCell& y = result.cells[i];
-        const std::string what = std::string("isa=") +
-                                 core::simd::isa_name(isa) + " " + x.algo +
-                                 " n=2^" + std::to_string(x.log2_n) +
-                                 " batch=" + std::to_string(batch);
-        EXPECT_EQ(x.bisections, y.bisections) << what;
-        EXPECT_EQ(x.ratio.mean(), y.ratio.mean()) << what;
-        EXPECT_EQ(x.ratio.max(), y.ratio.max()) << what;
-        EXPECT_EQ(x.tail.count(), y.tail.count()) << what;
-        for (std::int32_t b = 0; b < x.tail.bins(); ++b) {
-          ASSERT_EQ(x.tail.bin_count(b), y.tail.bin_count(b))
-              << what << " bin " << b;
         }
       }
     }

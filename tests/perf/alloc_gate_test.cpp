@@ -19,9 +19,7 @@
 
 #include "core/ba.hpp"
 #include "core/ba_hf.hpp"
-#include "core/batch/batch_workspace.hpp"
 #include "core/hf.hpp"
-#include "core/simd/dispatch.hpp"
 #include "core/partitioner.hpp"
 #include "core/problem.hpp"
 #include "core/workspace.hpp"
@@ -290,9 +288,9 @@ TEST(AllocGate, ServiceWarmCacheHitsAreAllocationFree) {
 }
 
 TEST(AllocGate, BatchedTrialRunnerSteadyStateIsAllocationFree) {
-  // The batched SoA engine's contract: once prepare() sized the workspace,
-  // a full sub-batch sweep -- gathers, dense bisections, scatters, HF's
-  // tree walks and selections -- performs EXACTLY ZERO heap allocations,
+  // The batched engine's contract: once prepare() sized the workspace, a
+  // full sub-batch sweep -- BA frame stacks, HF's tree walks and
+  // selections -- performs EXACTLY ZERO heap allocations,
   // for every batchable kind.  (Held to the same bar as the scalar kernels
   // above; lbb-lint covers core/batch/ statically, this covers it
   // dynamically.)
@@ -328,7 +326,7 @@ TEST(AllocGate, BatchedTrialRunnerSteadyStateIsAllocationFree) {
 TEST(AllocGate, BatchedHfLargeNSteadyStateIsAllocationFree) {
   // The batched HF runner at 2^14 finds each lane's heaviest piece with the
   // workspace's tree walk and bucket selection, whose buffers prepare()
-  // sized from the stride; 16 batches of fresh seeds after warm-up on
+  // sized from its n; 16 batches of fresh seeds after warm-up on
   // others must not allocate.
   constexpr std::int32_t kLargeN = std::int32_t{1} << 14;
   constexpr std::int32_t kWidth = 2;
@@ -387,7 +385,7 @@ TEST(AllocGate, BatchedBaHfQueuePoolDoesNotDependOnHfPhaseSizes) {
   // detail::kHfBandMinPieces on.  Warm up with beta = 0.4 (HF phases below
   // 41 processors), then measure with beta = 1 (below 101) on the same
   // workspace: the walk buffers and the lane queue's pool, both sized from
-  // the stride, must already be large enough for the bigger phases.
+  // the prepared n, must already be large enough for the bigger phases.
   const AlphaDistribution dist = AlphaDistribution::uniform(0.01, 0.5);
   constexpr std::int32_t kWidth = 4;
   BuiltinAlgo algo = PartitionerRegistry::instance()
@@ -413,60 +411,6 @@ TEST(AllocGate, BatchedBaHfQueuePoolDoesNotDependOnHfPhaseSizes) {
                             << " bytes across " << kTrials
                             << " warm batches";
   for (const auto& outcome : outcomes) EXPECT_GE(outcome.ratio, 1.0);
-}
-
-TEST(AllocGate, SimdKernelPathsSteadyStateAreAllocationFree) {
-  // Same bar as the batched test above, but with the strongest runnable
-  // vector ISA forced, so the dispatched kernels (dense bisect, max
-  // reduce) and the 64-byte-aligned workspace buffers are what run inside
-  // the measured window.  On a portable build this degenerates to the
-  // scalar table -- the gate still pins that path.
-  lbb::core::simd::ScopedForceIsa force(lbb::core::simd::Isa::kAvx512);
-  const AlphaDistribution dist = AlphaDistribution::uniform(0.1, 0.5);
-  constexpr std::int32_t kWidth = 8;
-  for (const char* algo : {"hf", "ba", "ba_hf"}) {
-    const auto part = PartitionerRegistry::instance().create(
-        algo, PartitionerConfig{0.1, 1.0, 0, {}});
-    const BuiltinAlgo builtin = part->builtin();
-    lbb::experiments::BatchTrialRunner runner;
-    lbb::experiments::BatchTrialOutcome outcomes[kWidth];
-    for (int warm = 0; warm < 2; ++warm) {
-      runner.run(builtin, dist, /*base_seed=*/7, 0, kWidth, kN, kWidth,
-                 outcomes);
-    }
-    const auto before = lbb::stats::alloc_stats();
-    for (std::int64_t t = 0; t < kTrials; ++t) {
-      runner.run(builtin, dist, /*base_seed=*/7, t * kWidth, (t + 1) * kWidth,
-                 kN, kWidth, outcomes);
-    }
-    const auto delta = lbb::stats::alloc_stats() - before;
-    EXPECT_EQ(delta.count, 0)
-        << algo << " simd (" << lbb::core::simd::isa_name(force.selected())
-        << ") batched kernel allocated " << delta.bytes << " bytes across "
-        << kTrials << " warm batches";
-  }
-}
-
-TEST(AllocGate, BatchWorkspaceBuffersAre64ByteAligned) {
-  // The vector kernels are written against cacheline-aligned SoA buffers;
-  // prepare() asserts the contract internally, and this pins it from the
-  // outside (including after growth-only re-prepares).
-  lbb::core::batch::BatchWorkspace ws;
-  ws.prepare(/*width=*/8, /*n=*/64);
-  ws.prepare(/*width=*/32, /*n=*/2048);  // growth path reallocates
-  const auto aligned = [](const void* p) {
-    return (reinterpret_cast<std::uintptr_t>(p) % 64) == 0;
-  };
-  EXPECT_TRUE(aligned(ws.slot_hash.data()));
-  EXPECT_TRUE(aligned(ws.slot_weight.data()));
-  EXPECT_TRUE(aligned(ws.frame_hash.data()));
-  EXPECT_TRUE(aligned(ws.frame_weight.data()));
-  EXPECT_TRUE(aligned(ws.stage_hash.data()));
-  EXPECT_TRUE(aligned(ws.stage_weight.data()));
-  EXPECT_TRUE(aligned(ws.heavy_hash.data()));
-  EXPECT_TRUE(aligned(ws.heavy_weight.data()));
-  EXPECT_TRUE(aligned(ws.light_hash.data()));
-  EXPECT_TRUE(aligned(ws.light_weight.data()));
 }
 
 TEST(AllocGate, TailAccumulatorSteadyStateIsAllocationFree) {

@@ -130,8 +130,8 @@ void run_lane_streams(std::uint64_t seed, int lanes, int steps,
   std::vector<std::int64_t> seq(static_cast<std::size_t>(lanes), 0);
   lbb::stats::Xoshiro256 rng(seed);
   for (int step = 0; step < steps; ++step) {
-    // Lockstep over lanes, like the batched driver: every lane takes one
-    // action per step, chosen from the lane's own view of the stream.
+    // Interleave the lanes: every lane takes one action per step, chosen
+    // from the lane's own view of the stream.
     for (int l = 0; l < lanes; ++l) {
       HfHeapEntry* h = storage.data() + static_cast<std::size_t>(l) * cap;
       const bool do_push =

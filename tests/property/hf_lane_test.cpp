@@ -8,14 +8,22 @@
 //   * Two toy lane models that break the walk's assumptions -- a heavy
 //     child that sometimes outweighs its parent, and children that sum to
 //     3/4 of the parent -- against hf_lane_select over detail::HfBandQueue.
+//
+// BaLaneProperty holds the BA-family drivers (ba_batch_run for BA and BA',
+// ba_hf_batch_run) to the same bar, lane by lane, against the scalar
+// kernels' max_weight() and bisection count.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <bit>
 #include <cstdint>
 #include <string>
+#include <utility>
 
+#include "core/ba.hpp"
+#include "core/ba_hf.hpp"
 #include "core/batch/batch_kernels.hpp"
+#include "core/bounds.hpp"
 #include "core/hf.hpp"
 #include "problems/synthetic.hpp"
 #include "problems/synthetic_lanes.hpp"
@@ -199,6 +207,63 @@ TEST(HfLaneProperty, ShortWalkLowersTheThresholdAndRetries) {
   // Walks whose answer lies below the first threshold found fewer than n
   // nodes there and succeeded on a later, lower one.
   EXPECT_GT(below, 0);
+}
+
+TEST(BaLaneProperty, MatchesScalarBaFamilyLaneByLane) {
+  const AlphaDistribution dists[] = {
+      AlphaDistribution::uniform(0.1, 0.5),
+      AlphaDistribution::uniform(0.01, 0.5),
+      AlphaDistribution::uniform(0.02, 0.04),
+      AlphaDistribution::point(0.5),
+      AlphaDistribution::point(0.01),
+      AlphaDistribution::two_point(0.01, 0.5),
+  };
+  constexpr std::int32_t kLanes = 8;
+  constexpr double kRootWeight = 1.0;
+  for (const AlphaDistribution& dist : dists) {
+    const SyntheticLaneModel model(dist);
+    const double alpha = dist.lower_bound();
+    for (const std::int32_t n : {1, 2, 3, 31, 100, 1000, 4097, 16384}) {
+      // Sized for exactly this n, so a frame stack that outgrew it would
+      // run off the end of its buffer (point(0.01) peels one processor
+      // per bisection, the deepest chain BA can build).
+      BatchWorkspace ws;
+      ws.prepare(kLanes, n);
+      std::uint64_t instance[kLanes];
+      for (std::int32_t l = 0; l < kLanes; ++l) {
+        instance[l] = stats::mix64(
+            0xba1a, static_cast<std::uint64_t>(n) * kLanes +
+                        static_cast<std::uint64_t>(l));
+        ws.root_hash[l] = SyntheticLaneModel::root_hash(instance[l]);
+        ws.root_weight[l] = kRootWeight;
+      }
+      const auto expect_lanes = [&](const char* algo, const auto& scalar) {
+        for (std::int32_t l = 0; l < kLanes; ++l) {
+          const auto want = scalar(SyntheticProblem(instance[l], dist));
+          const std::string what = std::string(algo) + " " +
+                                   describe(dist, n, instance[l]) +
+                                   " lane=" + std::to_string(l);
+          ASSERT_EQ(bits(ws.lane_max[l]), bits(want.max_weight())) << what;
+          ASSERT_EQ(ws.lane_bisections[l], want.bisections) << what;
+        }
+      };
+      ba_batch_run(ws, model, kLanes, n, /*prune_below=*/-1.0);
+      expect_lanes("ba", [n](SyntheticProblem p) {
+        return ba_partition(std::move(p), n);
+      });
+      ba_batch_run(ws, model, kLanes, n,
+                   phf_phase1_threshold(alpha, kRootWeight, n));
+      expect_lanes("ba_star", [n, alpha](SyntheticProblem p) {
+        return ba_star_partition(std::move(p), n, alpha);
+      });
+      const BaHfParams params{alpha, 1.0};
+      ba_hf_batch_run(ws, model, kLanes, n,
+                      ba_hf_switch_threshold(params.alpha, params.beta));
+      expect_lanes("ba_hf", [n, params](SyntheticProblem p) {
+        return ba_hf_partition(std::move(p), n, params);
+      });
+    }
+  }
 }
 
 }  // namespace

@@ -31,14 +31,6 @@ matched cell the script compares:
     means the batched kernels lost their edge over the scalar path (or the
     scalar path regressed less than the batched one).  Wall-clock derived,
     so judged only between matching hardware_concurrency reports.
-  * simd_speedup -- perf_report cells carry the simd-on vs simd-off
-    throughput multiple of the dispatched lane kernels.  Judged only when
-    BOTH reports ran the same dispatched ISA (top-level "simd_isa") on
-    matching hardware_concurrency, and only when that ISA is a vector
-    level: with simd_isa == "scalar" the column is identically 1.0 and
-    purely informational.  A drop beyond the band means the vector kernels
-    lost their edge (e.g. a gather got serialized or an ISA table was
-    silently demoted).
   * p99 / p999 / max_ratio / upper_bound -- tail_study cells (max-ratio
     TAIL, unitless).  These are machine-independent statistics, so they are
     gated regardless of hardware: a p99 or p99.9 increase beyond the band
@@ -79,7 +71,7 @@ def load_cells(path):
         cells[key] = cell
     meta = {k: report.get(k) for k in ("benchmark", "threads", "trials",
                                        "alloc_probe",
-                                       "hardware_concurrency", "simd_isa")}
+                                       "hardware_concurrency")}
     return cells, meta
 
 
@@ -122,17 +114,6 @@ def main(argv):
               f"({base_meta.get('hardware_concurrency')} vs "
               f"{cand_meta.get('hardware_concurrency')}); "
               f"measured speedups are not comparable and are skipped")
-    # simd_speedup compares vector vs forced-scalar lane kernels; reports
-    # from different dispatched ISAs (or a scalar-only run, where the
-    # column is identically 1.0) measure different things.  Pre-simd_isa
-    # baselines carry None and are likewise not judged.
-    base_isa = base_meta.get("simd_isa")
-    cand_isa = cand_meta.get("simd_isa")
-    same_isa = (base_isa is not None and base_isa == cand_isa
-                and base_isa != "scalar")
-    if base_isa != cand_isa:
-        print(f"note: simd_isa differs ({base_isa} vs {cand_isa}); "
-              f"simd_speedup is not comparable and is skipped")
 
     regressions = []
     rows = []
@@ -179,13 +160,6 @@ def main(argv):
             dbatch = rel_change(b["batch_speedup"], c.get("batch_speedup", 0))
             if dbatch < -args.band:
                 verdicts.append(f"batch_speedup {fmt_pct(dbatch)} < band")
-        # Vector-kernel regression: the simd-on/simd-off multiple dropped
-        # beyond the band.  Guarded on matching hardware AND matching
-        # non-scalar simd_isa (see note above).
-        if same_hw and same_isa and b.get("simd_speedup", 0) > 0:
-            dsimd = rel_change(b["simd_speedup"], c.get("simd_speedup", 0))
-            if dsimd < -args.band:
-                verdicts.append(f"simd_speedup {fmt_pct(dsimd)} < band")
         # Tail trajectory (tail_study cells, unitless max-ratio quantiles):
         # machine-independent statistics, so gated without the hw guard.
         has_tail = b.get("p99", 0) > 0 and c.get("p99", 0) > 0
@@ -220,9 +194,6 @@ def main(argv):
         if b.get("batch_speedup", 0) > 0 and c.get("batch_speedup", 0) > 0:
             detail += (f"  batchx "
                        f"{fmt_pct(rel_change(b['batch_speedup'], c['batch_speedup']))}")
-        if b.get("simd_speedup", 0) > 0 and c.get("simd_speedup", 0) > 0:
-            detail += (f"  simdx "
-                       f"{fmt_pct(rel_change(b['simd_speedup'], c['simd_speedup']))}")
         if has_tail:
             detail += (
                 f"  p99 {fmt_pct(rel_change(b['p99'], c['p99']))}"

@@ -10,14 +10,10 @@
 # allocation-free, runs `lbb_bench tail_study --smoke` so the batched SoA
 # trial engine -- including both paths of its HF lanes, the tree walk and
 # the queue fallback -- is byte-compared against the scalar path across
-# batch widths and thread counts, re-runs that smoke plus a table1 CSV
-# byte-compare under LBB_SIMD_FORCE=scalar|avx2|avx512 so the
-# runtime-dispatched vector lane kernels are proven bit-identical at every
-# ISA the binary + CPU can run, then smoke-checks that `lbb_bench perf_report` emits a well-formed
-# BENCH_ratio_experiment.json.  Pure output comparison -- no wall-clock
-# assertions, so it is safe on loaded or single-core CI runners.
-# (Build with --preset simd, or simd-ubsan for the sanitized variant, to
-# give the forced-ISA sweep real AVX tables to exercise.)
+# batch widths and thread counts, then smoke-checks that `lbb_bench
+# perf_report` emits a well-formed BENCH_ratio_experiment.json.  Pure output
+# comparison -- no wall-clock assertions, so it is safe on loaded or
+# single-core CI runners.
 #
 # Usage: check_determinism.sh <lbb_bench-binary> [build-dir]
 #
@@ -104,31 +100,6 @@ echo "== batched-engine byte-identity: lbb_bench tail_study --smoke =="
 "$LBB" tail_study --smoke
 echo "ok: batched trial engine byte-identical to scalar across widths"
 
-echo "== SIMD lane-kernel byte-identity: forced-ISA sweep =="
-# Re-run the batch-identity grid and the table1 CSV under every forced
-# lane-kernel ISA.  LBB_SIMD_FORCE clamps to the strongest level the binary
-# compiled AND the CPU supports, so this sweep is safe everywhere: on a
-# portable build each leg just re-proves the scalar table.  The CSVs must
-# be byte-identical to the unforced run above -- vectorization must not
-# move a single output bit.
-for isa in scalar avx2 avx512; do
-  LBB_SIMD_FORCE=$isa "$LBB" tail_study --smoke > "$TMPDIR_DET/simd_$isa.txt"
-  grep -q "byte-identical to scalar" "$TMPDIR_DET/simd_$isa.txt" || {
-    echo "FAIL: tail_study --smoke diverged under LBB_SIMD_FORCE=$isa" >&2
-    cat "$TMPDIR_DET/simd_$isa.txt" >&2
-    exit 1
-  }
-  LBB_SIMD_FORCE=$isa "$LBB" table1 $ARGS --threads=2 \
-      --csv="$TMPDIR_DET/simd_$isa.csv" > /dev/null
-  if ! cmp -s "$TMPDIR_DET/t1.csv" "$TMPDIR_DET/simd_$isa.csv"; then
-    echo "FAIL: table1 CSV differs under LBB_SIMD_FORCE=$isa" >&2
-    diff "$TMPDIR_DET/t1.csv" "$TMPDIR_DET/simd_$isa.csv" >&2 || true
-    exit 1
-  fi
-  echo "ok: LBB_SIMD_FORCE=$isa ($(sed -n 's/.*(simd = \(.*\)).*/\1/p' \
-      "$TMPDIR_DET/simd_$isa.txt")) byte-identical"
-done
-
 if [ -n "$BUILD_DIR" ]; then
   echo "== service suite: ctest -L service =="
   (cd "$BUILD_DIR" && ctest -L service --output-on-failure)
@@ -139,8 +110,7 @@ echo "== perf_report smoke =="
 REPORT="$TMPDIR_DET/BENCH_ratio_experiment.json"
 "$LBB" perf_report --trials=16 --threads=2 --out="$REPORT" > /dev/null
 for key in '"benchmark": "ratio_experiment"' '"threads": 2' \
-           '"wall_seconds"' '"bisections_per_sec"' '"algo"' \
-           '"simd_isa"' '"simd_speedup"'; do
+           '"wall_seconds"' '"bisections_per_sec"' '"algo"'; do
   if ! grep -q "$key" "$REPORT"; then
     echo "FAIL: perf_report output missing $key" >&2
     exit 1

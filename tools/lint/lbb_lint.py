@@ -17,9 +17,9 @@ The repo makes three promises that ordinary compilers cannot check:
                   (tests/perf/alloc_gate_test.cpp) proves the steady state,
                   this lint pins the provenance statically.
 
-plus a containment rule (raw x86 intrinsics live only in src/core/simd/,
-where the vector wrappers carry the bit-identity argument) and one registry
-hygiene rule (partitioner keys are unique and machine-friendly: lowercase
+plus a ban on raw x86 intrinsics (hand-vectorized lane kernels were
+measured, found not to pay, and removed; DESIGN.md section 11) and one
+registry hygiene rule (partitioner keys are unique and machine-friendly: lowercase
 with '_', ':' and '\'' only).
 
 Rules (ids used in messages and allow-comments):
@@ -28,7 +28,7 @@ Rules (ids used in messages and allow-comments):
   raw-rng       raw RNG primitive outside src/stats/rng.hpp
   memory-order  non-seq_cst memory order outside runtime/work_stealing.cpp
   raw-simd      raw x86 intrinsic (<immintrin.h>, _mm*/__builtin_ia32_*)
-                outside src/core/simd/
+                anywhere
   registry-key  malformed or duplicate partitioner registry key
 
 Suppression: put `lbb-lint: allow(<rule>): <reason>` in a `//` comment on
@@ -54,7 +54,6 @@ REPO_MARKERS = ("CMakeLists.txt", "ROADMAP.md")
 
 RNG_EXEMPT = "src/stats/rng.hpp"
 MEMORY_ORDER_EXEMPT = "src/runtime/work_stealing.cpp"
-SIMD_EXEMPT_PREFIX = "src/core/simd/"
 
 # Problem-polymorphic calls the hot-alloc closure must not descend into:
 # their cost (and any allocation) belongs to the problem instance, which the
@@ -98,9 +97,9 @@ MEMORY_ORDER = re.compile(
 )
 
 # Raw x86 intrinsics: the vector headers and every _mm*/__builtin_ia32
-# builtin are confined to src/core/simd/ (vec.hpp wraps them; the kernels
-# and all other code use the wrappers), so exactly one subsystem carries
-# the per-ISA #ifdef surface and the bit-identity obligations.
+# builtin.  AVX2/AVX-512 lane kernels did not beat the portable build end
+# to end (DESIGN.md section 11), so none are allowed; a new one must first
+# show a measured win and its bit-identity argument.
 # __builtin_prefetch / __builtin_cpu_supports are portable GNU builtins,
 # not ISA intrinsics, and intentionally do not match.
 SIMD_TOKENS = re.compile(
@@ -471,18 +470,15 @@ def check_memory_order(sf: SourceFile, findings: list) -> None:
 
 
 def check_raw_simd(sf: SourceFile, findings: list) -> None:
-    if sf.rel.startswith(SIMD_EXEMPT_PREFIX):
-        return
     for idx, line in enumerate(sf.masked_lines):
         for m in SIMD_TOKENS.finditer(line):
             if "raw-simd" in allow_rules_for_line(sf, idx, findings):
                 continue
             findings.append(Finding(
                 sf.path, idx + 1, "raw-simd",
-                f"raw x86 intrinsic '{m.group(0)}' -- vector code is "
-                f"confined to {SIMD_EXEMPT_PREFIX} (use the u64xN/f64xN "
-                "wrappers and the LaneKernels dispatch instead, so the "
-                "bit-identity contract stays in one audited place)"))
+                f"raw x86 intrinsic '{m.group(0)}' -- hand-vectorized "
+                "kernels were measured no faster end to end and removed "
+                "(DESIGN.md section 11); write portable C++"))
 
 
 def check_registry_keys(files: list, findings: list) -> None:

@@ -94,7 +94,8 @@ class FixtureRules(unittest.TestCase):
         self.assertIn("'<immintrin.h>'", out)
         self.assertIn("'_mm256_loadu_pd'", out)
         self.assertIn("'__builtin_ia32_pause'", out)
-        self.assertIn("src/core/simd/", out, "message must name the fence")
+        self.assertIn("DESIGN.md section 11", out,
+                      "message must point to the measurement")
         self.assertNotIn(":31:", out, "allow-comment must suppress")
 
     def test_registry_key_fires(self):

@@ -1,14 +1,14 @@
-// lbb-lint negative fixture: raw x86 intrinsics outside src/core/simd/.
-// The vector wrappers (core/simd/vec.hpp) are the only code allowed to
-// touch <immintrin.h> and the _mm*/__builtin_ia32 surface; a hand-rolled
-// intrinsic loop anywhere else would fork the bit-identity argument, so
-// the raw-simd rule flags every such token.  Never compiled; exists so
-// tools/lint/lbb_lint_test.py can prove the containment holds.
-#include <immintrin.h>  // BAD: vector header outside src/core/simd/
+// lbb-lint negative fixture: raw x86 intrinsics, banned everywhere.
+// Hand-vectorized lane kernels were measured no faster end to end and
+// removed (DESIGN.md section 11); a hand-rolled intrinsic loop would bring
+// back the per-ISA surface and its bit-identity argument, so the raw-simd
+// rule flags every such token.  Never compiled; exists so
+// tools/lint/lbb_lint_test.py can prove the ban holds.
+#include <immintrin.h>  // BAD: vector header
 
 #include <cstdint>
 
-// A "fast" local max over weights, bypassing the LaneKernels dispatch.
+// A "fast" local max over weights.
 inline double hand_rolled_max(const double* w, int n) {
   __m256d acc = _mm256_loadu_pd(w);  // BAD x2: _mm256_ intrinsics
   for (int i = 4; i + 4 <= n; i += 4) {
