@@ -60,14 +60,7 @@ class Cli {
   [[nodiscard]] std::int64_t get_int(std::string_view name,
                                      std::int64_t fallback) const {
     const std::string* v = find(name);
-    if (v == nullptr) return fallback;
-    char* end = nullptr;
-    const std::int64_t parsed = std::strtoll(v->c_str(), &end, 10);
-    if (v->empty() || end != v->c_str() + v->size()) {
-      throw CliError("--" + std::string(name) + ": expected an integer, got '" +
-                     *v + "'");
-    }
-    return parsed;
+    return v ? parse_int(name, *v) : fallback;
   }
 
   /// Floating-point option; same strictness as get_int.
@@ -107,6 +100,17 @@ class Cli {
     return out;
   }
 
+  /// Comma-separated integer list option ("--logn=10,14"); empty when
+  /// absent.  Every element is held to get_int's strictness.
+  [[nodiscard]] std::vector<std::int64_t> get_int_list(
+      std::string_view name) const {
+    std::vector<std::int64_t> out;
+    for (const std::string& v : get_list(name)) {
+      out.push_back(parse_int(name, v));
+    }
+    return out;
+  }
+
   /// The --threads option, for the experiment engines: absent -> fallback
   /// (default 1 = sequential); --threads=0 -> one per hardware thread;
   /// --threads=K -> exactly K.  The experiment engines guarantee results
@@ -121,6 +125,17 @@ class Cli {
   }
 
  private:
+  [[nodiscard]] static std::int64_t parse_int(std::string_view name,
+                                              const std::string& v) {
+    char* end = nullptr;
+    const std::int64_t parsed = std::strtoll(v.c_str(), &end, 10);
+    if (v.empty() || end != v.c_str() + v.size()) {
+      throw CliError("--" + std::string(name) + ": expected an integer, got '" +
+                     v + "'");
+    }
+    return parsed;
+  }
+
   [[nodiscard]] const std::string* find(std::string_view name) const {
     for (std::size_t i = 0; i < keys_.size(); ++i) {
       if (keys_[i] == name) return &values_[i];

@@ -53,23 +53,11 @@ const std::vector<Experiment>& experiments() {
       {"fem_speedup", "",
        "end-to-end speedups on adaptive FEM refinement trees",
        "--trials --elements --focus", run_fem_speedup},
-      {"par_speedup", "",
-       "measured vs simulator-predicted speedup of the par:* partitioners",
-       "--trials --logn --threads --algos --grain --seed --out --verify",
-       run_par_speedup},
-      {"serve_load", "",
-       "closed-loop load on the resident PartitionService (p50/p95/p99)",
-       "--workers --clients --requests --keys --cache --queue --logn "
-       "--algos --alpha --beta --seed --out --smoke",
-       run_serve_load},
       {"tail_study", "",
        "million-trial max-ratio tail (p50/p99/p99.9 vs the proven bounds)",
        "--trials --logn --algos --threads --batch --budget --seed "
-       "--hist-max --bins --csv --out --smoke",
+       "--hist-max --bins --csv --smoke",
        run_tail_study},
-      {"perf_report", "",
-       "machine-readable perf snapshot (BENCH_ratio_experiment.json)",
-       "--out --threads --trials --batch", run_perf_report},
       {"micro_core", "",
        "google-benchmark microbenchmarks of the core partitioners",
        "--benchmark_filter --benchmark_repetitions", run_micro_core},

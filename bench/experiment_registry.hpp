@@ -47,10 +47,7 @@ int run_topology_ablation(int argc, char** argv);
 int run_fault_sweep(int argc, char** argv);
 int run_noise_robustness(int argc, char** argv);
 int run_fem_speedup(int argc, char** argv);
-int run_par_speedup(int argc, char** argv);
-int run_serve_load(int argc, char** argv);
 int run_tail_study(int argc, char** argv);
-int run_perf_report(int argc, char** argv);
 int run_micro_core(int argc, char** argv);
 int run_micro_sim(int argc, char** argv);
 

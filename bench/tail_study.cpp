@@ -10,24 +10,20 @@
 //   lbb_bench tail_study                       quick budgeted run
 //   lbb_bench tail_study --trials=1048576 --logn=10,14 --algos=ba,hf
 //   lbb_bench tail_study --threads=8 --batch=16    same output bytes
-//   lbb_bench tail_study --csv=tail.csv --out=BENCH_tail_study.json
+//   lbb_bench tail_study --csv=tail.csv
 //   lbb_bench tail_study --smoke               batched-vs-scalar identity
 //                                              gate (U[0.01,0.5] and
 //                                              U[0.02,0.04], widths
 //                                              1/4/8/16 x threads 1/2);
 //                                              exit 1 on any divergence
 #include <cstdint>
-#include <fstream>
 #include <iostream>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include "bench/bench_cli.hpp"
 #include "bench/experiment_registry.hpp"
 #include "experiments/tail_study.hpp"
-#include "stats/alloc_stats.hpp"
-#include "stats/json.hpp"
 #include "stats/table.hpp"
 
 namespace {
@@ -54,10 +50,10 @@ TailStudyConfig config_from_cli(const lbb::bench::Cli& cli) {
   if (const auto algos = cli.get_list("algos"); !algos.empty()) {
     config.algos = algos;
   }
-  if (const auto logn = cli.get_list("logn"); !logn.empty()) {
+  if (const auto logn = cli.get_int_list("logn"); !logn.empty()) {
     config.log2_n.clear();
-    for (const std::string& k : logn) {
-      config.log2_n.push_back(static_cast<std::int32_t>(std::stoi(k)));
+    for (const std::int64_t k : logn) {
+      config.log2_n.push_back(static_cast<std::int32_t>(k));
     }
   }
   return config;
@@ -144,54 +140,6 @@ int run_smoke() {
   return 0;
 }
 
-void write_json(const TailStudyResult& result, const std::string& path) {
-  std::ofstream out(path);
-  if (!out) {
-    throw std::runtime_error("tail_study: cannot open " + path +
-                             " for writing");
-  }
-  lbb::stats::JsonWriter json(out);
-  json.begin_object();
-  json.member("benchmark", "tail_study");
-  json.member("threads", result.config.threads);
-  json.member("batch", result.config.batch);
-  json.member("hist_max", result.config.hist_max);
-  json.member("hist_bins", result.config.hist_bins);
-  json.member("alloc_probe", lbb::stats::alloc_probe_linked());
-  // Lets tools/bench_diff.py refuse to compare wall-clock numbers (and
-  // only those -- the statistics are machine-independent) across machines.
-  json.member("hardware_concurrency",
-              static_cast<std::int64_t>(std::thread::hardware_concurrency()));
-  json.key("cells");
-  json.begin_array();
-  for (const TailStudyCell& cell : result.cells) {
-    const double bisections_per_sec =
-        cell.wall_seconds > 0.0
-            ? static_cast<double>(cell.bisections) / cell.wall_seconds
-            : 0.0;
-    json.begin_object(/*inline_mode=*/true);
-    json.member("algo", cell.display);
-    json.member("log2_n", cell.log2_n);
-    json.member("trials", cell.trials);
-    json.member("upper_bound", cell.upper_bound);
-    json.member("mean_ratio", cell.ratio.mean());
-    json.member("p50", cell.tail.quantile(0.50));
-    json.member("p90", cell.tail.quantile(0.90));
-    json.member("p99", cell.tail.quantile(0.99));
-    json.member("p999", cell.tail.quantile(0.999));
-    json.member("max_ratio", cell.ratio.max());
-    json.member("wall_seconds", cell.wall_seconds);
-    json.member("bisections", cell.bisections);
-    json.member("bisections_per_sec", bisections_per_sec);
-    json.member("alloc_count", cell.alloc_count);
-    json.member("alloc_bytes", cell.alloc_bytes);
-    json.end_object();
-  }
-  json.end_array();
-  json.end_object();
-  json.finish();
-}
-
 }  // namespace
 
 int lbb::bench::run_tail_study(int argc, char** argv) {
@@ -233,11 +181,6 @@ int lbb::bench::run_tail_study(int argc, char** argv) {
   if (!csv_path.empty()) {
     experiments::write_tail_csv(result, csv_path);
     std::cout << "\n(csv written to " << csv_path << ")\n";
-  }
-  const std::string out_path = cli.get_string("out");
-  if (!out_path.empty()) {
-    write_json(result, out_path);
-    std::cout << "(json written to " << out_path << ")\n";
   }
   return 0;
 }

@@ -1,7 +1,6 @@
 #include "experiments/ratio_experiment.hpp"
 
 #include <algorithm>
-#include <chrono>
 #include <memory>
 #include <optional>
 #include <stdexcept>
@@ -14,7 +13,6 @@
 #include "experiments/batch_trials.hpp"
 #include "experiments/trial_engine.hpp"
 #include "problems/synthetic.hpp"
-#include "stats/alloc_stats.hpp"
 #include "stats/csv.hpp"
 #include "stats/rng.hpp"
 
@@ -244,15 +242,10 @@ RatioExperimentResult run_ratio_experiment(
           static_cast<std::size_t>(chunks));
       std::vector<std::int64_t> chunk_bisections(
           static_cast<std::size_t>(chunks), 0);
-      std::vector<lbb::stats::AllocStats> chunk_allocs(
-          static_cast<std::size_t>(chunks));
       const auto run_chunk = [&](std::int64_t chunk, std::int64_t lo,
                                  std::int64_t hi) {
         lbb::stats::RunningStats local;
         std::int64_t bisections = 0;
-        // Thread-local counters: the delta covers exactly this chunk's
-        // trials (all zero unless the allocation probe is linked).
-        const lbb::stats::AllocStats allocs_before = lbb::stats::alloc_stats();
         if (batched) {
           BatchTrialOutcome outcomes[kTrialChunk];
           for (std::int64_t t = lo; t < hi; t += batch_width) {
@@ -285,22 +278,14 @@ RatioExperimentResult run_ratio_experiment(
         }
         chunk_ratio[static_cast<std::size_t>(chunk)] = local;
         chunk_bisections[static_cast<std::size_t>(chunk)] = bisections;
-        chunk_allocs[static_cast<std::size_t>(chunk)] =
-            lbb::stats::alloc_stats() - allocs_before;
       };
 
-      const auto started = std::chrono::steady_clock::now();
       engine.run_chunks(trials, run_chunk);
       // Fixed-order reduction (ascending chunk index).
       for (std::int64_t c = 0; c < chunks; ++c) {
         cell.ratio.merge(chunk_ratio[static_cast<std::size_t>(c)]);
         cell.bisections += chunk_bisections[static_cast<std::size_t>(c)];
-        cell.alloc_count += chunk_allocs[static_cast<std::size_t>(c)].count;
-        cell.alloc_bytes += chunk_allocs[static_cast<std::size_t>(c)].bytes;
       }
-      const std::chrono::duration<double> elapsed =
-          std::chrono::steady_clock::now() - started;
-      cell.wall_seconds = elapsed.count();
       result.cells.push_back(std::move(cell));
     }
   }

@@ -115,16 +115,7 @@ struct RatioCell {
   std::int32_t trials = 0;
   double upper_bound = 0.0;  ///< worst-case ratio bound (0 if unknown)
   lbb::stats::RunningStats ratio;
-  // Performance accounting (the perf_report experiment); not in the CSV.
-  double wall_seconds = 0.0;    ///< wall-clock spent computing this cell
   std::int64_t bisections = 0;  ///< total bisections over all trials
-  // Heap allocations attributed to this cell's trials (0 unless the binary
-  // links the allocation probe -- see stats/alloc_stats.hpp).  Includes the
-  // per-thread workspace warm-up, so per-trial figures drop toward zero as
-  // trials grow; thread counts may shift these (more cold workspaces) but
-  // never the statistics above.
-  std::int64_t alloc_count = 0;
-  std::int64_t alloc_bytes = 0;
 };
 
 /// Result of a full experiment (cells in algos-major, log2_n-minor order).

@@ -1,7 +1,6 @@
 #include "experiments/tail_study.hpp"
 
 #include <algorithm>
-#include <chrono>
 #include <memory>
 #include <stdexcept>
 #include <utility>
@@ -15,7 +14,6 @@
 #include "experiments/ratio_experiment.hpp"
 #include "experiments/trial_engine.hpp"
 #include "problems/synthetic.hpp"
-#include "stats/alloc_stats.hpp"
 #include "stats/csv.hpp"
 #include "stats/rng.hpp"
 
@@ -122,8 +120,6 @@ TailStudyResult run_tail_study(const TailStudyConfig& config) {
           static_cast<std::size_t>(chunks));
       std::vector<std::int64_t> chunk_bisections(
           static_cast<std::size_t>(chunks), 0);
-      std::vector<lbb::stats::AllocStats> chunk_allocs(
-          static_cast<std::size_t>(chunks));
       lbb::core::Mutex tail_mu;
       const auto run_chunk = [&](std::int64_t chunk, std::int64_t lo,
                                  std::int64_t hi) {
@@ -132,7 +128,6 @@ TailStudyResult run_tail_study(const TailStudyConfig& config) {
         lbb::stats::TailAccumulator& tail_scratch = thread_tail_scratch(
             1.0, config.hist_max, config.hist_bins);
         tail_scratch.reset();
-        const lbb::stats::AllocStats allocs_before = lbb::stats::alloc_stats();
         if (batched) {
           BatchTrialOutcome outcomes[kTrialChunk];
           for (std::int64_t t = lo; t < hi; t += batch_width) {
@@ -180,24 +175,16 @@ TailStudyResult run_tail_study(const TailStudyConfig& config) {
         }
         chunk_ratio[static_cast<std::size_t>(chunk)] = local;
         chunk_bisections[static_cast<std::size_t>(chunk)] = bisections;
-        chunk_allocs[static_cast<std::size_t>(chunk)] =
-            lbb::stats::alloc_stats() - allocs_before;
         // Integer bin merge: exact in any completion order.
         lbb::core::MutexLock lock(tail_mu);
         cell.tail.merge(tail_scratch);
       };
 
-      const auto started = std::chrono::steady_clock::now();
       engine.run_chunks(trials, run_chunk);
       for (std::int64_t c = 0; c < chunks; ++c) {
         cell.ratio.merge(chunk_ratio[static_cast<std::size_t>(c)]);
         cell.bisections += chunk_bisections[static_cast<std::size_t>(c)];
-        cell.alloc_count += chunk_allocs[static_cast<std::size_t>(c)].count;
-        cell.alloc_bytes += chunk_allocs[static_cast<std::size_t>(c)].bytes;
       }
-      const std::chrono::duration<double> elapsed =
-          std::chrono::steady_clock::now() - started;
-      cell.wall_seconds = elapsed.count();
       result.cells.push_back(std::move(cell));
     }
   }

@@ -64,10 +64,7 @@ struct TailStudyCell {
   double upper_bound = 0.0;  ///< worst-case ratio bound (0 if unknown)
   lbb::stats::RunningStats ratio;
   lbb::stats::TailAccumulator tail;
-  double wall_seconds = 0.0;
   std::int64_t bisections = 0;
-  std::int64_t alloc_count = 0;
-  std::int64_t alloc_bytes = 0;
 };
 
 struct TailStudyResult {

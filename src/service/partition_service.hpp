@@ -32,9 +32,8 @@
 //
 // Tail latency: every served request records enqueue-to-completion time in
 // a stats::PercentileReservoir; snapshot() / report() expose p50/p95/p99
-// and partitions/sec, which `lbb_bench serve_load` writes into
-// BENCH_serve_load.json via a MetricsSink (tools/bench_diff.py tracks the
-// p99 trajectory like it tracks timings).
+// and partitions/sec.  The repository benchmark times the service from
+// outside (benchmark/serve.cpp).
 #pragma once
 
 #include <atomic>
@@ -289,12 +288,11 @@ class PartitionService {
 
   /// Emits the snapshot as "service.*" named counters (p50/p95/p99,
   /// partitions_per_sec, hit/miss/coalesced/rejected counts, ...) -- the
-  /// same MetricsSink channel the sim layer reports through, which is how
-  /// the numbers reach the serve_load perf JSON.
+  /// same MetricsSink channel the sim layer reports through.
   void report(core::MetricsSink& sink) const LBB_EXCLUDES(mu_);
 
   /// Zeroes counters and the latency window and restarts the stats epoch.
-  /// The memo cache is retained -- this is how serve_load separates warm
+  /// The memo cache is retained -- this is how a load test separates warm
   /// steady-state measurement from warm-up.
   void reset_stats() LBB_EXCLUDES(mu_);
 

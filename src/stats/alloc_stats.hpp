@@ -20,8 +20,8 @@
 //   // delta.count / delta.bytes are 0 without the probe.
 //
 // Counters are per-thread: alloc_stats() reports the calling thread's
-// allocations only, which is exactly the attribution the per-thread trial
-// chunks of the experiment engine need (no cross-thread noise).
+// allocations only, which is exactly the attribution a service worker's
+// request or a work-stealing task needs (no cross-thread noise).
 #pragma once
 
 #include <cstdint>

@@ -1,14 +1,13 @@
 // Minimal streaming JSON writer, the machine-readable twin of CsvWriter:
-// the bench harnesses emit CSV through stats::CsvWriter and JSON through
-// this, so output formatting lives in exactly one place.
+// the experiments emit CSV through stats::CsvWriter and the repository
+// benchmark (benchmark/harness.cpp) emits JSON through this.
 //
 // Explicit-structure API (begin/end pairs + key/value); numbers are
 // printed with 17 significant digits (round-trip exact for double),
 // strings are escaped per RFC 8259.  Containers opened with
 // `inline_mode = true` render on a single line ("{"k": 1, "n": 2}"),
-// which keeps row-like records (e.g. per-cell entries in
-// BENCH_ratio_experiment.json) grep-able; block containers indent by two
-// spaces per depth.
+// which keeps row-like records (e.g. one trace event per line) grep-able;
+// block containers indent by two spaces per depth.
 #pragma once
 
 #include <cstdint>

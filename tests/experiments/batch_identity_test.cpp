@@ -8,7 +8,8 @@
 //      instructions);
 //   2. run_ratio_experiment cells and CSV bytes across batch widths
 //      {1, 4, 8, 16} x threads {1, 4}, including non-batchable algorithms
-//      falling back to the scalar path;
+//      falling back to the scalar path (cells also on Table 1's and
+//      Figure 5's distributions up to N = 2^14);
 //   3. run_tail_study cells (RunningStats, bisections, every histogram
 //      bin) across the same grid;
 //   (layers 2 and 3 run a wide distribution, whose HF lanes take the walk,
@@ -21,6 +22,7 @@
 #include <fstream>
 #include <sstream>
 #include <string>
+#include <vector>
 
 #include "experiments/ratio_experiment.hpp"
 #include "experiments/tail_study.hpp"
@@ -106,6 +108,18 @@ RatioExperimentConfig ratio_config(const AlphaDistribution& dist = kDists[0]) {
   return c;
 }
 
+/// Layer 2's large-N input: the paper's set on U[lo, 0.5] up to 2^14.
+RatioExperimentConfig large_n_config(double lo) {
+  RatioExperimentConfig c;
+  c.dist = AlphaDistribution::uniform(lo, 0.5);
+  c.trials = 16;
+  c.seed = 1;
+  c.log2_n = {6, 10, 14};
+  c.algos = {"ba", "ba_star", "ba_hf", "hf"};
+  c.bisection_budget = std::int64_t{1} << 22;
+  return c;
+}
+
 void expect_ratio_results_identical(const RatioExperimentResult& a,
                                     const RatioExperimentResult& b,
                                     const std::string& what) {
@@ -127,20 +141,26 @@ void expect_ratio_results_identical(const RatioExperimentResult& a,
 }
 
 TEST(BatchIdentity, RatioCellsBitIdenticalAcrossBatchWidthsAndThreads) {
+  std::vector<RatioExperimentConfig> inputs;
   for (const AlphaDistribution& dist : kDists) {
-    RatioExperimentConfig scalar = ratio_config(dist);
+    inputs.push_back(ratio_config(dist));
+  }
+  inputs.push_back(large_n_config(0.01));
+  inputs.push_back(large_n_config(0.1));
+  for (const RatioExperimentConfig& input : inputs) {
+    RatioExperimentConfig scalar = input;
     scalar.batch = 1;
     scalar.threads = 1;
     const auto reference = run_ratio_experiment(scalar);
     for (const std::int32_t batch : {1, 4, 8, 16}) {
       for (const std::int32_t threads : {1, 4}) {
-        RatioExperimentConfig config = ratio_config(dist);
+        RatioExperimentConfig config = input;
         config.batch = batch;
         config.threads = threads;
         const auto result = run_ratio_experiment(config);
         expect_ratio_results_identical(
             reference, result,
-            dist.describe() + " batch=" + std::to_string(batch) +
+            input.dist.describe() + " batch=" + std::to_string(batch) +
                 " threads=" + std::to_string(threads));
       }
     }

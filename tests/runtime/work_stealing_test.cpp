@@ -235,6 +235,40 @@ TEST(ParPartition, BaHfByteIdentical) {
   }
 }
 
+TEST(ParPartition, LargeNByteIdenticalAtEveryThreadCount) {
+  // The one large-N steal schedule: every par:* family at the default
+  // grain on U[0.1, 0.5], pieces at N = 2^13 and recorded trees at
+  // N = 2^12 (the stitch logic has no N-dependent branch that 2^12 does
+  // not already reach).
+  const SyntheticProblem root(1, AlphaDistribution::uniform(0.1, 0.5));
+  const core::BaHfParams params{0.25, 1.0};
+  for (const unsigned threads : {1u, 2u, 4u, 8u}) {
+    WorkStealingPool pool(threads);
+    core::TrialWorkspace<SyntheticProblem> par_ws;
+    for (const bool record : {false, true}) {
+      ParOptions opt;
+      opt.partition.record_tree = record;
+      const std::int32_t n = record ? 1 << 12 : 1 << 13;
+      const std::string label = "threads=" + std::to_string(threads) +
+                                " n=" + std::to_string(n) +
+                                (record ? " tree" : "");
+      core::TrialWorkspace<SyntheticProblem> seq_ws;
+      expect_identical(par_ba_partition(pool, par_ws, root, n, opt),
+                       core::ba_partition(seq_ws, root, n, opt.partition),
+                       "ba " + label);
+      expect_identical(
+          par_ba_star_partition(pool, root, n, params.alpha, opt),
+          core::ba_star_partition(seq_ws, root, n, params.alpha,
+                                  opt.partition),
+          "ba_star " + label);
+      expect_identical(
+          par_ba_hf_partition(pool, root, n, params, opt),
+          core::ba_hf_partition(seq_ws, root, n, params, opt.partition),
+          "ba_hf " + label);
+    }
+  }
+}
+
 TEST(ParPartition, ExpensiveBisectionProblem) {
   // FE-tree separators make bisection genuinely costly, exercising real
   // overlap between chains (and shared_ptr refcounting across threads).

@@ -3,7 +3,7 @@
 // single-flight batching, admission control, cancellation under load
 // (queued and mid-batch, without cache poisoning), shutdown draining, and
 // stats/reporting.  The `service` ctest label groups these; the
-// determinism harness runs them alongside `lbb_bench serve_load --smoke`.
+// determinism harness runs them when given a build directory.
 #include <gtest/gtest.h>
 
 #include <atomic>
