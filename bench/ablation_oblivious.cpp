@@ -28,7 +28,7 @@ int lbb::bench::run_ablation_oblivious(int argc, char** argv) {
   using namespace lbb;
 
   const bench::Cli cli(argc, argv);
-  const auto trials = static_cast<std::int32_t>(cli.get_int("trials", 100));
+  const auto trials = cli.get_int32("trials", 100);
   const auto dist = problems::AlphaDistribution::uniform(0.1, 0.5);
   const std::vector<std::int32_t> log2_n = {4, 6, 8, 10, 12};
 

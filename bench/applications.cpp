@@ -64,8 +64,8 @@ void measure(Row& row, const P& problem, std::int32_t n, double alpha_guess) {
 
 int lbb::bench::run_applications(int argc, char** argv) {
   const bench::Cli cli(argc, argv);
-  const auto n = static_cast<std::int32_t>(cli.get_int("n", 64));
-  const auto trials = static_cast<std::int32_t>(cli.get_int("trials", 20));
+  const auto n = cli.get_int32("n", 64);
+  const auto trials = cli.get_int32("trials", 20);
 
   std::cout << "Application substrates, N = " << n << ", " << trials
             << " instances each\n\n";

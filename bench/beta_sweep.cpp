@@ -26,7 +26,7 @@ int lbb::bench::run_beta_sweep(int argc, char** argv) {
 
   experiments::RatioExperimentConfig base;
   base.dist = problems::AlphaDistribution::uniform(lo, hi);
-  base.trials = static_cast<std::int32_t>(cli.get_int("trials", 300));
+  base.trials = cli.get_int32("trials", 300);
   base.seed = static_cast<std::uint64_t>(cli.get_int("seed", 5));
   base.threads = cli.threads();
   base.log2_n = log2_n;

@@ -22,7 +22,7 @@ int lbb::bench::run_bound_tightness(int argc, char** argv) {
   using namespace lbb;
 
   const bench::Cli cli(argc, argv);
-  const auto n_max = static_cast<std::int32_t>(cli.get_int("nmax", 2048));
+  const auto n_max = cli.get_int32("nmax", 2048);
 
   std::cout << "Adversarial point-mass instances (every split exactly "
                "(alpha, 1-alpha)), worst ratio over N = 2.." << n_max

@@ -2,20 +2,21 @@
 
 namespace lbb::bench {
 
-// The flags column is the single source of truth for each experiment's key
-// options: --help renders it verbatim (lbb_bench.cpp), so a new option is
-// added HERE, next to the entry, not in a hand-maintained usage string.
+// The flags column is the single source of truth for each experiment's
+// options: --help renders it verbatim and the driver refuses any option
+// not in it (lbb_bench.cpp), so a new option is added HERE, next to the
+// entry, not in a hand-maintained usage string.
 const std::vector<Experiment>& experiments() {
   static const std::vector<Experiment> kExperiments = {
       {"table1", "table1_ratios",
        "performance ratios vs N for BA/BA*/BA-HF/HF (Table 1)",
-       "--trials --seed --threads --batch --algos --lo --hi --beta --budget "
-       "--csv --time-limit --full",
+       "--trials --seed --threads --algos --lo --hi --beta --budget --csv "
+       "--time-limit --full",
        run_table1},
       {"fig5", "fig5_avg_ratio",
        "average performance ratio vs log2(N), ASCII plot (Figure 5)",
-       "--trials --seed --threads --batch --algos --lo --hi --beta --budget "
-       "--csv --time-limit --full",
+       "--trials --seed --threads --algos --lo --hi --beta --budget --csv "
+       "--time-limit --full",
        run_fig5},
       {"beta_sweep", "",
        "BA-HF ratio as a function of the beta switch parameter",
@@ -55,15 +56,17 @@ const std::vector<Experiment>& experiments() {
        "--trials --elements --focus", run_fem_speedup},
       {"tail_study", "",
        "million-trial max-ratio tail (p50/p99/p99.9 vs the proven bounds)",
-       "--trials --logn --algos --threads --batch --budget --seed "
-       "--hist-max --bins --csv --smoke",
+       "--trials --logn --algos --threads --lo --hi --beta --budget --seed "
+       "--hist-max --bins --csv --time-limit --smoke",
        run_tail_study},
       {"micro_core", "",
        "google-benchmark microbenchmarks of the core partitioners",
-       "--benchmark_filter --benchmark_repetitions", run_micro_core},
+       "--benchmark_filter --benchmark_repetitions", run_micro_core,
+       /*own_options=*/true},
       {"micro_sim", "",
        "google-benchmark microbenchmarks of the simulated machine",
-       "--benchmark_filter --benchmark_repetitions", run_micro_sim},
+       "--benchmark_filter --benchmark_repetitions", run_micro_sim,
+       /*own_options=*/true},
   };
   return kExperiments;
 }

@@ -22,8 +22,12 @@ struct Experiment {
   std::string_view name;          ///< subcommand, e.g. "table1"
   std::string_view legacy_alias;  ///< pre-driver binary name ("" if same)
   std::string_view description;   ///< one line for --help
-  std::string_view flags;         ///< key --options, rendered by --help
+  std::string_view flags;         ///< every --option, rendered by --help
   int (*run)(int argc, char** argv);
+  /// True when run() hands its arguments to a parser that rejects unknown
+  /// ones itself (google-benchmark), so the driver does not check them
+  /// against `flags`, which then lists only the main ones.
+  bool own_options = false;
 };
 
 /// The experiment table, in help/display order.

@@ -68,8 +68,8 @@ int lbb::bench::run_fault_sweep(int argc, char** argv) {
   using namespace lbb;
 
   const bench::Cli cli(argc, argv);
-  const auto logn = static_cast<std::int32_t>(cli.get_int("logn", 10));
-  const auto trials = static_cast<std::int32_t>(cli.get_int("trials", 5));
+  const auto logn = cli.get_int32("logn", 10);
+  const auto trials = cli.get_int32("trials", 5);
   const double alpha = cli.get_double("alpha", 0.1);
   const std::int32_t n = 1 << logn;
   const auto dist = problems::AlphaDistribution::uniform(alpha, 0.5);

@@ -22,10 +22,9 @@ int lbb::bench::run_fem_speedup(int argc, char** argv) {
   using namespace lbb;
 
   const bench::Cli cli(argc, argv);
-  const auto elements =
-      static_cast<std::int32_t>(cli.get_int("elements", 20000));
+  const auto elements = cli.get_int32("elements", 20000);
   const double focus = cli.get_double("focus", 2.5);
-  const auto trials = static_cast<std::int32_t>(cli.get_int("trials", 5));
+  const auto trials = cli.get_int32("trials", 5);
 
   std::cout << "FEM speedup: graded meshes with " << elements
             << " elements (focus " << focus << "), " << trials

@@ -5,7 +5,6 @@
 //   lbb_bench fig5            quick mode
 //   lbb_bench fig5 --full     1000 trials for every N = 2^5 ... 2^20
 //   lbb_bench fig5 --threads=8  trials on 8 workers (same output bytes)
-//   lbb_bench fig5 --batch=8  SoA batched engine, 8 lanes (same output bytes)
 //   lbb_bench fig5 --algos=ba,hf  any registered partitioner names
 //
 // Expected shape (paper, Figure 5): four nearly flat series ordered
@@ -26,10 +25,9 @@ int lbb::bench::run_fig5(int argc, char** argv) {
   config.dist = problems::AlphaDistribution::uniform(
       cli.get_double("lo", 0.1), cli.get_double("hi", 0.5));
   config.beta = cli.get_double("beta", 1.0);
-  config.trials = static_cast<std::int32_t>(cli.get_int("trials", 1000));
+  config.trials = cli.get_int32("trials", 1000);
   config.seed = static_cast<std::uint64_t>(cli.get_int("seed", 1));
   config.threads = cli.threads();
-  config.batch = static_cast<std::int32_t>(cli.get_int("batch", config.batch));
   config.time_limit_seconds = cli.get_double("time-limit", 0.0);
   if (const auto algos = cli.get_list("algos"); !algos.empty()) {
     config.algos = algos;

@@ -39,7 +39,7 @@ int lbb::bench::run_interval_sweep(int argc, char** argv) {
     experiments::RatioExperimentConfig config;
     config.dist =
         problems::AlphaDistribution::uniform(interval.lo, interval.hi);
-    config.trials = static_cast<std::int32_t>(cli.get_int("trials", 200));
+    config.trials = cli.get_int32("trials", 200);
     config.seed = static_cast<std::uint64_t>(cli.get_int("seed", 11));
     config.threads = cli.threads();
     config.log2_n = log2_n;

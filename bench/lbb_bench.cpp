@@ -5,7 +5,8 @@
 //   lbb_bench <experiment> [--options]
 //
 // Exit codes: 0 success, 1 runtime failure, 2 bad command line (unknown
-// experiment, malformed option value, unknown --algos name), 3 cancelled
+// experiment, option the experiment does not take, malformed or
+// out-of-range option value, unknown --algos name), 3 cancelled
 // (--time-limit expired).
 #include <exception>
 #include <iomanip>
@@ -71,7 +72,11 @@ int main(int argc, char** argv) {
     return 2;
   }
   try {
-    // Shift argv so the experiment sees itself as argv[0].
+    // Shift argv so the experiment sees itself as argv[0].  An option the
+    // experiment does not take fails here instead of being ignored.
+    if (!exp->own_options) {
+      lbb::bench::Cli(argc - 1, argv + 1).require_known(exp->flags);
+    }
     const int rc = exp->run(argc - 1, argv + 1);
     // Join the shared par:* pools at a deterministic point instead of
     // leaning on static destruction order (see par_partitioners.hpp).

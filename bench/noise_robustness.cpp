@@ -30,8 +30,8 @@ int lbb::bench::run_noise_robustness(int argc, char** argv) {
   using namespace lbb;
 
   const bench::Cli cli(argc, argv);
-  const auto trials = static_cast<std::int32_t>(cli.get_int("trials", 60));
-  const auto logn = static_cast<std::int32_t>(cli.get_int("logn", 12));
+  const auto trials = cli.get_int32("trials", 60);
+  const auto logn = cli.get_int32("logn", 12);
   const std::int32_t n = 1 << logn;
   const auto dist = problems::AlphaDistribution::uniform(0.1, 0.5);
   const std::int32_t threads = cli.threads();

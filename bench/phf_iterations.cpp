@@ -22,8 +22,8 @@ int lbb::bench::run_phf_iterations(int argc, char** argv) {
   using namespace lbb;
 
   const bench::Cli cli(argc, argv);
-  const auto n = static_cast<std::int32_t>(cli.get_int("n", 4096));
-  const auto trials = static_cast<std::int32_t>(cli.get_int("trials", 50));
+  const auto n = cli.get_int32("n", 4096);
+  const auto trials = cli.get_int32("trials", 50);
 
   std::cout << "PHF phase structure, N = " << n << ", alpha-hat ~ "
             << "U[alpha, 0.5], " << trials << " trials per row\n\n";

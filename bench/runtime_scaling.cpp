@@ -25,7 +25,7 @@ int lbb::bench::run_runtime_scaling(int argc, char** argv) {
   config.dist = problems::AlphaDistribution::uniform(
       cli.get_double("lo", 0.1), cli.get_double("hi", 0.5));
   config.beta = cli.get_double("beta", 1.0);
-  config.trials = static_cast<std::int32_t>(cli.get_int("trials", 20));
+  config.trials = cli.get_int32("trials", 20);
   config.log2_n = {5, 8, 11, 14, 17};
 
   std::cout << "Simulated parallel time and communication, alpha-hat ~ "

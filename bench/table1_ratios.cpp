@@ -7,7 +7,6 @@
 //   lbb_bench table1 --full         paper-faithful: 1000 trials everywhere
 //   lbb_bench table1 --trials=200 --seed=9 --lo=0.01 --hi=0.5 --beta=1.0
 //   lbb_bench table1 --threads=8    trials on 8 workers (same output bytes)
-//   lbb_bench table1 --batch=1      scalar kernels (same output bytes)
 //   lbb_bench table1 --algos=hf,oblivious:random   any registered names
 //   lbb_bench table1 --time-limit=30               abort after 30 seconds
 //
@@ -29,11 +28,9 @@ int lbb::bench::run_table1(int argc, char** argv) {
   config.dist = problems::AlphaDistribution::uniform(
       cli.get_double("lo", 0.01), cli.get_double("hi", 0.5));
   config.beta = cli.get_double("beta", 1.0);
-  config.trials = static_cast<std::int32_t>(cli.get_int("trials", 1000));
+  config.trials = cli.get_int32("trials", 1000);
   config.seed = static_cast<std::uint64_t>(cli.get_int("seed", 1));
   config.threads = cli.threads();
-  config.batch =
-      static_cast<std::int32_t>(cli.get_int("batch", config.batch));
   config.time_limit_seconds = cli.get_double("time-limit", 0.0);
   if (const auto algos = cli.get_list("algos"); !algos.empty()) {
     config.algos = algos;

@@ -1,7 +1,7 @@
 // Million-trial tail study of the max-ratio distribution (experiment E17).
 //
 // The paper's theorems bound the WORST case; the ratio experiment reports
-// means.  This harness runs the batched SoA trial engine at tail scale and
+// means.  This harness runs the max-sink trial engine at tail scale and
 // prints, per (algorithm, N) cell, the p50/p90/p99/p99.9 and observed max
 // of the performance ratio next to the proven upper bound -- the empirical
 // question being how much daylight the tail leaves below the theorem.
@@ -9,16 +9,16 @@
 // Usage:
 //   lbb_bench tail_study                       quick budgeted run
 //   lbb_bench tail_study --trials=1048576 --logn=10,14 --algos=ba,hf
-//   lbb_bench tail_study --threads=8 --batch=16    same output bytes
+//   lbb_bench tail_study --threads=8           same output bytes
 //   lbb_bench tail_study --csv=tail.csv
-//   lbb_bench tail_study --smoke               batched-vs-scalar identity
-//                                              gate (U[0.01,0.5] and
-//                                              U[0.02,0.04], widths
-//                                              1/4/8/16 x threads 1/2);
+//   lbb_bench tail_study --smoke               max sink vs full partitions
+//                                              (U[0.01,0.5] and
+//                                              U[0.02,0.04], threads 1/2);
 //                                              exit 1 on any divergence
 #include <cstdint>
 #include <iostream>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "bench/bench_cli.hpp"
@@ -40,35 +40,28 @@ TailStudyConfig config_from_cli(const lbb::bench::Cli& cli) {
   config.trials = cli.get_int("trials", config.trials);
   config.seed = static_cast<std::uint64_t>(cli.get_int("seed", 1));
   config.threads = cli.threads();
-  config.batch =
-      static_cast<std::int32_t>(cli.get_int("batch", config.batch));
   config.bisection_budget = cli.get_int("budget", config.bisection_budget);
   config.hist_max = cli.get_double("hist-max", config.hist_max);
-  config.hist_bins =
-      static_cast<std::int32_t>(cli.get_int("bins", config.hist_bins));
+  config.hist_bins = cli.get_int32("bins", config.hist_bins);
   config.time_limit_seconds = cli.get_double("time-limit", 0.0);
   if (const auto algos = cli.get_list("algos"); !algos.empty()) {
     config.algos = algos;
   }
-  if (const auto logn = cli.get_int_list("logn"); !logn.empty()) {
-    config.log2_n.clear();
-    for (const std::int64_t k : logn) {
-      config.log2_n.push_back(static_cast<std::int32_t>(k));
-    }
+  if (auto logn = cli.get_int_list("logn"); !logn.empty()) {
+    config.log2_n = std::move(logn);
   }
   return config;
 }
 
-/// True when every reported number of the two runs agrees bit-for-bit:
-/// the fixed-order RunningStats, the bisection totals, and each integer
-/// histogram bin.  This is the engine's determinism contract across
-/// --threads and --batch (see experiments/tail_study.hpp).
+/// True when every reported number of the two runs agrees bit-for-bit,
+/// cell by cell in order: the fixed-order RunningStats, the bisection
+/// totals, and each integer histogram bin.  Algorithm names may differ.
 bool cells_identical(const TailStudyResult& a, const TailStudyResult& b) {
   if (a.cells.size() != b.cells.size()) return false;
   for (std::size_t i = 0; i < a.cells.size(); ++i) {
     const TailStudyCell& x = a.cells[i];
     const TailStudyCell& y = b.cells[i];
-    if (x.algo != y.algo || x.log2_n != y.log2_n || x.trials != y.trials ||
+    if (x.log2_n != y.log2_n || x.trials != y.trials ||
         x.bisections != y.bisections) {
       return false;
     }
@@ -88,11 +81,14 @@ bool cells_identical(const TailStudyResult& a, const TailStudyResult& b) {
   return true;
 }
 
-/// --smoke: a small study run through the scalar path and then through
-/// every batched width and a threaded configuration, each required to be
-/// bit-identical to the scalar reference.  Two distributions: the default
-/// U[0.01, 0.5], whose HF lanes take the walk, and the narrow
-/// U[0.02, 0.04], whose HF lanes give it up and fall back to the selection
+/// --smoke: a small study of the builtin families, which run under the max
+/// sink, at one and two threads, each required to be bit-identical to the
+/// same study built from full partitions: par:ba, par:ba_star and par:ba_hf
+/// (work-stealing, byte-identical to BA, BA' and BA-HF) and phf:oracle
+/// (PHF, whose pieces equal HF's as a multiset), which the engine runs
+/// through the erased interface.  Two distributions: the default
+/// U[0.01, 0.5], whose HF runs take the tree walk, and the narrow
+/// U[0.02, 0.04], whose HF runs give it up and fall back to the selection
 /// queue.
 int run_smoke() {
   const lbb::problems::AlphaDistribution dists[] = {
@@ -104,39 +100,34 @@ int run_smoke() {
     base.dist = dist;
     base.trials = 256;
     base.log2_n = {6, 9};
-    base.algos = {"ba", "ba_star", "ba_hf", "hf"};
     base.bisection_budget = 0;
     base.hist_bins = 64;
     base.seed = 7;
 
-    TailStudyConfig scalar = base;
-    scalar.batch = 1;
-    scalar.threads = 1;
-    const TailStudyResult reference =
-        lbb::experiments::run_tail_study(scalar);
+    TailStudyConfig full = base;
+    full.algos = {"par:ba", "par:ba_star", "par:ba_hf", "phf:oracle"};
+    full.threads = 1;
+    const TailStudyResult reference = lbb::experiments::run_tail_study(full);
 
-    for (const std::int32_t batch : {1, 4, 8, 16}) {
-      for (const std::int32_t threads : {1, 2}) {
-        TailStudyConfig config = base;
-        config.batch = batch;
-        config.threads = threads;
-        const TailStudyResult result =
-            lbb::experiments::run_tail_study(config);
-        const bool ok = cells_identical(reference, result);
-        std::cout << "tail_study smoke: " << dist.describe()
-                  << " batch=" << batch << " threads=" << threads
-                  << (ok ? " identical" : " DIVERGED") << "\n";
-        if (!ok) ++failures;
-      }
+    for (const std::int32_t threads : {1, 2}) {
+      TailStudyConfig config = base;
+      config.algos = {"ba", "ba_star", "ba_hf", "hf"};
+      config.threads = threads;
+      const TailStudyResult result = lbb::experiments::run_tail_study(config);
+      const bool ok = cells_identical(reference, result);
+      std::cout << "tail_study smoke: " << dist.describe()
+                << " threads=" << threads
+                << (ok ? " identical" : " DIVERGED") << "\n";
+      if (!ok) ++failures;
     }
   }
   if (failures > 0) {
     std::cerr << "tail_study --smoke: FAILED (" << failures
-              << " configuration(s) diverged from the scalar reference)\n";
+              << " run(s) diverged from the full partitions)\n";
     return 1;
   }
-  std::cout << "tail_study smoke: all batched/threaded runs byte-identical "
-               "to scalar\n";
+  std::cout << "tail_study smoke: all max-sink runs byte-identical to full "
+               "partitions\n";
   return 0;
 }
 
@@ -152,7 +143,7 @@ int lbb::bench::run_tail_study(int argc, char** argv) {
   std::cout << "Tail study: alpha-hat ~ " << config.dist.describe()
             << ", beta = " << config.beta << ", trials <= " << config.trials
             << (config.bisection_budget > 0 ? " (budget-capped)" : "")
-            << ", batch = " << config.batch << "\n\n";
+            << "\n\n";
 
   const TailStudyResult result = lbb::experiments::run_tail_study(config);
 

@@ -34,8 +34,8 @@ int lbb::bench::run_topology_ablation(int argc, char** argv) {
   using namespace lbb;
 
   const bench::Cli cli(argc, argv);
-  const auto logn = static_cast<std::int32_t>(cli.get_int("logn", 12));
-  const auto trials = static_cast<std::int32_t>(cli.get_int("trials", 10));
+  const auto logn = cli.get_int32("logn", 12);
+  const auto trials = cli.get_int32("trials", 10);
   const std::int32_t n = 1 << logn;
   const double alpha = 0.1;
   const auto dist = problems::AlphaDistribution::uniform(alpha, 0.5);

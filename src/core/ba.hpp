@@ -12,6 +12,10 @@
 // by PHF's phase-1 free-processor management and appears as "BA*" in the
 // experimental tables.
 //
+// Output: ba_run writes through a sink (core/detail/build_context.hpp):
+// BuildContext builds the Partition, the max sink keeps only the heaviest
+// piece and the bisection count.
+//
 // Memory: the recursion stack lives in a TrialWorkspace (ws.frames) so the
 // experiment engine reuses it across trials; workspace-free overloads run
 // on a cold workspace and are byte-identical in output.
@@ -33,25 +37,27 @@ namespace lbb::core {
 
 namespace detail {
 
-/// Iterative (explicit-stack) BA recursion shared by BA and BA'.
-/// `prune_below`: if >= 0, subproblems of weight <= prune_below are emitted
-/// as leaves even when they hold more than one processor (Algorithm BA').
-/// The stack buffer is ws.frames, cleared on entry.
-template <Bisectable P>
-LBB_HOT void ba_run(BuildContext<P>& ctx, TrialWorkspace<P>& ws, P problem,
-                    std::int32_t n, ProcessorId proc_lo, std::int32_t depth0,
-                    NodeId node0, double prune_below) {
-  auto& stack = ws.frames;
-  stack.clear();
-  stack.push_back(
-      BaFrame<P>{std::move(problem), 0.0, n, proc_lo, depth0, node0});
-  stack.back().weight = stack.back().problem.weight();
-
-  while (!stack.empty()) {
-    BaFrame<P> f = std::move(stack.back());
-    stack.pop_back();
-    if (f.n == 1 || (prune_below >= 0.0 && f.weight <= prune_below)) {
-      ctx.piece(std::move(f.problem), f.weight, f.proc_lo, f.depth, f.node);
+/// The BA-family descent of ba_run and ba_hf_run, from frame `f`: bisects
+/// every frame that `leaf` rejects, the heavier child keeping the low end
+/// of the processor range (the paper's "p1 stays on P_i, p2 is sent to
+/// P_{i+n1}"), and hands every frame `leaf` accepts to `visit`.  The
+/// heavier child stays in hand and only the lighter one goes on the stack
+/// (ws.frames), so frames come in the paper's recursion order, the heavier
+/// subtree first.  The stack holds one lighter child per bisection on the
+/// path to the frame in hand, and processor counts fall strictly along a
+/// path, so it never holds more than n - 1 frames.
+template <typename Sink, Bisectable P, typename Frame, typename Leaf,
+          typename Visit>
+LBB_HOT void ba_descend(Sink& sink, TrialWorkspace<P>& ws, Frame f,
+                        const Leaf& leaf, const Visit& visit) {
+  RawBuffer& frame_buf = ws.frames;
+  RawRecords<Frame> stack(
+      frame_buf.reserve<Frame>(static_cast<std::size_t>(f.n)));
+  for (;;) {
+    if (leaf(f)) {
+      visit(f);
+      if (stack.size() == 0) return;
+      f = stack.pop();
       continue;
     }
     auto [left, right] = f.problem.bisect();
@@ -61,18 +67,31 @@ LBB_HOT void ba_run(BuildContext<P>& ctx, TrialWorkspace<P>& ws, P problem,
       std::swap(left, right);
       std::swap(wl, wr);
     }
-    const auto [node_l, node_r] = ctx.bisected(f.node, wl, wr);
     const std::int32_t n1 = ba_split_processors(wl, wr, f.n);
-    const std::int32_t n2 = f.n - n1;
-    const std::int32_t depth = f.depth + 1;
-    // Heavier child keeps the low end of the processor range (the paper's
-    // "p1 stays on P_i, p2 is sent to P_{i+n1}").
-    stack.push_back(BaFrame<P>{std::move(right), wr, n2,
-                               f.proc_lo + static_cast<ProcessorId>(n1), depth,
-                               node_r});
-    stack.push_back(
-        BaFrame<P>{std::move(left), wl, n1, f.proc_lo, depth, node_l});
+    const auto [tag_l, tag_r] = sink.split(f.tag, wl, wr, n1);
+    stack.push(std::move(right), wr, f.n - n1, tag_r);
+    f = Frame(std::move(left), wl, n1, tag_l);
   }
+}
+
+/// BA and BA' on `problem` with `n` processors, writing its pieces to
+/// `sink` at `at` (under BuildContext: processors at.proc_lo ..
+/// at.proc_lo+n-1, depths from at.depth, tree below at.node).
+/// `prune_below`: if >= 0, subproblems of weight <= prune_below are
+/// emitted as leaves even when they hold more than one processor
+/// (Algorithm BA').
+template <typename Sink, Bisectable P>
+LBB_HOT void ba_run(Sink& sink, TrialWorkspace<P>& ws, P problem,
+                    std::int32_t n, const typename Sink::FrameTag& at,
+                    double prune_below) {
+  using Frame = BaFrame<P, Sink>;
+  const double w = problem.weight();
+  ba_descend(
+      sink, ws, Frame(std::move(problem), w, n, at),
+      [prune_below](const Frame& f) {
+        return f.n == 1 || (prune_below >= 0.0 && f.weight <= prune_below);
+      },
+      [&sink](Frame& f) { sink.piece(std::move(f.problem), f.weight, f.tag); });
 }
 
 }  // namespace detail
@@ -94,7 +113,7 @@ LBB_HOT [[nodiscard]] Partition<P> ba_partition(
   // the alloc-gated hot path (record_tree is false there).
   ctx.reserve(n);
   const NodeId root = ctx.root(out.total_weight);
-  detail::ba_run(ctx, ws, std::move(problem), n, 0, 0, root,
+  detail::ba_run(ctx, ws, std::move(problem), n, {0, 0, root},
                  /*prune_below=*/-1.0);
   return out;
 }
@@ -127,7 +146,7 @@ LBB_HOT [[nodiscard]] Partition<P> ba_star_partition(
   ctx.reserve(n);
   const NodeId root = ctx.root(out.total_weight);
   const double threshold = phf_phase1_threshold(alpha, out.total_weight, n);
-  detail::ba_run(ctx, ws, std::move(problem), n, 0, 0, root, threshold);
+  detail::ba_run(ctx, ws, std::move(problem), n, {0, 0, root}, threshold);
   return out;
 }
 

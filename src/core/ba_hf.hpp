@@ -7,6 +7,9 @@
 // Theorem 8 bounds the ratio by e^((1-alpha)/beta) * r_alpha, which for
 // beta >= 1/ln(1+eps) is within (1+eps) of HF's guarantee.
 //
+// Output: ba_hf_run writes through a sink (core/detail/build_context.hpp),
+// as ba_run and hf_run do.
+//
 // Memory: the BA-style stack is ws.frames and the HF phase reuses the same
 // workspace's heap/slot buffers (disjoint members, so both phases share one
 // TrialWorkspace without conflict).
@@ -36,42 +39,20 @@ struct BaHfParams {
 
 namespace detail {
 
-/// BA-HF driver.  The BA-style frame stack is ws.frames (the `weight`
-/// field rides along as 0.0 -- BA-HF switches on processor count, not
-/// weight); HF leaves reuse ws's heap/slot scratch via hf_run.
-template <Bisectable P>
-LBB_HOT void ba_hf_run(BuildContext<P>& ctx, TrialWorkspace<P>& ws, P problem,
-                       std::int32_t n, ProcessorId proc_lo,
-                       std::int32_t depth0, NodeId node0,
+/// BA-HF driver: ba_run's descent while a frame owns at least
+/// `switch_threshold` processors, hf_run below it, writing every piece to
+/// `sink` at `at`.  The HF phases reuse ws's HF scratch.
+template <typename Sink, Bisectable P>
+LBB_HOT void ba_hf_run(Sink& sink, TrialWorkspace<P>& ws, P problem,
+                       std::int32_t n, const typename Sink::FrameTag& at,
                        std::int32_t switch_threshold) {
-  auto& stack = ws.frames;
-  stack.clear();
-  stack.push_back(
-      BaFrame<P>{std::move(problem), 0.0, n, proc_lo, depth0, node0});
-
-  while (!stack.empty()) {
-    BaFrame<P> f = std::move(stack.back());
-    stack.pop_back();
-    if (f.n < switch_threshold) {
-      hf_run(ctx, ws, std::move(f.problem), f.n, f.proc_lo, f.depth, f.node);
-      continue;
-    }
-    auto [left, right] = f.problem.bisect();
-    double wl = left.weight();
-    double wr = right.weight();
-    if (wl < wr) {
-      std::swap(left, right);
-      std::swap(wl, wr);
-    }
-    const auto [node_l, node_r] = ctx.bisected(f.node, wl, wr);
-    const std::int32_t n1 = ba_split_processors(wl, wr, f.n);
-    const std::int32_t depth = f.depth + 1;
-    stack.push_back(BaFrame<P>{std::move(right), 0.0, f.n - n1,
-                               f.proc_lo + static_cast<ProcessorId>(n1), depth,
-                               node_r});
-    stack.push_back(
-        BaFrame<P>{std::move(left), 0.0, n1, f.proc_lo, depth, node_l});
-  }
+  using Frame = BaHfFrame<P, Sink>;
+  ba_descend(
+      sink, ws, Frame(std::move(problem), 0.0, n, at),
+      [switch_threshold](const Frame& f) { return f.n < switch_threshold; },
+      [&sink, &ws](Frame& f) {
+        hf_run(sink, ws, std::move(f.problem), f.n, f.tag);
+      });
 }
 
 }  // namespace detail
@@ -98,7 +79,7 @@ LBB_HOT [[nodiscard]] Partition<P> ba_hf_partition(
   const NodeId root = ctx.root(out.total_weight);
   const std::int32_t threshold =
       ba_hf_switch_threshold(params.alpha, params.beta);
-  detail::ba_hf_run(ctx, ws, std::move(problem), n, 0, 0, root, threshold);
+  detail::ba_hf_run(ctx, ws, std::move(problem), n, {0, 0, root}, threshold);
   return out;
 }
 

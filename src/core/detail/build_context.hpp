@@ -1,9 +1,13 @@
-// Internal helpers shared by the algorithm implementations: incremental
-// construction of a Partition<P> with optional bisection-tree recording.
-// Not part of the public API.
+// The output sinks the kernels (hf_run, ba_run, ba_hf_run) write through:
+// BuildContext<P> builds a full Partition<P>; MaxSink keeps only the
+// heaviest piece's weight and the bisection count.  What a sink keeps per
+// subproblem rides in the kernels' frames and slots as its FrameTag or
+// SlotTag.  Both sinks see the same bisections, in the same order, with
+// the same weights (DESIGN.md section 10).  Internal; not public API.
 #pragma once
 
 #include <algorithm>
+#include <cstdint>
 #include <utility>
 
 #include "core/partition.hpp"
@@ -17,6 +21,20 @@ namespace lbb::core::detail {
 template <Bisectable P>
 class BuildContext {
  public:
+  /// A BA-family frame's place in the output: its first processor, its
+  /// depth and its tree node.
+  struct FrameTag {
+    ProcessorId proc_lo;
+    std::int32_t depth;
+    NodeId node;
+  };
+  /// An HF slot's place: its depth and tree node (its processor is the
+  /// run's first plus its slot index).
+  struct SlotTag {
+    std::int32_t depth;
+    NodeId node;
+  };
+
   BuildContext(Partition<P>& out, bool record_tree)
       : out_(out), record_(record_tree) {}
 
@@ -59,11 +77,77 @@ class BuildContext {
         Piece<P>{std::move(problem), weight, processor, depth, node});
   }
 
-  [[nodiscard]] bool recording() const noexcept { return record_; }
+  // The kernels' sink interface, shared with MaxSink.
+
+  /// One BA-family bisection of the frame at `at`: the heavier child
+  /// (weight wl) keeps the first n1 processors.
+  LBB_HOT std::pair<FrameTag, FrameTag> split(const FrameTag& at, double wl,
+                                              double wr, std::int32_t n1) {
+    const auto [left, right] = bisected(at.node, wl, wr);
+    return {FrameTag{at.proc_lo, at.depth + 1, left},
+            FrameTag{at.proc_lo + n1, at.depth + 1, right}};
+  }
+
+  /// One HF bisection of the slot at `at`.
+  LBB_HOT std::pair<SlotTag, SlotTag> split(const SlotTag& at, double wl,
+                                            double wr) {
+    const auto [left, right] = bisected(at.node, wl, wr);
+    return {SlotTag{at.depth + 1, left}, SlotTag{at.depth + 1, right}};
+  }
+
+  /// The root slot of an HF run on the frame at `at`.
+  [[nodiscard]] static SlotTag slot_tag(const FrameTag& at) noexcept {
+    return {at.depth, at.node};
+  }
+
+  /// A frame that became a piece.
+  LBB_HOT void piece(P problem, double weight, const FrameTag& at) {
+    piece(std::move(problem), weight, at.proc_lo, at.depth, at.node);
+  }
+
+  /// Slot `i` of the HF run on the frame `run`, as a piece.
+  LBB_HOT void piece(P problem, double weight, const FrameTag& run,
+                     std::int32_t i, const SlotTag& at) {
+    piece(std::move(problem), weight, run.proc_lo + i, at.depth, at.node);
+  }
 
  private:
   Partition<P>& out_;
   bool record_;
+};
+
+/// The max sink.  Its tags are empty, so the kernels' frames and slots hold
+/// only the problem, its weight and its processor count.
+struct MaxSink {
+  struct Tag {};
+  using FrameTag = Tag;
+  using SlotTag = Tag;
+
+  double max = 0.0;  ///< heaviest piece so far
+  std::int64_t bisections = 0;
+
+  /// Either kind of bisection (a frame's, with its n1, or a slot's).
+  template <typename... SplitN>
+  LBB_HOT std::pair<Tag, Tag> split(Tag, double, double, SplitN...) noexcept {
+    ++bisections;
+    return {};
+  }
+  [[nodiscard]] static Tag slot_tag(Tag) noexcept { return {}; }
+
+  /// Either kind of piece; compares as Partition::max_weight's std::max
+  /// from 0.0 does.
+  template <typename P, typename... Where>
+  LBB_HOT void piece(P&&, double weight, Where...) noexcept {
+    if (max < weight) max = weight;
+  }
+
+  /// Folds in a run known only by its heaviest piece and bisection count
+  /// (HF's tree walk).
+  LBB_HOT void add_run(double heaviest,
+                       std::int64_t run_bisections) noexcept {
+    if (max < heaviest) max = heaviest;
+    bisections += run_bisections;
+  }
 };
 
 }  // namespace lbb::core::detail

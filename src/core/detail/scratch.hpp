@@ -1,5 +1,5 @@
 // Reusable scratch structures of the algorithm hot loops: the HF selection
-// structures (heap and weight-band queue) and the slot/frame records that
+// structures (heap and weight-band queue) and the buffers and records that
 // hf_run / ba_run / ba_hf_run keep their in-flight subproblems in.  Split
 // out of hf.hpp/ba.hpp so a TrialWorkspace (core/workspace.hpp) can own one
 // instance of each buffer and recycle it across trials instead of
@@ -13,19 +13,14 @@
 #include <cstring>
 #include <limits>
 #include <memory>
+#include <new>
+#include <utility>
 #include <vector>
 
-#include "core/bisection_tree.hpp"
 #include "core/problem.hpp"
 #include "core/thread_annotations.hpp"
 
-namespace lbb::core {
-
-/// Mirrors partition.hpp's ProcessorId (partition.hpp includes this file's
-/// users, so the alias is re-declared here to keep the include graph flat).
-using ProcessorId = std::int32_t;
-
-namespace detail {
+namespace lbb::core::detail {
 
 /// Max-heap ordering used by HF and PHF: heavier first; ties broken by
 /// earlier creation sequence number.
@@ -36,76 +31,107 @@ struct HfHeapEntry {
 };
 
 /// Inline 4-ary max-heap of HfHeapEntry (heaviest on top, earlier-created
-/// wins ties).  Flat storage; children of node i are 4i+1 .. 4i+4.
+/// wins ties) on a raw buffer; children of node i are 4i+1 .. 4i+4.
 class HfHeap {
  public:
-  // lbb-lint: allow(hot-alloc): entries_ is TrialWorkspace-owned scratch
-  // (ws.heap); capacity is retained across trials, so growth stops once
-  // the workspace is warm (asserted by the runtime alloc gate).
-  void reserve(std::size_t n) { entries_.reserve(n); }
-  void clear() noexcept { entries_.clear(); }
-  [[nodiscard]] bool empty() const noexcept { return entries_.empty(); }
-  [[nodiscard]] std::size_t size() const noexcept { return entries_.size(); }
-  [[nodiscard]] const HfHeapEntry& top() const noexcept {
-    return entries_.front();
+  /// The heap proper, on a buffer it does not own.  Its pointer and size
+  /// are plain members, so a copy in a loop's locals (local()) stays in
+  /// registers, where stores into the slot arrays cannot force reloads
+  /// (hf_run's selection loop).  It never grows: its user pushes at most
+  /// the reserved number of entries.
+  struct Local {
+    HfHeapEntry* h;
+    std::size_t size = 0;
+
+    [[nodiscard]] const HfHeapEntry& top() const noexcept { return h[0]; }
+
+    LBB_HOT void push(HfHeapEntry e) noexcept {
+      // Hole-sift up: move parents down until e's position is found.
+      std::size_t hole = size++;
+      while (hole > 0) {
+        const std::size_t parent = (hole - 1) / 4;
+        if (!higher(e, h[parent])) break;
+        h[hole] = h[parent];
+        hole = parent;
+      }
+      h[hole] = e;
+    }
+
+    LBB_HOT HfHeapEntry pop() noexcept {
+      const HfHeapEntry result = h[0];
+      const HfHeapEntry last = h[--size];
+      if (size > 0) {
+        // Hole-sift down: promote the best child until `last` fits.
+        const std::size_t count = size;
+        std::size_t hole = 0;
+        for (;;) {
+          const std::size_t first_child = 4 * hole + 1;
+          if (first_child >= count) break;
+          const std::size_t end_child = std::min(first_child + 4, count);
+          std::size_t best = first_child;
+          for (std::size_t c = first_child + 1; c < end_child; ++c) {
+            if (higher(h[c], h[best])) best = c;
+          }
+          // Fetch the next level's children while comparing this one: for
+          // large heaps (N >= ~8k) the sift-down is memory-latency-bound,
+          // and the 4 candidate children (4*best+1 .. 4*best+4, 96 bytes of
+          // 24-byte entries) span up to two cachelines.  Harmless past the
+          // live end -- prefetches never fault (see LBB_PREFETCH).
+          LBB_PREFETCH(h + 4 * best + 1);
+          LBB_PREFETCH(h + 4 * best + 4);
+          if (!higher(h[best], last)) break;
+          h[hole] = h[best];
+          hole = best;
+        }
+        h[hole] = last;
+      }
+      return result;
+    }
+
+    /// True iff a must be popped before b (strictly higher priority).
+    [[nodiscard]] static bool higher(const HfHeapEntry& a,
+                                     const HfHeapEntry& b) noexcept {
+      if (a.weight != b.weight) return a.weight > b.weight;
+      return a.seq < b.seq;  // earlier-created wins ties
+    }
+  };
+
+  /// Growth-only: room for `n` entries without reallocating.
+  void reserve(std::size_t n) {
+    if (n > cap_) grow(n);
   }
+  void clear() noexcept { heap_.size = 0; }
+  [[nodiscard]] bool empty() const noexcept { return heap_.size == 0; }
+  [[nodiscard]] std::size_t size() const noexcept { return heap_.size; }
+  [[nodiscard]] const HfHeapEntry& top() const noexcept { return heap_.top(); }
 
   LBB_HOT void push(HfHeapEntry e) {
-    std::size_t hole = entries_.size();
-    // lbb-lint: allow(hot-alloc): within the per-run reserve() capacity;
-    // the backing buffer is workspace-recycled (see reserve above).
-    entries_.push_back(e);
-    // Hole-sift up: move parents down until e's position is found.
-    while (hole > 0) {
-      const std::size_t parent = (hole - 1) / 4;
-      if (!higher(e, entries_[parent])) break;
-      entries_[hole] = entries_[parent];
-      hole = parent;
-    }
-    entries_[hole] = e;
+    // Past the reserve() bound only when more entries are pushed than were
+    // reserved for; grow rather than overrun.
+    if (heap_.size == cap_) grow(2 * cap_ + 16);
+    heap_.push(e);
   }
+  LBB_HOT HfHeapEntry pop() noexcept { return heap_.pop(); }
 
-  LBB_HOT HfHeapEntry pop() {
-    const HfHeapEntry result = entries_.front();
-    const HfHeapEntry last = entries_.back();
-    entries_.pop_back();
-    if (!entries_.empty()) {
-      // Hole-sift down: promote the best child until `last` fits.
-      const std::size_t count = entries_.size();
-      std::size_t hole = 0;
-      for (;;) {
-        const std::size_t first_child = 4 * hole + 1;
-        if (first_child >= count) break;
-        const std::size_t end_child = std::min(first_child + 4, count);
-        std::size_t best = first_child;
-        for (std::size_t c = first_child + 1; c < end_child; ++c) {
-          if (higher(entries_[c], entries_[best])) best = c;
-        }
-        // Fetch the next level's children while comparing this one: for
-        // large heaps (N >= ~8k) the sift-down is memory-latency-bound, and
-        // the 4 candidate children (4*best+1 .. 4*best+4, 96 bytes of
-        // 24-byte entries) span up to two cachelines.  Harmless past the
-        // live end -- prefetches never fault (see LBB_PREFETCH).
-        LBB_PREFETCH(entries_.data() + 4 * best + 1);
-        LBB_PREFETCH(entries_.data() + 4 * best + 4);
-        if (!higher(entries_[best], last)) break;
-        entries_[hole] = entries_[best];
-        hole = best;
-      }
-      entries_[hole] = last;
-    }
-    return result;
-  }
+  /// An empty Local on this heap's buffer (its own entries are untouched).
+  [[nodiscard]] Local local() noexcept { return Local{buf_.get()}; }
 
  private:
-  /// True iff a must be popped before b (strictly higher priority).
-  [[nodiscard]] static bool higher(const HfHeapEntry& a,
-                                   const HfHeapEntry& b) noexcept {
-    if (a.weight != b.weight) return a.weight > b.weight;
-    return a.seq < b.seq;  // earlier-created wins ties
+  /// Moves the live entries into a buffer of `n` entries.
+  void grow(std::size_t n) {
+    // lbb-lint: allow(hot-alloc): workspace-owned heap (ws.heap and the
+    // band queue's hot heap), growth-only, so a warm workspace that was
+    // reserved for its n never reaches this.
+    auto bigger = std::make_unique_for_overwrite<HfHeapEntry[]>(n);
+    std::copy_n(buf_.get(), heap_.size, bigger.get());
+    buf_ = std::move(bigger);
+    heap_.h = buf_.get();
+    cap_ = n;
   }
 
-  std::vector<HfHeapEntry> entries_;
+  std::unique_ptr<HfHeapEntry[]> buf_;
+  Local heap_{nullptr};
+  std::size_t cap_ = 0;
 };
 
 /// HF selection queue from kHfBandMinPieces pieces on: pops exactly
@@ -417,57 +443,104 @@ class HfBandQueue {
   std::int32_t free_ = -1;
 };
 
-/// HF runners (detail::hf_run, batch::hf_lane_run) select with HfBandQueue
-/// from this many pieces on and with HfHeap / the lane heap below it; from
-/// here on batch::hf_lane_run first tries its tree walk, which needs no
-/// selection structure (core/batch/batch_kernels.hpp).
-///
-/// Each loop timed whole on each structure (warm workspaces, p50 over 15
-/// pairs whose order alternates, 4-core Xeon VM with 48 KiB L1d and 2 MiB
-/// L2 per core); speed-up of the band queue over the heap, hf_run / lane:
-///
-///   n     U[0.1,0.5]   U[0.01,0.5]  two_point(0.1,0.5)  point(0.5)
-///   2     0.87 / 0.51  0.94 / 0.44  0.95 / 0.61         0.89 / 0.51
-///   4     0.93 / 0.57  0.98 / 0.57  0.90 / 0.63         0.86 / 0.44
-///   8     1.10 / 0.65  1.07 / 0.61  0.93 / 0.69         1.01 / 0.53
-///   11    1.16 / 0.77  1.08 / 0.72  1.02 / 0.72         1.01 / 0.59
-///   16    1.35 / 0.91  1.25 / 0.83  1.26 / 0.92         0.92 / 0.65
-///   24      -  / 0.94     -  / 1.06     -  / 1.11              -  / 0.81
-///   32    1.50 / 1.28  1.29 / 1.05  1.45 / 1.19         0.91 / 0.72
-///   64    1.78 / 1.47  1.54 / 1.26  1.68 / 1.50         0.92 / 1.04
-///   100   1.88 / 1.48  1.68 / 1.41  2.04 / 1.67         1.05 / 1.17
-///   128   1.97 / 1.44  2.08 / 1.54  2.02 / 1.95         0.99 / 1.16
-///
-/// At small n the queue's fixed costs (clear, reserve, basing the bands,
-/// a fresh chunk for nearly every band) outweigh the heap's few sift
-/// levels; the lane loop's raw heap is cheaper than HfHeap, so it crosses
-/// later (between 24 and 32) than hf_run (between 8 and 11).  The
-/// constant is the first size measured at which both loops win on all
-/// three distributions without exact ties.  point(0.5) ties exactly, so
-/// each tree level is one band and the hot heap does all the work: there
-/// the queue roughly breaks even from 64 pieces on.
+/// detail::hf_run selects with HfBandQueue from this many pieces on and
+/// with HfHeap below it; from here on, under the max sink, it first tries
+/// its tree walk (hf_tree_walk in core/hf.hpp).  At small n the queue's fixed
+/// costs (clear, reserve, basing the bands, a fresh chunk for nearly every
+/// band) outweigh the heap's few sift levels: the raw-buffer heap lost to
+/// the queue between 24 and 32 pieces, and 32 is the first size measured
+/// at which the queue wins on U[0.1,0.5], U[0.01,0.5] and
+/// two_point(0.1,0.5) (DESIGN.md section 7.5 has the table).
 inline constexpr std::int32_t kHfBandMinPieces = 32;
 
-/// One HF slot: a live subproblem awaiting (possible) further bisection.
-template <Bisectable P>
-struct HfSlot {
-  P problem;
-  std::int32_t depth;
-  NodeId node;
+/// Growth-only, uninitialized memory that a kernel views as an array of
+/// its own record type, which depends on the problem and on the output
+/// sink, and whose elements it constructs and destroys itself.
+class RawBuffer {
+ public:
+  /// Room for `n` objects of T at the buffer's start.  Growing discards
+  /// the contents, so a kernel calls this before any of its records live.
+  template <typename T>
+  [[nodiscard]] T* reserve(std::size_t n) {
+    static_assert(alignof(T) <= __STDCPP_DEFAULT_NEW_ALIGNMENT__);
+    if (n * sizeof(T) > bytes_) {
+      bytes_ = n * sizeof(T);
+      // lbb-lint: allow(hot-alloc): growth-only workspace storage; a
+      // workspace sized for its n never grows it again.
+      data_ = std::make_unique_for_overwrite<std::byte[]>(bytes_);
+    }
+    return static_cast<T*>(static_cast<void*>(data_.get()));
+  }
+
+ private:
+  std::unique_ptr<std::byte[]> data_;
+  std::size_t bytes_ = 0;
 };
 
-/// One frame of the BA-family explicit recursion stacks.  `weight` is used
-/// by ba_run (BA' prune test); ba_hf_run carries it as 0.0 so both loops
-/// can share one recycled buffer.
-template <Bisectable P>
+/// A kernel's records in a RawBuffer (HF's slots, a BA-family stack):
+/// [0, size) are live and are destroyed when the kernel returns or unwinds,
+/// which costs nothing for trivially destructible records.
+template <typename T>
+class RawRecords {
+ public:
+  explicit RawRecords(T* storage) noexcept : data_(storage) {}
+  RawRecords(const RawRecords&) = delete;
+  RawRecords& operator=(const RawRecords&) = delete;
+  ~RawRecords() { std::destroy_n(data_, size_); }
+
+  [[nodiscard]] std::size_t size() const noexcept { return size_; }
+  [[nodiscard]] T& operator[](std::size_t i) const noexcept {
+    return data_[i];
+  }
+
+  /// Constructs a record past the last.
+  template <typename... Args>
+  LBB_HOT void push(Args&&... args) {
+    ::new (static_cast<void*>(data_ + size_)) T{std::forward<Args>(args)...};
+    ++size_;
+  }
+
+  /// Removes and returns the last record.
+  LBB_HOT T pop() {
+    T last = std::move(data_[--size_]);
+    std::destroy_at(data_ + size_);
+    return last;
+  }
+
+ private:
+  T* data_;
+  std::size_t size_ = 0;
+};
+
+/// One HF slot: a live subproblem awaiting (possible) further bisection,
+/// and what the output sink keeps of it (nothing under the max sink).
+template <Bisectable P, typename Sink>
+struct HfSlot {
+  P problem;
+  [[no_unique_address]] typename Sink::SlotTag tag;
+};
+
+/// One frame of the BA / BA' stack: a subproblem, its weight (BA''s prune
+/// test), its processor count, and what the output sink keeps of it.
+template <Bisectable P, typename Sink>
 struct BaFrame {
+  BaFrame(P p, double w, std::int32_t count, typename Sink::FrameTag at)
+      : problem(std::move(p)), weight(w), n(count), tag(at) {}
   P problem;
   double weight;
   std::int32_t n;
-  ProcessorId proc_lo;
-  std::int32_t depth;
-  NodeId node;
+  [[no_unique_address]] typename Sink::FrameTag tag;
 };
 
-}  // namespace detail
-}  // namespace lbb::core
+/// One frame of the BA-HF stack: BaFrame without the weight, which BA-HF's
+/// switch on processor count never reads (the constructor drops it).
+template <Bisectable P, typename Sink>
+struct BaHfFrame {
+  BaHfFrame(P p, double, std::int32_t count, typename Sink::FrameTag at)
+      : problem(std::move(p)), n(count), tag(at) {}
+  P problem;
+  std::int32_t n;
+  [[no_unique_address]] typename Sink::FrameTag tag;
+};
+
+}  // namespace lbb::core::detail

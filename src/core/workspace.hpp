@@ -5,7 +5,7 @@
 //   * the scratch buffers of the algorithm kernels (HF's slot array,
 //     per-slot weights and selection structures -- the heap below
 //     detail::kHfBandMinPieces pieces, the weight-band queue from there
-//     on; the BA-family frame stack),
+//     on; HF's tree walk under the max sink; the BA-family frame stack),
 //   * a piece pool that recycles the Partition::pieces storage of finished
 //     trials back into the next partition call, and
 //   * a MonotonicArena for arena-backed AnyProblem storage (problems too
@@ -81,23 +81,32 @@ class TrialWorkspace {
 
   /// Drops all retained memory (buffers and arena chunks).
   void release() noexcept {
-    hf_slots = std::vector<detail::HfSlot<P>>();
-    slot_weight = std::vector<double>();
+    hf_slots = detail::RawBuffer();
+    slot_weight = detail::RawBuffer();
     heap = detail::HfHeap();
     hf_queue = detail::HfBandQueue();
-    frames = std::vector<detail::BaFrame<P>>();
+    frames = detail::RawBuffer();
+    walk_hist = detail::RawBuffer();
     piece_pool_ = std::vector<Piece<P>>();
     arena_.release();
   }
 
   // Kernel scratch, used directly by detail::hf_run / ba_run / ba_hf_run.
-  // Each kernel clears what it uses on entry; contents are dead between
-  // runs (moved-from problems only).
-  std::vector<detail::HfSlot<P>> hf_slots;
-  std::vector<double> slot_weight;
-  detail::HfHeap heap;
-  detail::HfBandQueue hf_queue;
-  std::vector<detail::BaFrame<P>> frames;
+  // The raw buffers are untyped: a kernel's records depend on its output
+  // sink, so each kernel sizes what it uses on entry and views it as its
+  // own record type.  Contents are dead between runs.
+  /// HF's live subproblems (HfSlot), or the nodes its tree walk visits
+  /// (detail::hf_tree_walk), which runs instead of the selection loop.
+  detail::RawBuffer hf_slots;
+  detail::RawBuffer slot_weight;  ///< HF: weight per slot, or walk bucket
+  detail::HfHeap heap;            ///< HF's selection below the cut-over
+  detail::HfBandQueue hf_queue;   ///< HF's selection from the cut-over on
+  detail::RawBuffer frames;       ///< BA-family stack (BaFrame, BaHfFrame)
+  detail::RawBuffer walk_hist;    ///< HF's tree walk: bucket histogram
+  /// True while HF under the max sink tries the walk; the first walk that
+  /// gives up clears it (experiments::BatchTrialRunner sets it again when
+  /// the distribution changes).  Both paths return the same bits.
+  bool hf_walk = true;
 
  private:
   std::vector<Piece<P>> piece_pool_;

@@ -2,19 +2,25 @@
 
 #include <stdexcept>
 
-#include "core/batch/batch_kernels.hpp"
+#include "core/ba.hpp"
+#include "core/ba_hf.hpp"
 #include "core/bounds.hpp"
-#include "problems/synthetic.hpp"
-#include "problems/synthetic_lanes.hpp"
+#include "core/hf.hpp"
 #include "stats/rng.hpp"
 
 namespace lbb::experiments {
 
 using lbb::core::BuiltinAlgo;
 using lbb::core::BuiltinKind;
+using lbb::core::detail::MaxSink;
 using lbb::problems::AlphaDistribution;
-using lbb::problems::SyntheticLaneModel;
 using lbb::problems::SyntheticProblem;
+
+// The max sink's records carry only the problem, its weight and its
+// processor count (DESIGN.md section 10).
+static_assert(sizeof(core::detail::BaFrame<SyntheticProblem, MaxSink>) == 40);
+static_assert(sizeof(core::detail::HfSlot<SyntheticProblem, MaxSink>) ==
+              sizeof(SyntheticProblem));
 
 bool BatchTrialRunner::supports(const BuiltinAlgo& algo) noexcept {
   if (algo.options.record_tree) return false;
@@ -43,10 +49,15 @@ void BatchTrialRunner::run(const BuiltinAlgo& algo,
     throw std::invalid_argument(
         "BatchTrialRunner::run: configuration is not batchable");
   }
-  const SyntheticLaneModel model(dist);
-  // Scalar-path constants, computed identically: every trial's root weight
-  // is 1.0, so the BA' prune threshold and the ratio denominator are shared
-  // by all lanes.
+  if (dist_ == nullptr || !(*dist_ == dist)) {
+    // The walk's give-up is sticky per distribution: a narrow one that
+    // overflowed the walk once would do so again on most seeds.
+    dist_ = dist.interned();
+    ws_.hf_walk = true;
+  }
+  // Full-partition constants, computed identically: every trial's root
+  // weight is 1.0, so the BA' prune threshold and the ratio denominator
+  // are shared by all trials.
   constexpr double kRootWeight = 1.0;
   const double prune_below =
       algo.kind == BuiltinKind::kBaStar
@@ -56,48 +67,48 @@ void BatchTrialRunner::run(const BuiltinAlgo& algo,
       algo.kind == BuiltinKind::kBaHf
           ? core::ba_hf_switch_threshold(algo.alpha, algo.beta)
           : 0;
-
-  ws_.prepare(width, n);
-  if (&model.distribution() != dist_) {
-    // The walk's give-up is sticky per distribution: a narrow one that
-    // overflowed the walk once would do so again on most seeds.
-    dist_ = &model.distribution();
-    ws_.hf_walk = true;
+  if (n > hf_reserved_) {
+    // Sized for the trial's n up front, so BA-HF's HF phases, whose sizes
+    // vary from seed to seed, never grow the HF scratch.
+    core::detail::hf_reserve<MaxSink>(ws_, n);
+    hf_reserved_ = n;
   }
-  for (std::int64_t t = lo; t < hi; t += width) {
-    const auto lanes = static_cast<std::int32_t>(
-        hi - t < static_cast<std::int64_t>(width) ? hi - t : width);
-    for (std::int32_t l = 0; l < lanes; ++l) {
-      // Identical to the scalar engine's per-trial instance seed: lane
-      // streams are keyed by absolute trial index, nothing else.
-      const std::uint64_t instance_seed = lbb::stats::mix64(
-          base_seed, static_cast<std::uint64_t>(t + l));
-      ws_.root_hash[l] = SyntheticLaneModel::root_hash(instance_seed);
-      ws_.root_weight[l] = kRootWeight;
+  // One trial loop per kind, so the kernel call is the loop's only branch
+  // on the algorithm.
+  const auto trials = [&](const auto& kernel) {
+    for (std::int64_t t = lo; t < hi; ++t) {
+      // The per-trial instance seed of every trial path: outcomes are
+      // keyed by absolute trial index, nothing else.
+      const SyntheticProblem root(
+          lbb::stats::mix64(base_seed, static_cast<std::uint64_t>(t)), dist_,
+          kRootWeight);
+      MaxSink sink;
+      kernel(sink, root);
+      // Same expression as Partition::ratio() on a full partition.
+      out[t - lo] = {sink.max / (kRootWeight / static_cast<double>(n)),
+                     sink.bisections};
     }
-    switch (algo.kind) {
-      case BuiltinKind::kHf:
-        core::batch::hf_batch_run(ws_, model, lanes, n);
-        break;
-      case BuiltinKind::kBa:
-        core::batch::ba_batch_run(ws_, model, lanes, n, /*prune_below=*/-1.0);
-        break;
-      case BuiltinKind::kBaStar:
-        core::batch::ba_batch_run(ws_, model, lanes, n, prune_below);
-        break;
-      case BuiltinKind::kBaHf:
-        core::batch::ba_hf_batch_run(ws_, model, lanes, n, switch_threshold);
-        break;
-      case BuiltinKind::kCustom:
-      case BuiltinKind::kOblivious:
-        break;  // unreachable: supports() rejected these above
-    }
-    for (std::int32_t l = 0; l < lanes; ++l) {
-      // Same expression as Partition::ratio() on the scalar path.
-      out[(t - lo) + l].ratio =
-          ws_.lane_max[l] / (kRootWeight / static_cast<double>(n));
-      out[(t - lo) + l].bisections = ws_.lane_bisections[l];
-    }
+  };
+  switch (algo.kind) {
+    case BuiltinKind::kHf:
+      trials([&](MaxSink& sink, const SyntheticProblem& root) {
+        core::detail::hf_run(sink, ws_, root, n, {});
+      });
+      break;
+    case BuiltinKind::kBa:
+    case BuiltinKind::kBaStar:
+      trials([&](MaxSink& sink, const SyntheticProblem& root) {
+        core::detail::ba_run(sink, ws_, root, n, {}, prune_below);
+      });
+      break;
+    case BuiltinKind::kBaHf:
+      trials([&](MaxSink& sink, const SyntheticProblem& root) {
+        core::detail::ba_hf_run(sink, ws_, root, n, {}, switch_threshold);
+      });
+      break;
+    case BuiltinKind::kCustom:
+    case BuiltinKind::kOblivious:
+      break;  // unreachable: supports() rejected these above
   }
 }
 

@@ -93,13 +93,6 @@ struct RatioExperimentConfig {
   /// 0 = one per hardware thread, k = exactly k.  Results are identical
   /// for every value -- see the determinism note at the top of this file.
   std::int32_t threads = 1;
-  /// Lane width of the batched trial kernels: <= 1 runs the scalar path,
-  /// b > 1 runs the builtin HF/BA/BA'/BA-HF families b trials per batch
-  /// (one lane after another; custom partitioners always fall back to the
-  /// scalar path).  Results are BYTE-IDENTICAL for every width --
-  /// lane seeds are the scalar per-trial seeds and per-chunk statistics
-  /// accumulate in trial order (asserted by the batch determinism gate).
-  std::int32_t batch = 8;
   /// Optional cooperative cancellation (not owned; may be nullptr).
   const lbb::core::CancelToken* cancel = nullptr;
   /// Optional wall-clock limit in seconds (<= 0: none).  On expiry the
@@ -149,11 +142,5 @@ struct RatioExperimentResult {
 /// trials, upper_bound, min, mean, max, stddev -- to a CSV file.
 void write_ratio_csv(const RatioExperimentResult& result,
                      const std::string& path);
-
-/// Convenience for single measurements: the ratio achieved by `algo` on the
-/// synthetic instance (seed, dist) with n processors.
-[[nodiscard]] double ratio_of(Algo algo, std::uint64_t seed,
-                              const lbb::problems::AlphaDistribution& dist,
-                              std::int32_t n, double beta);
 
 }  // namespace lbb::experiments

@@ -6,24 +6,18 @@
 #include <utility>
 #include <vector>
 
-#include "core/lbb.hpp"
 #include "core/partitioner.hpp"
 #include "core/sync.hpp"
-#include "core/workspace.hpp"
 #include "experiments/batch_trials.hpp"
 #include "experiments/ratio_experiment.hpp"
 #include "experiments/trial_engine.hpp"
-#include "problems/synthetic.hpp"
 #include "stats/csv.hpp"
-#include "stats/rng.hpp"
 
 namespace lbb::experiments {
 
 using lbb::core::Partitioner;
 using lbb::core::PartitionerConfig;
 using lbb::core::PartitionerRegistry;
-using lbb::core::RunContext;
-using lbb::problems::SyntheticProblem;
 
 namespace {
 
@@ -41,16 +35,6 @@ lbb::stats::TailAccumulator& thread_tail_scratch(double lo, double hi,
   return acc;
 }
 
-lbb::core::TrialWorkspace<SyntheticProblem>& thread_workspace() {
-  thread_local lbb::core::TrialWorkspace<SyntheticProblem> ws;
-  return ws;
-}
-
-BatchTrialRunner& thread_batch_runner() {
-  thread_local BatchTrialRunner runner;
-  return runner;
-}
-
 }  // namespace
 
 TailStudyResult run_tail_study(const TailStudyConfig& config) {
@@ -61,9 +45,6 @@ TailStudyResult run_tail_study(const TailStudyConfig& config) {
     if (k < 0 || k > 30) {
       throw std::invalid_argument("run_tail_study: bad log2_n");
     }
-  }
-  if (config.batch < 0) {
-    throw std::invalid_argument("run_tail_study: batch must be >= 0");
   }
   if (!(config.hist_max > 1.0)) {
     throw std::invalid_argument("run_tail_study: hist_max must be > 1");
@@ -88,14 +69,6 @@ TailStudyResult run_tail_study(const TailStudyConfig& config) {
 
   for (std::size_t a = 0; a < config.algos.size(); ++a) {
     const Partitioner& part = *partitioners[a];
-    const lbb::core::BuiltinAlgo builtin = part.builtin();
-    const bool batched =
-        config.batch > 1 && BatchTrialRunner::supports(builtin);
-    const std::int32_t batch_width =
-        batched
-            ? std::min<std::int32_t>(
-                  config.batch, lbb::core::batch::BatchWorkspace::kMaxWidth)
-            : 1;
     for (const std::int32_t k : config.log2_n) {
       const std::int32_t n = 1 << k;
       std::int64_t trials = config.trials;
@@ -115,76 +88,21 @@ TailStudyResult run_tail_study(const TailStudyConfig& config) {
       cell.tail =
           lbb::stats::TailAccumulator(1.0, config.hist_max, config.hist_bins);
 
-      const std::int64_t chunks = detail::TrialEngine::chunk_count(trials);
-      std::vector<lbb::stats::RunningStats> chunk_ratio(
-          static_cast<std::size_t>(chunks));
-      std::vector<std::int64_t> chunk_bisections(
-          static_cast<std::size_t>(chunks), 0);
       lbb::core::Mutex tail_mu;
-      const auto run_chunk = [&](std::int64_t chunk, std::int64_t lo,
-                                 std::int64_t hi) {
-        lbb::stats::RunningStats local;
-        std::int64_t bisections = 0;
-        lbb::stats::TailAccumulator& tail_scratch = thread_tail_scratch(
-            1.0, config.hist_max, config.hist_bins);
-        tail_scratch.reset();
-        if (batched) {
-          BatchTrialOutcome outcomes[kTrialChunk];
-          for (std::int64_t t = lo; t < hi; t += batch_width) {
-            engine.ensure_alive(config.cancel, "tail study cancelled");
-            thread_batch_runner().run(
-                builtin, config.dist, config.seed, t,
-                std::min<std::int64_t>(t + batch_width, hi), n, batch_width,
-                outcomes + (t - lo));
-          }
-          for (std::int64_t t = lo; t < hi; ++t) {
-            local.add(outcomes[t - lo].ratio);
-            tail_scratch.add(outcomes[t - lo].ratio);
-            bisections += outcomes[t - lo].bisections;
-          }
-        } else {
-          lbb::core::TrialWorkspace<SyntheticProblem>& ws = thread_workspace();
-          for (std::int64_t t = lo; t < hi; ++t) {
-            engine.ensure_alive(config.cancel, "tail study cancelled");
-            const std::uint64_t instance_seed =
-                lbb::stats::mix64(config.seed, static_cast<std::uint64_t>(t));
-            RunContext ctx(instance_seed);
-            ctx.set_cancel_token(config.cancel);
-            SyntheticProblem root(instance_seed, config.dist);
-            double ratio = 0.0;
-            std::int64_t trial_bisections = 0;
-            if (auto typed = lbb::core::try_typed_partition(
-                    part, ctx, ws, std::move(root), n)) {
-              ratio = typed->ratio();
-              trial_bisections = typed->bisections;
-              ws.recycle(std::move(*typed));
-              ws.reset();
-            } else {
-              const auto erased = part.run(
-                  ctx,
-                  lbb::core::AnyProblem(
-                      SyntheticProblem(instance_seed, config.dist)),
-                  n);
-              ratio = erased.ratio();
-              trial_bisections = erased.bisections;
+      engine.run_cell(
+          part, config.dist, config.seed, n, trials, config.cancel,
+          "tail study cancelled", cell.ratio, cell.bisections,
+          [&](const BatchTrialOutcome* out, std::int64_t count) {
+            lbb::stats::TailAccumulator& tail_scratch = thread_tail_scratch(
+                1.0, config.hist_max, config.hist_bins);
+            tail_scratch.reset();
+            for (std::int64_t i = 0; i < count; ++i) {
+              tail_scratch.add(out[i].ratio);
             }
-            local.add(ratio);
-            tail_scratch.add(ratio);
-            bisections += trial_bisections;
-          }
-        }
-        chunk_ratio[static_cast<std::size_t>(chunk)] = local;
-        chunk_bisections[static_cast<std::size_t>(chunk)] = bisections;
-        // Integer bin merge: exact in any completion order.
-        lbb::core::MutexLock lock(tail_mu);
-        cell.tail.merge(tail_scratch);
-      };
-
-      engine.run_chunks(trials, run_chunk);
-      for (std::int64_t c = 0; c < chunks; ++c) {
-        cell.ratio.merge(chunk_ratio[static_cast<std::size_t>(c)]);
-        cell.bisections += chunk_bisections[static_cast<std::size_t>(c)];
-      }
+            // Integer bin merge: exact in any completion order.
+            lbb::core::MutexLock lock(tail_mu);
+            cell.tail.merge(tail_scratch);
+          });
       result.cells.push_back(std::move(cell));
     }
   }

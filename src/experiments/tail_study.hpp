@@ -5,16 +5,18 @@
 // at scale is the upper tail of the performance-ratio distribution: how
 // close do p99 / p99.9 / the observed maximum get to the theoretical
 // bound as the trial count grows?  This engine runs the same chunked
-// deterministic trial loop as run_ratio_experiment -- batched SoA kernels,
-// per-trial seeds mix64(seed, t), RunningStats merged in ascending chunk
-// order -- and additionally streams every trial's ratio into a
-// stats::TailAccumulator (preallocated bins, zero steady-state alloc).
+// deterministic trial loop as run_ratio_experiment -- the max-sink kernels
+// for the builtin families, per-trial seeds mix64(seed, t), RunningStats
+// merged in ascending chunk order -- and additionally streams every
+// trial's ratio into a stats::TailAccumulator (preallocated bins, zero
+// steady-state alloc).
 //
 // Determinism: the RunningStats reduction is fixed-order as always; the
 // tail bins are integers, so per-chunk scratch accumulators merge into the
 // cell under a mutex in completion order WITHOUT affecting any reported
-// number.  Cells are therefore byte-identical for any --threads and any
-// --batch width (tail_study --smoke and the ctest gate assert this).
+// number.  Cells are therefore byte-identical for any --threads, and equal
+// to cells built from full partitions (tail_study --smoke and the ctest
+// gate assert both).
 #pragma once
 
 #include <cstdint>
@@ -45,7 +47,6 @@ struct TailStudyConfig {
   std::int64_t bisection_budget = std::int64_t{1} << 26;
   std::int32_t min_trials = 25;
   std::int32_t threads = 1;  ///< same semantics as RatioExperimentConfig
-  std::int32_t batch = 8;    ///< batched-kernel lane width; <= 1 = scalar
   /// Tail histogram grid: ratios land in [1, hist_max) across hist_bins
   /// equal-width bins (ratio >= 1 by definition; samples past hist_max
   /// clamp into the last bin and are counted by out_of_range()).
@@ -72,8 +73,8 @@ struct TailStudyResult {
   std::vector<TailStudyCell> cells;  ///< algo-major, log2_n-minor order
 };
 
-/// Runs the study.  Byte-identical for any config.threads and any
-/// config.batch (>= 1); throws core::OperationCancelled on cancellation.
+/// Runs the study.  Byte-identical for any config.threads; throws
+/// core::OperationCancelled on cancellation.
 [[nodiscard]] TailStudyResult run_tail_study(const TailStudyConfig& config);
 
 /// Writes one row per cell -- algo, log2_n, trials, upper_bound, mean,

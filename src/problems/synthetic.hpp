@@ -29,9 +29,7 @@ namespace lbb::problems {
 class SyntheticProblem {
  public:
   /// Salt folded into the instance seed before hashing so the root draw is
-  /// decorrelated from other uses of the same seed value.  Shared with the
-  /// batched lane model (problems/synthetic_lanes.hpp), which must derive
-  /// bit-identical root hashes.
+  /// decorrelated from other uses of the same seed value.
   static constexpr std::uint64_t kRootSalt = 0x5bf03635d1d4f7a1ULL;
 
   /// Node hash of the root of the instance seeded by `seed`.
@@ -46,6 +44,12 @@ class SyntheticProblem {
       : dist_(dist.interned()),
         node_hash_(root_node_hash(seed)),
         weight_(weight) {}
+
+  /// The same root on an already interned distribution, without the
+  /// intern pool's lock (for loops that create a root per trial).
+  SyntheticProblem(std::uint64_t seed, const AlphaDistribution* interned,
+                   double weight = 1.0)
+      : dist_(interned), node_hash_(root_node_hash(seed)), weight_(weight) {}
 
   [[nodiscard]] double weight() const noexcept { return weight_; }
 
@@ -91,3 +95,8 @@ static_assert(lbb::core::AnyProblem::fits_inline_v<SyntheticProblem>,
               "erased hot path relies on allocation-free wrap and bisect");
 
 }  // namespace lbb::problems
+
+/// A node's children are a pure function of its hash and weight.
+template <>
+inline constexpr bool lbb::core::pure_bisect_v<lbb::problems::SyntheticProblem> =
+    true;

@@ -168,19 +168,19 @@ void run_terminal(ParJob<P>& job, ParFrame<P> f) {
   tmp.pieces = ws.take_pieces(static_cast<std::size_t>(f.n));
   core::detail::BuildContext<P> bctx(tmp, job.record);
   bctx.reserve(f.n);
-  const core::NodeId node0 = bctx.root(f.weight);
+  const typename core::detail::BuildContext<P>::FrameTag at{
+      f.proc_lo, f.depth, bctx.root(f.weight)};
   switch (job.family) {
     case ParFamily::kBa:
-      core::detail::ba_run(bctx, ws, std::move(f.problem), f.n, f.proc_lo,
-                           f.depth, node0, /*prune_below=*/-1.0);
+      core::detail::ba_run(bctx, ws, std::move(f.problem), f.n, at, -1.0);
       break;
     case ParFamily::kBaStar:
-      core::detail::ba_run(bctx, ws, std::move(f.problem), f.n, f.proc_lo,
-                           f.depth, node0, job.prune_below);
+      core::detail::ba_run(bctx, ws, std::move(f.problem), f.n, at,
+                           job.prune_below);
       break;
     case ParFamily::kBaHf:
-      core::detail::ba_hf_run(bctx, ws, std::move(f.problem), f.n, f.proc_lo,
-                              f.depth, node0, job.switch_threshold);
+      core::detail::ba_hf_run(bctx, ws, std::move(f.problem), f.n, at,
+                              job.switch_threshold);
       break;
   }
   job.bisections.fetch_add(tmp.bisections);

@@ -253,7 +253,13 @@ void PartitionService::dispatch(WorkerState& self, PartitionRequest* req) {
     complete(req, ServiceStatus::kCancelled, nullptr, Outcome::kNone);
     return;
   }
-  if (!req->bypass_cache) {
+  // The batch this request leads if it computes: on this worker's stack,
+  // reachable by other workers only through inflight_ under mu_, and
+  // unregistered by compute_batch before this frame unwinds.
+  Batch batch{req->key_, req};
+  req->batch_next_ = nullptr;
+  const bool share = !req->bypass_cache;
+  if (share) {
     std::shared_ptr<const PartitionResult> hit;
     bool attached = false;
     {
@@ -270,10 +276,10 @@ void PartitionService::dispatch(WorkerState& self, PartitionRequest* req) {
         // Single-flight: a same-key compute already running absorbs this
         // request; the computing worker completes it with the shared
         // result.
-        for (Batch* batch : inflight_) {
-          if (batch->key == req->key_) {
-            req->batch_next_ = batch->head;
-            batch->head = req;
+        for (Batch* running : inflight_) {
+          if (running->key == req->key_) {
+            req->batch_next_ = running->head;
+            running->head = req;
             attached = true;
             // Counted at attach (not completion) so the batcher's effect
             // is observable while the batch is still computing.
@@ -282,6 +288,12 @@ void PartitionService::dispatch(WorkerState& self, PartitionRequest* req) {
           }
         }
       }
+      if (hit == nullptr && !attached) {
+        // Register in the critical section that found the miss, so a
+        // second worker missing the same key attaches here instead of
+        // computing it again.
+        inflight_.push_back(&batch);
+      }
     }
     if (hit != nullptr) {
       complete(req, ServiceStatus::kOk, std::move(hit), Outcome::kHit);
@@ -289,24 +301,11 @@ void PartitionService::dispatch(WorkerState& self, PartitionRequest* req) {
     }
     if (attached) return;
   }
-  compute_batch(self, req);
+  compute_batch(self, req, batch, share);
 }
 
-void PartitionService::compute_batch(WorkerState& self,
-                                     PartitionRequest* root) {
-  // The batch lives on this worker's stack; other workers reach it only
-  // through inflight_ under mu_, and it is unregistered (under mu_) before
-  // this frame unwinds, so the escape is bounded.
-  Batch batch;
-  batch.key = root->key_;
-  batch.head = root;
-  root->batch_next_ = nullptr;
-  const bool share = !root->bypass_cache;
-  if (share) {
-    core::MutexLock lock(mu_);
-    inflight_.push_back(&batch);
-  }
-
+void PartitionService::compute_batch(WorkerState& self, PartitionRequest* root,
+                                     Batch& batch, bool share) {
   std::shared_ptr<const PartitionResult> result;
   ServiceStatus status = ServiceStatus::kOk;
   std::string error;
@@ -329,8 +328,8 @@ void PartitionService::compute_batch(WorkerState& self,
     head = batch.head;
     if (share && status == ServiceStatus::kOk && config_.cache_enabled &&
         cache_.find(batch.key) == cache_.end()) {
-      // (The find() guards the unlocked window between dispatch's miss and
-      // this insert: a racing worker may have cached the key meanwhile.)
+      // (The find() is defensive: single-flight leaves no other shared
+      // compute of this key that could have cached it meanwhile.)
       if (cache_.size() < config_.cache_capacity) {
         const std::size_t slot = clock_.size();
         clock_.push_back(ClockSlot{batch.key, false});

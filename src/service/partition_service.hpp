@@ -333,7 +333,12 @@ class PartitionService {
   void worker_loop(WorkerState& self);
   void handle(WorkerState& self, PartitionRequest* req);
   void dispatch(WorkerState& self, PartitionRequest* req);
-  void compute_batch(WorkerState& self, PartitionRequest* root);
+  /// Computes the key of `batch`, which `root` leads, and completes every
+  /// request in it.  `share`: dispatch registered the batch in inflight_
+  /// (other workers may attach until it is unregistered) and the result
+  /// goes to the cache.
+  void compute_batch(WorkerState& self, PartitionRequest* root, Batch& batch,
+                     bool share);
   [[nodiscard]] std::shared_ptr<const PartitionResult> compute(
       WorkerState& self, const core::PartitionCacheKey& key);
   [[nodiscard]] const core::Partitioner& partitioner_for(

@@ -104,7 +104,7 @@ SimResult<P> ba_like_simulate(P problem, std::int32_t n,
       // the pieces (pipelined sends, one per unit of t_send).
       const auto pieces_before = out.pieces.size();
       lbb::core::detail::hf_run(ctx, hf_ws, std::move(f.problem), f.n,
-                                f.proc_lo, f.depth, f.node);
+                                {f.proc_lo, f.depth, f.node});
       const auto produced =
           static_cast<std::int32_t>(out.pieces.size() - pieces_before);
       const double step = fault.bisect_cost(f.proc_lo, cost.t_bisect);

@@ -81,8 +81,8 @@ class Xoshiro256 {
   /// Advances the state by 2^128 steps (the reference jump polynomial of
   /// Blackman & Vigna).  One seeded generator can be split into up to 2^128
   /// non-overlapping lanes of 2^128 draws each: lane k is the base state
-  /// jumped k times.  Used by the batched trial engine to hand every lane an
-  /// independent stream whose draws cannot collide with any sibling's.
+  /// jumped k times, an independent stream whose draws cannot collide with
+  /// any sibling's.
   constexpr void jump() noexcept {
     constexpr std::array<std::uint64_t, 4> kJump = {
         0x180ec6d33cfd0abaULL, 0xd5a61266f0c9392cULL, 0xa9582618e03fc9aaULL,

@@ -22,12 +22,16 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
 #include <functional>
 #include <memory>
 #include <string>
 #include <vector>
 
+#include "core/ba.hpp"
+#include "core/ba_hf.hpp"
+#include "core/bounds.hpp"
 #include "core/hf.hpp"
 #include "core/run_context.hpp"
 #include "problems/alpha_dist.hpp"
@@ -290,6 +294,47 @@ TEST(PartitionerConformance, EveryProblemTypeTimesEveryPartitioner) {
         // Context accounting: the run reported its bisections.
         EXPECT_EQ(ctx.metrics.bisections, result.bisections);
         EXPECT_EQ(ctx.metrics.partitions, 1);
+      }
+    }
+  }
+}
+
+// The kernels are generic over their output sink for any Bisectable; the
+// experiment engines run only SyntheticProblem under the max sink.  For
+// every problem class here, HF, BA, BA' and BA-HF under the max sink must
+// report the full partition's heaviest piece and bisection count bit for
+// bit.  These problems reach the kernels as AnyProblem, which does not opt
+// into HF's tree walk, so HF runs its selection loop under both sinks.
+TEST(PartitionerConformance, MaxSinkMatchesFullPartitionOnEveryProblemType) {
+  static_assert(!detail::kHfWalks<detail::MaxSink, AnyProblem>);
+  PartitionerConfig config;
+  config.alpha = 0.2;
+  const std::int32_t switch_threshold =
+      ba_hf_switch_threshold(config.alpha, config.beta);
+  for (const auto& spec : problem_specs()) {
+    for (const std::int32_t n : spec.n_values) {
+      for (const std::string algo : {"hf", "ba", "ba_star", "ba_hf"}) {
+        SCOPED_TRACE(spec.name + " x " + algo + " n=" + std::to_string(n));
+        RunContext ctx(1);
+        const auto want = PartitionerRegistry::instance()
+                              .create(algo, config)
+                              ->run(ctx, spec.make(), n);
+        TrialWorkspace<AnyProblem> ws;
+        detail::MaxSink sink;
+        AnyProblem p = spec.make();
+        if (algo == "hf") {
+          detail::hf_run(sink, ws, std::move(p), n, {});
+        } else if (algo == "ba_hf") {
+          detail::ba_hf_run(sink, ws, std::move(p), n, {}, switch_threshold);
+        } else {
+          const double prune =
+              algo == "ba" ? -1.0
+                           : phf_phase1_threshold(config.alpha, p.weight(), n);
+          detail::ba_run(sink, ws, std::move(p), n, {}, prune);
+        }
+        EXPECT_EQ(std::bit_cast<std::uint64_t>(sink.max),
+                  std::bit_cast<std::uint64_t>(want.max_weight()));
+        EXPECT_EQ(sink.bisections, want.bisections);
       }
     }
   }

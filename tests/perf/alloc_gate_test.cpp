@@ -288,12 +288,11 @@ TEST(AllocGate, ServiceWarmCacheHitsAreAllocationFree) {
 }
 
 TEST(AllocGate, BatchedTrialRunnerSteadyStateIsAllocationFree) {
-  // The batched engine's contract: once prepare() sized the workspace, a
-  // full sub-batch sweep -- BA frame stacks, HF's tree walks and
-  // selections -- performs EXACTLY ZERO heap allocations,
-  // for every batchable kind.  (Held to the same bar as the scalar kernels
-  // above; lbb-lint covers core/batch/ statically, this covers it
-  // dynamically.)
+  // The max-sink runner's contract: once its workspace is sized for n, a
+  // full sweep -- BA frame stacks, HF's tree walks and selections --
+  // performs EXACTLY ZERO heap allocations, for every supported kind.
+  // (Held to the same bar as the full-partition kernels above; lbb-lint
+  // covers the kernels statically, this covers them dynamically.)
   const AlphaDistribution dist = AlphaDistribution::uniform(0.1, 0.5);
   constexpr std::int32_t kWidth = 8;
   for (const char* algo : {"hf", "ba", "ba_star", "ba_hf"}) {
@@ -324,9 +323,9 @@ TEST(AllocGate, BatchedTrialRunnerSteadyStateIsAllocationFree) {
 }
 
 TEST(AllocGate, BatchedHfLargeNSteadyStateIsAllocationFree) {
-  // The batched HF runner at 2^14 finds each lane's heaviest piece with the
-  // workspace's tree walk and bucket selection, whose buffers prepare()
-  // sized from its n; 16 batches of fresh seeds after warm-up on
+  // HF under the max sink at 2^14 finds each trial's heaviest piece with
+  // the workspace's tree walk and bucket selection, whose buffers the
+  // runner sized from its n; 16 batches of fresh seeds after warm-up on
   // others must not allocate.
   constexpr std::int32_t kLargeN = std::int32_t{1} << 14;
   constexpr std::int32_t kWidth = 2;
@@ -353,7 +352,7 @@ TEST(AllocGate, BatchedHfLargeNSteadyStateIsAllocationFree) {
 
 TEST(AllocGate, BatchedHfFallbackSteadyStateIsAllocationFree) {
   // U[0.02, 0.04] visits about 8.6 tree nodes per piece at 2^14, far past
-  // the walk's budget: the first lane gives the walk up and every lane
+  // the walk's budget: the first trial gives the walk up and every trial
   // after it simulates HF with the weight-band queue.  16 batches of fresh
   // seeds after warm-up on others must not allocate on that path either.
   constexpr std::int32_t kLargeN = std::int32_t{1} << 14;
@@ -380,12 +379,12 @@ TEST(AllocGate, BatchedHfFallbackSteadyStateIsAllocationFree) {
 }
 
 TEST(AllocGate, BatchedBaHfQueuePoolDoesNotDependOnHfPhaseSizes) {
-  // BA-HF's HF phase runs hf_lane_run on subproblems of fewer than
+  // BA-HF's HF phase runs hf_run on subproblems of fewer than
   // beta/alpha + 1 processors, walked or banded from
   // detail::kHfBandMinPieces on.  Warm up with beta = 0.4 (HF phases below
   // 41 processors), then measure with beta = 1 (below 101) on the same
-  // workspace: the walk buffers and the lane queue's pool, both sized from
-  // the prepared n, must already be large enough for the bigger phases.
+  // runner: the walk buffers and the band queue's pool, both sized from
+  // the trial's n, must already be large enough for the bigger phases.
   const AlphaDistribution dist = AlphaDistribution::uniform(0.01, 0.5);
   constexpr std::int32_t kWidth = 4;
   BuiltinAlgo algo = PartitionerRegistry::instance()

@@ -1,6 +1,7 @@
-// Property test: detail::HfHeap (inline 4-ary max-heap) against a
-// std::priority_queue reference with the identical comparator, and
-// detail::HfBandQueue (HF's weight-band queue) against HfHeap.
+// Property test: detail::HfHeap (inline 4-ary max-heap, growing or through
+// the fixed-capacity HfHeap::Local that hf_run's selection loop uses)
+// against a std::priority_queue reference with the identical comparator,
+// and detail::HfBandQueue (HF's weight-band queue) against HfHeap.
 //
 // HF's determinism guarantee rests on the heap popping in a unique order:
 // the priority (weight desc, seq asc) is a TOTAL order because seq is
@@ -18,7 +19,6 @@
 #include <queue>
 #include <vector>
 
-#include "core/batch/batch_workspace.hpp"
 #include "core/detail/scratch.hpp"
 #include "stats/rng.hpp"
 
@@ -44,13 +44,18 @@ void expect_same_entry(const HfHeapEntry& got, const HfHeapEntry& want,
   ASSERT_EQ(got.slot, want.slot) << "at step " << step;
 }
 
-/// Drives both heaps with the same stream: `push_bias` in [0,1] controls
-/// the push/pop mix, `weight_levels` == 0 means continuous weights, k > 0
+/// Drives the heaps with the same stream: an HfHeap that grows as it goes,
+/// an HfHeap::Local over a buffer reserved for the whole stream (hf_run's
+/// selection loop), and the reference.  `push_bias` in [0,1] controls the
+/// push/pop mix, `weight_levels` == 0 means continuous weights, k > 0
 /// quantizes to k distinct values (dense ties).
 void run_stream(std::uint64_t seed, int steps, double push_bias,
                 int weight_levels) {
   lbb::stats::Xoshiro256 rng(seed);
   HfHeap heap;
+  HfHeap reserved;
+  reserved.reserve(static_cast<std::size_t>(steps));
+  HfHeap::Local local = reserved.local();
   RefHeap ref;
   std::int64_t seq = 0;
   for (int step = 0; step < steps; ++step) {
@@ -65,14 +70,18 @@ void run_stream(std::uint64_t seed, int steps, double push_bias,
       const HfHeapEntry e{w, seq, static_cast<std::int32_t>(seq % 1000)};
       ++seq;
       heap.push(e);
+      local.push(e);
       ref.push(e);
     } else {
       ASSERT_FALSE(heap.empty());
       expect_same_entry(heap.top(), ref.top(), step);
+      expect_same_entry(local.top(), ref.top(), step);
       const HfHeapEntry got = heap.pop();
+      const HfHeapEntry got_local = local.pop();
       const HfHeapEntry want = ref.top();
       ref.pop();
       expect_same_entry(got, want, step);
+      expect_same_entry(got_local, want, step);
     }
     ASSERT_EQ(heap.size(), ref.size());
   }
@@ -81,9 +90,11 @@ void run_stream(std::uint64_t seed, int steps, double push_bias,
   while (!ref.empty()) {
     ASSERT_FALSE(heap.empty());
     const HfHeapEntry got = heap.pop();
+    const HfHeapEntry got_local = local.pop();
     const HfHeapEntry want = ref.top();
     ref.pop();
-    expect_same_entry(got, want, step++);
+    expect_same_entry(got, want, step);
+    expect_same_entry(got_local, want, step++);
   }
   EXPECT_TRUE(heap.empty());
 }
@@ -111,96 +122,6 @@ TEST(HfHeapProperty, MatchesPriorityQueuePopHeavy) {
   // Pop-biased stream exercises deep sift-downs on a shrinking heap.
   for (std::uint64_t seed = 200; seed <= 210; ++seed) {
     run_stream(seed, 3000, 0.35, /*weight_levels=*/5);
-  }
-}
-
-// ---------------------------------------------------------------------------
-// Lane heaps (core/batch): the raw-buffer push/pop the batched kernels use
-// must pop byte-for-byte what the scalar HfHeap pops, per lane, for the
-// batched HF driver to be bit-identical to hf_run.
-
-/// Drives `lanes` independent (lane heap, HfHeap) pairs with interleaved
-/// per-lane streams and byte-compares every pop on every lane.
-void run_lane_streams(std::uint64_t seed, int lanes, int steps,
-                      double push_bias, int weight_levels) {
-  const int cap = steps + 1;
-  std::vector<HfHeapEntry> storage(static_cast<std::size_t>(lanes) * cap);
-  std::vector<std::int32_t> lane_size(static_cast<std::size_t>(lanes), 0);
-  std::vector<HfHeap> scalar(static_cast<std::size_t>(lanes));
-  std::vector<std::int64_t> seq(static_cast<std::size_t>(lanes), 0);
-  lbb::stats::Xoshiro256 rng(seed);
-  for (int step = 0; step < steps; ++step) {
-    // Interleave the lanes: every lane takes one action per step, chosen
-    // from the lane's own view of the stream.
-    for (int l = 0; l < lanes; ++l) {
-      HfHeapEntry* h = storage.data() + static_cast<std::size_t>(l) * cap;
-      const bool do_push =
-          scalar[l].empty() || rng.next_double() < push_bias;
-      if (do_push) {
-        double w = rng.next_double();
-        if (weight_levels > 0) {
-          w = static_cast<double>(static_cast<int>(w * weight_levels)) /
-              weight_levels;
-        }
-        const HfHeapEntry e{w, seq[l],
-                            static_cast<std::int32_t>(seq[l] % 1000)};
-        ++seq[l];
-        lbb::core::batch::lane_heap_push(h, lane_size[l], e);
-        scalar[l].push(e);
-      } else {
-        ASSERT_GT(lane_size[l], 0);
-        const HfHeapEntry got =
-            lbb::core::batch::lane_heap_pop(h, lane_size[l]);
-        const HfHeapEntry want = scalar[l].pop();
-        ASSERT_EQ(got.seq, want.seq)
-            << "lane " << l << " diverged at step " << step;
-        ASSERT_EQ(got.weight, want.weight) << "lane " << l;
-        ASSERT_EQ(got.slot, want.slot) << "lane " << l;
-      }
-      ASSERT_EQ(static_cast<std::size_t>(lane_size[l]), scalar[l].size());
-    }
-  }
-  // Drain every lane: the complete remaining order must agree bytewise.
-  for (int l = 0; l < lanes; ++l) {
-    HfHeapEntry* h = storage.data() + static_cast<std::size_t>(l) * cap;
-    while (!scalar[l].empty()) {
-      ASSERT_GT(lane_size[l], 0);
-      const HfHeapEntry got = lbb::core::batch::lane_heap_pop(h, lane_size[l]);
-      const HfHeapEntry want = scalar[l].pop();
-      ASSERT_EQ(got.seq, want.seq) << "lane " << l << " drain diverged";
-      ASSERT_EQ(got.weight, want.weight) << "lane " << l;
-      ASSERT_EQ(got.slot, want.slot) << "lane " << l;
-    }
-    EXPECT_EQ(lane_size[l], 0);
-  }
-}
-
-TEST(LaneHeapProperty, MatchesHfHeapContinuousWeights) {
-  for (std::uint64_t seed = 300; seed <= 310; ++seed) {
-    run_lane_streams(seed, /*lanes=*/8, /*steps=*/1500, 0.6,
-                     /*weight_levels=*/0);
-  }
-}
-
-TEST(LaneHeapProperty, MatchesHfHeapDenseDuplicateTies) {
-  // Few distinct weights: nearly every comparison is decided by the seq
-  // tiebreak -- the regime where any sift-order slip between the raw-buffer
-  // heap and HfHeap shows up as a pop divergence.
-  for (std::uint64_t seed = 400; seed <= 410; ++seed) {
-    run_lane_streams(seed, /*lanes=*/16, /*steps=*/1500, 0.6,
-                     /*weight_levels=*/2);
-  }
-}
-
-TEST(LaneHeapProperty, MatchesHfHeapAllEqualWeights) {
-  run_lane_streams(17, /*lanes=*/4, /*steps=*/3000, 0.55,
-                   /*weight_levels=*/1);
-}
-
-TEST(LaneHeapProperty, MatchesHfHeapPopHeavy) {
-  for (std::uint64_t seed = 500; seed <= 505; ++seed) {
-    run_lane_streams(seed, /*lanes=*/8, /*steps=*/2000, 0.35,
-                     /*weight_levels=*/4);
   }
 }
 

@@ -78,9 +78,8 @@ TEST(Xoshiro, BelowZeroThrowsInsteadOfUb) {
 }
 
 TEST(XoshiroJump, PinnedCrossPlatformByteStability) {
-  // The batched trial engine keys per-lane RNG streams off jump(); a lane's
-  // draws must be the SAME BYTES on every platform and compiler, or batched
-  // CSVs stop being portable golden files.  These constants were produced
+  // Streams split off jump() must draw the SAME BYTES on every platform and
+  // compiler, or results built on them stop being portable golden files.  These constants were produced
   // by the reference xoshiro256** jump polynomial and pin the first four
   // draws of the 0-, 1- and 2-jump streams for two seeds.
   struct Pin {

@@ -3,15 +3,15 @@
 #
 # Runs lbb-lint, then `lbb_bench table1` on a small grid at --threads=1, 2
 # and 8 and requires the CSVs to be byte-identical, then runs `lbb_bench
-# tail_study --smoke` so the batched SoA trial engine -- including both
-# paths of its HF lanes, the tree walk and the queue fallback -- is
-# byte-compared against the scalar path across batch widths and thread
-# counts.  Pure output comparison -- no wall-clock assertions, so it is
-# safe on loaded or single-core CI runners.
+# tail_study --smoke` so the max-sink trials of the builtin families --
+# including both paths of HF, the tree walk and the queue fallback -- are
+# byte-compared against full partitions at one and two threads.  Pure
+# output comparison -- no wall-clock assertions, so it is safe on loaded
+# or single-core CI runners.
 #
 # The other identity and allocation checks live in ctest: `par:*` against
-# the sequential kernels in `runtime_work_stealing_test`, batched against
-# scalar ratio cells in `experiments_batch_identity_test`, and the
+# the sequential kernels in `runtime_work_stealing_test`, max-sink against
+# full-partition ratio cells in `experiments_batch_identity_test`, and the
 # service's hit/miss/bypass identity and warm zero-allocation serving in
 # `service_test` and `perf_alloc_gate_test`.
 #
@@ -75,14 +75,14 @@ for t in 2 8; do
   echo "ok: threads=$t CSV byte-identical to threads=1"
 done
 
-echo "== batched-engine byte-identity: lbb_bench tail_study --smoke =="
-# The structure-of-arrays batch kernels must reproduce the scalar trial
-# path exactly -- RunningStats, bisection counts and every histogram bin --
-# for batch widths {1,4,8,16} at one and several threads, on U[0.01,0.5]
-# (HF lanes take the tree walk) and U[0.02,0.04] (they fall back to the
-# selection queue).
+echo "== max-sink byte-identity: lbb_bench tail_study --smoke =="
+# The kernels under the max sink must reproduce full partitions exactly --
+# RunningStats, bisection counts and every histogram bin -- at one and two
+# threads, on U[0.01,0.5] (HF takes the tree walk) and U[0.02,0.04] (it
+# falls back to the selection queue).  The reference study runs par:ba,
+# par:ba_star, par:ba_hf and phf:oracle, which build every piece.
 "$LBB" tail_study --smoke
-echo "ok: batched trial engine byte-identical to scalar across widths"
+echo "ok: max-sink trials byte-identical to full partitions"
 
 if [ -n "$BUILD_DIR" ]; then
   echo "== service suite: ctest -L service =="

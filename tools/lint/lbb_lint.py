@@ -11,8 +11,8 @@ The repo makes three promises that ordinary compilers cannot check:
                   only inside runtime/work_stealing.cpp, where the deque
                   protocol documents each order.
   hot-path alloc -- functions marked LBB_HOT (the per-bisection kernels,
-                  their workspace helpers, and the structure-of-arrays batch
-                  kernels under src/core/batch/) must not allocate except
+                  HF's tree walk among them, and their workspace helpers)
+                  must not allocate except
                   through workspace-recycled storage; the runtime alloc gate
                   (tests/perf/alloc_gate_test.cpp) proves the steady state,
                   this lint pins the provenance statically.

@@ -57,14 +57,15 @@ class FixtureRules(unittest.TestCase):
         self.assertNotIn("bisect", out, "problem calls are opaque")
 
     def test_hot_alloc_covers_batch_kernels(self):
-        # The batched SoA engine (src/core/batch/) is inside the hot-alloc
-        # closure; this fixture proves the rule fires on batch-shaped code:
-        # lane-local container growth and a spill helper are flagged while
-        # the workspace's recycled SoA vectors stay exempt.
+        # The trial kernels (HF's tree walk in src/core/hf.hpp
+        # among them) are inside the hot-alloc closure; this fixture proves
+        # the rule fires on such code: kernel-local container growth and a
+        # spill helper are flagged while the workspace's recycled buffers
+        # stay exempt.
         lines, out = self.findings("bad_batch_alloc.cpp", "hot-alloc")
         self.assertEqual(len(lines), 3, out)
         self.assertIn("spill_lane", out, "closure must reach the lane helper")
-        self.assertNotIn("slot_weight", out, "ws SoA vector is exempt")
+        self.assertNotIn("slot_weight", out, "ws vector is exempt")
         self.assertNotIn("heap.emplace_back", out, "ws alias is exempt")
 
     def test_raw_rng_fires(self):

@@ -1,10 +1,10 @@
-// lbb-lint negative fixture: a structure-of-arrays batched lane kernel in
-// the style of src/core/batch/ (LBB_HOT kernels advancing lanes over a
-// BatchWorkspace).  The hot-alloc closure must flag growth of lane-local
-// containers -- the batched engine's whole point is that per-lane state
-// lives in the workspace's recycled SoA vectors -- while leaving
+// lbb-lint negative fixture: a trial kernel in the style of HF's tree walk
+// (src/core/hf.hpp: an LBB_HOT loop filling workspace scratch arrays).
+// The hot-alloc closure must flag growth of
+// kernel-local containers -- the kernels' whole point is that per-run
+// state lives in the workspace's recycled buffers -- while leaving
 // workspace-rooted receivers alone.  Never compiled; exists so
-// tools/lint/lbb_lint_test.py can prove the rule covers batch-shaped code.
+// tools/lint/lbb_lint_test.py can prove the rule covers such kernels.
 #include <vector>
 
 #define LBB_HOT
@@ -14,23 +14,23 @@ struct LaneEntry {
   double weight;
 };
 
-struct BatchWorkspace {
+struct KernelWorkspace {
   std::vector<double> slot_weight;
   std::vector<LaneEntry> heap;
 };
 
-// Reachable one level down from the hot lane kernel: still in the closure.
+// Reachable one level down from the hot kernel: still in the closure.
 inline void spill_lane(std::vector<LaneEntry>& out, LaneEntry e) {
   out.push_back(e);  // BAD: receiver not workspace-rooted
 }
 
-LBB_HOT inline void batch_lane_run(BatchWorkspace& ws, const double* w,
+LBB_HOT inline void batch_lane_run(KernelWorkspace& ws, const double* w,
                                    int count) {
   std::vector<LaneEntry> overflow;
-  overflow.reserve(static_cast<unsigned>(count));  // BAD: lane-local growth
+  overflow.reserve(static_cast<unsigned>(count));  // BAD: local growth
   for (int i = 0; i < count; ++i) {
     overflow.push_back(LaneEntry{0, w[i]});  // BAD
-    ws.slot_weight.push_back(w[i]);          // OK: workspace SoA vector
+    ws.slot_weight.push_back(w[i]);          // OK: workspace vector
   }
   auto& heap = ws.heap;
   heap.emplace_back();                      // OK: alias of a ws member
