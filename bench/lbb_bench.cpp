@@ -51,7 +51,7 @@ void print_usage(std::ostream& os) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  // Make the sim-layer ("phf:*", "sim:*") and work-stealing ("par:*")
+  // Make the sim-layer ("phf:*", "sim:*") and thread-pool ("par:*")
   // names resolvable everywhere.
   lbb::sim::register_sim_partitioners();
   lbb::runtime::register_par_partitioners();

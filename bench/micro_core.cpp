@@ -21,7 +21,6 @@
 #include "problems/synthetic.hpp"
 #include "runtime/par_partition.hpp"
 #include "runtime/thread_pool.hpp"
-#include "runtime/work_stealing.hpp"
 #include "stats/alloc_stats.hpp"
 
 namespace {
@@ -319,13 +318,13 @@ void BM_ThreadPoolSubmitInline(benchmark::State& state) {
                           static_cast<std::int64_t>(batch));
 }
 
-// Work-stealing parallel BA over a warm single-worker pool: the same
-// contract as BM_BaPartitionWorkspace (allocs_per_op == 0 steady-state,
-// asserted by the perf gate) plus the runtime's spawn/terminal overhead.
+// Parallel BA over a warm single-worker pool: the same contract as
+// BM_BaPartitionWorkspace (allocs_per_op == 0 steady-state, asserted by
+// the perf gate) plus the runtime's frontier/frame/compaction overhead.
 void BM_ParBaPartitionWorkspace(benchmark::State& state) {
   const auto n = static_cast<std::int32_t>(state.range(0));
   const SyntheticProblem p(1, AlphaDistribution::uniform(0.1, 0.5));
-  lbb::runtime::WorkStealingPool pool(1);
+  lbb::runtime::ThreadPool pool(1);
   lbb::core::TrialWorkspace<SyntheticProblem> ws;
   for (int warm = 0; warm < 2; ++warm) {
     ws.recycle(lbb::runtime::par_ba_partition(pool, ws, p, n));

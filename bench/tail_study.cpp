@@ -84,7 +84,7 @@ bool cells_identical(const TailStudyResult& a, const TailStudyResult& b) {
 /// --smoke: a small study of the builtin families, which run under the max
 /// sink, at one and two threads, each required to be bit-identical to the
 /// same study built from full partitions: par:ba, par:ba_star and par:ba_hf
-/// (work-stealing, byte-identical to BA, BA' and BA-HF) and phf:oracle
+/// (on a thread pool, byte-identical to BA, BA' and BA-HF) and phf:oracle
 /// (PHF, whose pieces equal HF's as a multiset), which the engine runs
 /// through the erased interface.  Two distributions: the default
 /// U[0.01, 0.5], whose HF runs take the tree walk, and the narrow

@@ -12,7 +12,7 @@
 //   "phf:oracle|ba_prime|probe"  PHF on the simulated machine
 //                                (registered by sim::register_sim_partitioners)
 //   "sim:ba|ba_star|ba_hf"       BA-family simulated executions (ditto)
-//   "par:ba|ba_star|ba_hf"       BA-family on the real work-stealing pool
+//   "par:ba|ba_star|ba_hf"       BA-family on a real thread pool
 //                                (runtime::register_par_partitioners)
 //
 // A Partitioner runs through the type-erased interface

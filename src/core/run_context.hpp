@@ -1,17 +1,16 @@
 // RunContext: the per-run spine threaded through core -> sim ->
 // experiments -> bench.
 //
-// Every partitioning run (a registry dispatch, an experiment trial chunk, a
-// simulated execution) carries one RunContext.  It owns
+// Every partitioning run (a registry dispatch, an experiment trial, a
+// simulated execution) carries one RunContext.  It holds
 //
-//   * the RNG stream of the run (seeded; substreams via fork_seed / fork so
-//     parallel chunks stay deterministic and independent),
+//   * the run's seed (substream seeds via fork_seed, so parallel chunks
+//     stay deterministic and independent),
 //   * a metrics accumulator (RunMetrics) plus an optional MetricsSink for
 //     named counters the core layer cannot know about (the sim layer
 //     reports makespan / messages / collectives / fault accounting through
-//     it),
-//   * an optional trace hook for coarse progress events, and
-//   * a cooperative deadline / cancellation token.
+//     it, the par:* partitioners their frame counts), and
+//   * an optional cooperative cancellation token.
 //
 // Granularity contract: contexts are checked at *run boundaries* (per
 // partition call, per experiment trial), never inside the per-bisection hot
@@ -21,14 +20,11 @@
 #pragma once
 
 #include <atomic>
-#include <chrono>
 #include <cstdint>
-#include <functional>
-#include <optional>
 #include <stdexcept>
+#include <string>
 #include <string_view>
 
-#include "core/sync.hpp"
 #include "stats/rng.hpp"
 
 namespace lbb::core {
@@ -38,8 +34,8 @@ namespace lbb::core {
 class CancelToken {
  public:
   // seq_cst accesses (cancellation is checked at run granularity, never in
-  // a per-bisection loop): non-seq_cst orders are confined to
-  // runtime/work_stealing.cpp by the lbb-lint memory-order rule.
+  // a per-bisection loop): the lbb-lint memory-order rule bans weaker
+  // orders.
   void cancel() noexcept { flag_.store(true); }
   [[nodiscard]] bool cancelled() const noexcept { return flag_.load(); }
 
@@ -47,9 +43,10 @@ class CancelToken {
   std::atomic<bool> flag_{false};
 };
 
-/// Thrown by RunContext::checkpoint() when the run was cancelled or its
-/// deadline passed.  Derives from std::runtime_error so generic harness
-/// error handling reports it cleanly.
+/// Thrown by RunContext::checkpoint() when the run was cancelled (and by
+/// the experiment engines when their time limit passed).  Derives from
+/// std::runtime_error so generic harness error handling reports it
+/// cleanly.
 class OperationCancelled : public std::runtime_error {
  public:
   explicit OperationCancelled(const std::string& what)
@@ -78,110 +75,37 @@ struct RunMetrics {
 
 /// Receiver for named counters from layers above core (sim reports
 /// "sim.makespan", "sim.messages", ... through this).  Implementations are
-/// used from one thread at a time per RunContext; a sink shared between
-/// forked contexts must synchronize itself (see LockedMetricsSink).
+/// used from one thread at a time per RunContext.
 class MetricsSink {
  public:
   virtual ~MetricsSink() = default;
   virtual void on_counter(std::string_view key, double value) = 0;
 };
 
-/// MetricsSink decorator that serializes on_counter calls, making any
-/// underlying sink safe to share between contexts forked onto worker
-/// threads.  The lock discipline is annotated so clang's thread-safety
-/// analysis verifies the inner sink is never reached without the mutex.
-class LockedMetricsSink final : public MetricsSink {
- public:
-  /// Wraps `inner` (not owned; must outlive this decorator).
-  explicit LockedMetricsSink(MetricsSink& inner) : inner_(&inner) {}
-
-  void on_counter(std::string_view key, double value) override
-      LBB_EXCLUDES(mu_) {
-    MutexLock lock(mu_);
-    inner_->on_counter(key, value);
-  }
-
- private:
-  Mutex mu_;
-  MetricsSink* inner_ LBB_PT_GUARDED_BY(mu_);
-};
-
-/// The run spine.  Cheap to construct and to fork; movable.
+/// The run spine.  Cheap to construct; movable.
 class RunContext {
  public:
-  using Clock = std::chrono::steady_clock;
-  /// Trace hook: (event name, value).  Called at run boundaries only.
-  using TraceHook = std::function<void(std::string_view, double)>;
+  explicit RunContext(std::uint64_t seed) : seed_(seed) {}
 
-  RunContext() : RunContext(0) {}
-  explicit RunContext(std::uint64_t seed) : seed_(seed), rng_(seed) {}
-
-  /// Seed this context was created with (root of its RNG stream).
+  /// Seed this context was created with.
   [[nodiscard]] std::uint64_t seed() const noexcept { return seed_; }
-
-  /// The context's own RNG stream.  Not shared across threads; use fork()
-  /// to derive independent streams for parallel work.
-  [[nodiscard]] lbb::stats::Xoshiro256& rng() noexcept { return rng_; }
 
   /// Deterministic substream seed for `salt` (path-hashed, stateless).
   [[nodiscard]] std::uint64_t fork_seed(std::uint64_t salt) const noexcept {
     return lbb::stats::mix64(seed_, salt);
   }
 
-  /// Child context for parallel work unit `salt`: independent RNG stream,
-  /// fresh metrics, same sink / trace / deadline / cancellation.  Merge the
-  /// child's metrics back in deterministic order when the unit completes.
-  [[nodiscard]] RunContext fork(std::uint64_t salt) const {
-    RunContext child(fork_seed(salt));
-    child.sink = sink;
-    child.trace = trace;
-    child.deadline_ = deadline_;
-    child.cancel_ = cancel_;
-    return child;
-  }
-
   /// Attaches a cancellation token (not owned; may be nullptr to detach).
   void set_cancel_token(const CancelToken* token) noexcept {
     cancel_ = token;
   }
-  [[nodiscard]] const CancelToken* cancel_token() const noexcept {
-    return cancel_;
-  }
 
-  /// Sets the cooperative deadline `seconds` from now (<= 0 clears it).
-  void set_deadline_after(double seconds) {
-    if (seconds <= 0.0) {
-      deadline_.reset();
-      return;
-    }
-    deadline_ = Clock::now() + std::chrono::duration_cast<Clock::duration>(
-                                   std::chrono::duration<double>(seconds));
-  }
-
-  [[nodiscard]] bool has_deadline() const noexcept {
-    return deadline_.has_value();
-  }
-
-  /// True if the token fired or the deadline passed.
-  [[nodiscard]] bool cancelled() const {
-    if (cancel_ != nullptr && cancel_->cancelled()) return true;
-    return deadline_.has_value() && Clock::now() > *deadline_;
-  }
-
-  /// Cooperative checkpoint: throws OperationCancelled when cancelled().
-  /// Call between trials / partition runs, never per bisection.
+  /// Cooperative checkpoint: throws OperationCancelled when the token
+  /// fired.  Call between trials / partition runs, never per bisection.
   void checkpoint() const {
     if (cancel_ != nullptr && cancel_->cancelled()) {
       throw OperationCancelled("run cancelled");
     }
-    if (deadline_.has_value() && Clock::now() > *deadline_) {
-      throw OperationCancelled("run deadline exceeded");
-    }
-  }
-
-  /// Emits a trace event if a hook is installed (cheap no-op otherwise).
-  void emit(std::string_view event, double value) const {
-    if (trace) trace(event, value);
   }
 
   /// Reports a named counter to the sink, if any.
@@ -191,12 +115,9 @@ class RunContext {
 
   RunMetrics metrics;          ///< core accounting, owned by this context
   MetricsSink* sink = nullptr; ///< optional named-counter sink (not owned)
-  TraceHook trace;             ///< optional coarse progress hook
 
  private:
   std::uint64_t seed_ = 0;
-  lbb::stats::Xoshiro256 rng_;
-  std::optional<Clock::time_point> deadline_;
   const CancelToken* cancel_ = nullptr;
 };
 

@@ -5,11 +5,11 @@
 // wrappers add the attributes and nothing else: Mutex is exactly a
 // std::mutex, MutexLock is exactly a std::scoped_lock over one mutex, and
 // CvLock is exactly a std::unique_lock that condition variables can wait
-// on.  Every annotated class in the library (ThreadPool, WorkStealingPool,
-// PartitionerRegistry, the AlphaDistribution intern pool, ...) states its
-// lock discipline in terms of these types; see
-// src/core/thread_annotations.hpp for the macro definitions and the `tidy`
-// preset that enforces them.
+// on.  Every annotated class in the library (ThreadPool, the
+// parallel_for_chunks join, PartitionerRegistry, the AlphaDistribution
+// intern pool, PartitionService, ...) states its lock discipline in terms
+// of these types; see src/core/thread_annotations.hpp for the macro
+// definitions and the `tidy` preset that enforces them.
 #pragma once
 
 #include <condition_variable>

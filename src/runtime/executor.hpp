@@ -63,8 +63,8 @@ ExecutionReport execute_partition(const lbb::core::Partition<P>& partition,
           std::chrono::steady_clock::now() - start;
       // One piece per processor id: a plain store would do, but keep the
       // accumulation robust to future multi-piece assignments.
-      // seq_cst (free for RMW on x86): non-seq_cst orders are confined
-      // to runtime/work_stealing.cpp by the lbb-lint memory-order rule.
+      // seq_cst (free for RMW on x86): the lbb-lint memory-order rule
+      // bans weaker orders.
       double expected = busy[proc].load();
       while (!busy[proc].compare_exchange_weak(
           expected, expected + elapsed.count())) {

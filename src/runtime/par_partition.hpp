@@ -1,45 +1,56 @@
-// Parallel BA / BA' / BA-HF on the work-stealing runtime, byte-identical
-// to the sequential partitioners (ISSUE 6 tentpole).
+// Parallel BA / BA' / BA-HF on ThreadPool, byte-identical to the sequential
+// partitioners.
 //
-// Decomposition: the recursion's natural processor-range splits are the
-// tasks.  A task executes a *chain*: it repeatedly bisects its subproblem,
-// spawns the lighter child (which owns the upper processor sub-range) onto
-// the local deque, and continues with the heavier child -- exactly the
-// paper's "p1 stays on P_i, p2 is sent to P_{i+n1}".  When a chain's
-// processor count drops to the grain (or the family's own leaf/switch
-// condition fires), the remaining sub-range is finished with the unmodified
-// sequential kernel (detail::ba_run / ba_hf_run) on one worker, drawing
-// scratch from a worker-thread-local TrialWorkspace.
+// BA needs no global coordination: every subproblem carries its processor
+// range and is split locally (the paper's Section 3.4; sim/par_ba.hpp
+// models it), so a call's whole decomposition is fixed by its first few
+// hundred bisections.  A call therefore runs in three phases:
+//
+//   1. Frontier descent, on the caller: the sequential kernels' own
+//      descent (core::detail::ba_descend) from the root, stopping at every
+//      frame that holds at most `grain` processors or meets its family's
+//      leaf/switch condition.  Those frames are the *frontier*; a
+//      BuildContext on a scratch Partition counts the prefix bisections
+//      and, when recording, records the prefix tree.
+//   2. Frames, on the pool: parallel_for_chunks deals the frontier frames
+//      to the workers, and each worker finishes its frame with the
+//      unmodified sequential kernel (detail::ba_run / ba_hf_run), drawing
+//      scratch from a worker-thread-local TrialWorkspace and writing its
+//      pieces into staging slots indexed by absolute processor id.
+//   3. Compaction, on the caller: the staged pieces in ascending processor
+//      order, and under record_tree the stitched tree (stitch_tree).
 //
 // Determinism argument (why the output is byte-identical to sequential
-// ba/ba_star/ba_hf for every thread count, grain and steal order):
-//   1. Which frames exist, their processor ranges, and where chains end is
-//      a pure function of (problem, weights, n, grain, family thresholds)
-//      -- never of scheduling.  Work stealing only changes WHEN/WHERE a
-//      frame runs, not WHICH frames run.
+// ba/ba_star/ba_hf for every thread count and grain):
+//   1. The frontier is a pure function of (problem, weights, n, grain,
+//      family thresholds) -- never of scheduling -- and every frontier
+//      frame is a frame the sequential descent visits, with the same
+//      problem, processor range and depth.  The sequential kernel run from
+//      that frame makes the same decisions the sequential run makes below
+//      it.  The pool only changes WHEN/WHERE a frame runs.
 //   2. Every piece lands in a staging slot indexed by its absolute
-//      processor id; ranges are disjoint, so there are no write conflicts
-//      and no ordering sensitivity.  The sequential kernels emit pieces in
-//      strictly increasing processor order (BA pops the heavier/low-range
-//      child first; HF emits slots in creation order at proc_lo + i), so
-//      compacting the staging array in ascending processor order
-//      reproduces the sequential piece order exactly.
-//   3. The recorded BisectionTree is rebuilt after the join by replaying
-//      chain events and terminal subtrees in the sequential DFS order
-//      (see detail::stitch_tree), which reassigns the exact sequential
-//      node ids; piece->node links are patched through the same mapping.
+//      processor id; frames own disjoint ranges, so there are no write
+//      conflicts.  The sequential kernels emit pieces in strictly
+//      increasing processor order, so compacting the staging array in
+//      ascending processor order reproduces the sequential piece order.
+//   3. The sequential kernels bisect a subtree's nodes contiguously,
+//      heavier subtree first, so walking the prefix tree heavier child
+//      first and splicing in each frame's local subtree at its leaf replays
+//      the sequential creation order: ids, parents, child links and depths
+//      all come out identical (stitch_tree).
 //
-// Allocation: the steady-state non-recording path performs ZERO heap
-// allocations once warm -- task frames live in pre-allocated slots,
-// terminal scratch in thread-local workspaces, staging in a caller-thread
-// ParScratch, and the pieces vector can be recycled through a caller
-// TrialWorkspace (the extended perf_alloc_gate_test pins this).  Tree
+// Allocation: once warm, the non-recording path performs ZERO heap
+// allocations -- the frontier, the per-frame results and the staging live
+// in caller-thread scratch, frame scratch in worker-thread-local
+// workspaces, the dispatch is parallel_for_chunks' allocation-free
+// fork-join, and the pieces vector can be recycled through a caller
+// TrialWorkspace (tests/perf/alloc_gate_test.cpp pins this).  Tree
 // recording allocates (the tree itself does), exactly like sequential.
 #pragma once
 
 #include <algorithm>
+#include <chrono>
 #include <cstdint>
-#include <deque>
 #include <optional>
 #include <stdexcept>
 #include <utility>
@@ -50,308 +61,161 @@
 #include "core/bisection_tree.hpp"
 #include "core/bounds.hpp"
 #include "core/detail/build_context.hpp"
-#include "core/hf.hpp"
 #include "core/partition.hpp"
 #include "core/problem.hpp"
-#include "core/split.hpp"
 #include "core/workspace.hpp"
-#include "runtime/work_stealing.hpp"
+#include "runtime/parallel_for.hpp"
+#include "runtime/thread_pool.hpp"
+#include "stats/alloc_stats.hpp"
 
 namespace lbb::runtime {
 
 /// Knobs of a parallel partition call.
 struct ParOptions {
   core::PartitionOptions partition;  ///< record_tree, as sequential
-  /// Chains stop and run the sequential kernel once their processor count
-  /// is <= grain.  0 = auto: n / (8 * workers), clamped to [1, 8192].
-  /// Affects decomposition granularity only, never the output.
+  /// The most processors a frontier frame holds.  0 = auto:
+  /// n / (8 * workers), clamped to [1, 8192].  Affects decomposition
+  /// granularity only, never the output.
   std::int32_t grain = 0;
 };
 
 /// Per-call runtime counters (reported as par.* through RunContext by the
 /// registered partitioners; also available directly).
 struct ParStats {
-  std::int64_t spawns = 0;       ///< tasks pushed to deques
-  std::int64_t steals = 0;       ///< tasks executed by a non-owner
-  std::int64_t idle_ns = 0;      ///< pool parked-time delta (approximate)
-  std::int64_t alloc_count = 0;  ///< worker-side allocations of the job
+  std::int64_t spawns = 0;       ///< frontier frames dealt to the pool
+  /// Always 0; kept only for benchmark/large_n.cpp, which reports it.
+  std::int64_t steals = 0;
+  std::int64_t idle_ns = 0;      ///< workers x join wall time - frame time
+  std::int64_t alloc_count = 0;  ///< worker-side allocations of the call
   std::int64_t alloc_bytes = 0;
   std::int32_t grain = 0;        ///< effective grain used
 };
 
 namespace detail {
 
-enum class ParFamily { kBa, kBaStar, kBaHf };
+template <core::Bisectable P>
+using ParFrame = core::detail::BaFrame<P, core::detail::BuildContext<P>>;
 
-/// Chain-recording node for tree stitching: one fragment per task (chain),
-/// holding the chain's bisection events in order and its terminal run.
-/// Only populated when record_tree is set.
-struct Fragment {
-  struct ChainEvent {
-    double heavy_weight;  ///< left/heavier child (the chain continues)
-    double light_weight;  ///< right/lighter child (spawned)
-    Fragment* light;      ///< the spawned child's fragment
-  };
-  std::vector<ChainEvent> events;
-  std::int32_t term_lo = 0;           ///< terminal's processor range start
-  std::int32_t term_n = 0;            ///< terminal's processor count
-  core::BisectionTree subtree;        ///< terminal kernel's local tree
+/// What a worker reports for one frontier frame.
+struct FrameResult {
+  std::int64_t bisections = 0;
+  std::int64_t busy_ns = 0;
+  lbb::stats::AllocStats allocs;
+  core::BisectionTree subtree;  ///< the frame's local tree, when recording
 };
 
-/// The typed job block: parameters, staging output and fragment arenas.
+/// Caller-thread scratch reused across calls.
 template <core::Bisectable P>
-class ParJob : public ParJobBase {
- public:
-  ParFamily family = ParFamily::kBa;
-  double prune_below = -1.0;          ///< BA' threshold (absolute weight)
-  std::int32_t switch_threshold = 0;  ///< BA-HF's HF switch
-  std::int32_t grain = 1;
-  bool record = false;
-  WorkStealingPool* ws_pool = nullptr;
-  /// Pre-sized output slots, indexed by absolute processor id.  Disjoint
-  /// terminal ranges mean disjoint writes; engaged entries are compacted
-  /// in ascending processor order after the join.
-  std::optional<core::Piece<P>>* staging = nullptr;
-  /// Per-worker fragment arenas (std::deque: stable addresses under
-  /// emplace_back, so fragments can be handed across workers).  Sized to
-  /// the pool's worker count when recording; untouched otherwise.
-  std::vector<std::deque<Fragment>> frag_arena;
-  Fragment root_frag;
+struct ParScratch {
+  core::TrialWorkspace<P> ws;  ///< the frontier descent's stack
+  std::vector<ParFrame<P>> frontier;
+  std::vector<FrameResult> results;
+  std::vector<std::optional<core::Piece<P>>> staging;
 };
 
-/// One task frame.  Placement-constructed into a TaskSlot's payload; falls
-/// back to the fully sequential kernel at compile time when too large.
+/// The frames phase's view of one call: references into the caller's
+/// scratch, taken before the fork (on a worker, the name of a caller
+/// thread_local would denote the worker's own instance).
 template <core::Bisectable P>
-struct ParFrame {
-  ParJob<P>* job;
-  P problem;
-  double weight;
-  std::int32_t n;
-  core::ProcessorId proc_lo;
-  std::int32_t depth;
-  Fragment* frag;  ///< nullptr unless recording
+struct FrameJob {
+  ParFrame<P>* frames;
+  FrameResult* results;
+  std::optional<core::Piece<P>>* staging;
+  double prune_below;             ///< BA' iff >= 0
+  std::int32_t switch_threshold;  ///< BA-HF iff > 0
+  bool record;
 };
 
+/// Finishes frontier frame `i` with the sequential kernel on this worker,
+/// writing its pieces into the staging slots.  Absolute proc_lo/depth go
+/// straight through; node ids are local to the frame's subtree and
+/// remapped by stitch_tree after the join.
 template <core::Bisectable P>
-inline constexpr bool frame_fits_slot_v =
-    sizeof(ParFrame<P>) <= TaskSlot::kPayloadBytes &&
-    alignof(ParFrame<P>) <= alignof(std::max_align_t);
-
-/// True when the chain must stop and hand the frame to the sequential
-/// kernel.  Supersets of the sequential leaf/switch conditions, so the
-/// kernel's own first-iteration checks reproduce sequential behavior.
-template <core::Bisectable P>
-[[nodiscard]] bool chain_terminal(const ParJob<P>& job,
-                                  const ParFrame<P>& f) noexcept {
-  if (f.n <= job.grain) return true;
-  switch (job.family) {
-    case ParFamily::kBa:
-      return f.n == 1;
-    case ParFamily::kBaStar:
-      return f.n == 1 || f.weight <= job.prune_below;
-    case ParFamily::kBaHf:
-      return f.n < job.switch_threshold;
-  }
-  return true;
-}
-
-/// Runs the sequential kernel over the frame's whole processor sub-range
-/// on this worker, writing pieces into the staging slots.  Absolute
-/// proc_lo/depth go straight through; node ids are local to the terminal's
-/// subtree and remapped by stitch_tree after the join.
-template <core::Bisectable P>
-void run_terminal(ParJob<P>& job, ParFrame<P> f) {
+void run_frame(const FrameJob<P>& job, std::size_t i) {
+  using Clock = std::chrono::steady_clock;
+  const auto allocs_before = lbb::stats::alloc_stats();
+  const auto start = Clock::now();
   // One workspace per (worker thread, problem type); warm after the first
-  // few terminals, then allocation-free like any sequential trial loop.
+  // few frames, then allocation-free like any sequential trial loop.
   static thread_local core::TrialWorkspace<P> ws;
+  ParFrame<P>& f = job.frames[i];
   core::Partition<P> tmp;
   tmp.pieces = ws.take_pieces(static_cast<std::size_t>(f.n));
   core::detail::BuildContext<P> bctx(tmp, job.record);
   bctx.reserve(f.n);
   const typename core::detail::BuildContext<P>::FrameTag at{
-      f.proc_lo, f.depth, bctx.root(f.weight)};
-  switch (job.family) {
-    case ParFamily::kBa:
-      core::detail::ba_run(bctx, ws, std::move(f.problem), f.n, at, -1.0);
-      break;
-    case ParFamily::kBaStar:
-      core::detail::ba_run(bctx, ws, std::move(f.problem), f.n, at,
-                           job.prune_below);
-      break;
-    case ParFamily::kBaHf:
-      core::detail::ba_hf_run(bctx, ws, std::move(f.problem), f.n, at,
-                              job.switch_threshold);
-      break;
+      f.tag.proc_lo, f.tag.depth, bctx.root(f.weight)};
+  if (job.switch_threshold > 0) {
+    core::detail::ba_hf_run(bctx, ws, std::move(f.problem), f.n, at,
+                            job.switch_threshold);
+  } else {
+    core::detail::ba_run(bctx, ws, std::move(f.problem), f.n, at,
+                         job.prune_below);
   }
-  job.bisections.fetch_add(tmp.bisections);
   for (auto& piece : tmp.pieces) {
     job.staging[piece.processor].emplace(std::move(piece));
   }
-  if (job.record) {
-    f.frag->term_lo = f.proc_lo;
-    f.frag->term_n = f.n;
-    f.frag->subtree = std::move(tmp.tree);
-  }
+  FrameResult& result = job.results[i];
+  result.bisections = tmp.bisections;
+  if (job.record) result.subtree = std::move(tmp.tree);
   ws.recycle(std::move(tmp));
+  result.busy_ns = std::chrono::duration_cast<std::chrono::nanoseconds>(
+                       Clock::now() - start)
+                       .count();
+  result.allocs = lbb::stats::alloc_stats() - allocs_before;
 }
 
-template <core::Bisectable P>
-void run_chain(ParJob<P>& job, ParFrame<P> f);
-
-/// Executes a spawned frame: moves it off the slot, releases the slot for
-/// immediate reuse, then runs the chain.  Exceptions propagate to the pool
-/// loop, which routes them into the job.
-template <core::Bisectable P>
-void chain_trampoline(TaskSlot* slot) {
-  auto* payload = reinterpret_cast<ParFrame<P>*>(slot->payload);
-  ParFrame<P> frame = std::move(*payload);
-  payload->~ParFrame<P>();
-  frame.job->ws_pool->release_slot(slot);
-  run_chain(*frame.job, std::move(frame));
-}
-
-/// Spawns the lighter child as a task on the current worker's deque, or
-/// runs it inline when the slab/deque is exhausted (output is unaffected:
-/// the decomposition is structure-determined).
-template <core::Bisectable P>
-void spawn_light(ParJob<P>& job, ParFrame<P>&& frame) {
-  WorkStealingPool::Worker* worker = job.ws_pool->current_worker();
-  TaskSlot* slot =
-      worker != nullptr ? job.ws_pool->acquire_slot(*worker) : nullptr;
-  if (slot == nullptr) {
-    run_chain(job, std::move(frame));
-    return;
-  }
-  ::new (static_cast<void*>(slot->payload)) ParFrame<P>(std::move(frame));
-  slot->run = &chain_trampoline<P>;
-  slot->job = &job;
-  // Count the task before publishing it; the executing worker's
-  // complete_one() balances this increment.
-  job.pending.fetch_add(1);
-  job.spawns.fetch_add(1);
-  if (!job.ws_pool->push_local(*worker, slot)) {
-    // Deque full (cannot happen while deque capacity == slab size, but
-    // handled for robustness): revert and execute inline.
-    job.pending.fetch_sub(1);
-    job.spawns.fetch_sub(1);
-    auto* payload = reinterpret_cast<ParFrame<P>*>(slot->payload);
-    ParFrame<P> reclaimed = std::move(*payload);
-    payload->~ParFrame<P>();
-    job.ws_pool->release_slot(slot);
-    run_chain(job, std::move(reclaimed));
-  }
-}
-
-/// The chain: bisect, spawn the lighter child, continue with the heavier
-/// one; finish the sub-range sequentially at the terminal condition.
-/// Mirrors detail::ba_run / ba_hf_run's split decisions exactly.
-template <core::Bisectable P>
-void run_chain(ParJob<P>& job, ParFrame<P> f) {
-  if (job.failed.load()) return;  // bail early
-  std::int64_t chain_bisections = 0;
-  for (;;) {
-    if (chain_terminal(job, f)) {
-      run_terminal(job, std::move(f));
-      break;
-    }
-    auto [left, right] = f.problem.bisect();
-    double wl = left.weight();
-    double wr = right.weight();
-    if (wl < wr) {
-      std::swap(left, right);
-      std::swap(wl, wr);
-    }
-    ++chain_bisections;
-    const std::int32_t n1 = core::ba_split_processors(wl, wr, f.n);
-    const std::int32_t depth = f.depth + 1;
-    Fragment* light_frag = nullptr;
-    if (job.record) {
-      WorkStealingPool::Worker* worker = job.ws_pool->current_worker();
-      // Each worker appends to its own arena only; std::deque keeps every
-      // earlier fragment's address stable.
-      auto& arena =
-          job.frag_arena[worker != nullptr
-                             ? static_cast<std::size_t>(worker->id)
-                             : 0];
-      light_frag = &arena.emplace_back();
-      f.frag->events.push_back(
-          Fragment::ChainEvent{wl, wr, light_frag});
-    }
-    spawn_light(job,
-                ParFrame<P>{&job, std::move(right), wr, f.n - n1,
-                            f.proc_lo + static_cast<core::ProcessorId>(n1),
-                            depth, light_frag});
-    f.problem = std::move(left);
-    f.weight = wl;
-    f.n = n1;
-    f.depth = depth;
-    if (job.failed.load()) {
-      job.bisections.fetch_add(chain_bisections);
-      return;
-    }
-  }
-  job.bisections.fetch_add(chain_bisections);
-}
-
-/// Rebuilds the global BisectionTree in sequential DFS order from the
-/// fragment graph, patching staged pieces' node ids along the way.
+/// Builds the output tree from the prefix tree and the frames' local
+/// subtrees, patching staged pieces' node ids along the way.
 ///
-/// Sequential numbering: set_root gives id 0; each bisection assigns the
-/// children (size, size+1); the DFS descends the heavier/left child fully
-/// before the lighter/right one.  A chain IS a left spine, so replaying a
-/// fragment's events in order, then its terminal subtree, then the spawned
-/// light children in reverse order (one shared LIFO stack does exactly
-/// this) visits bisections in the sequential creation order -- hence ids,
-/// parents, child links and depths all come out identical.
-///
-/// Terminal subtrees are local trees with root 0 whose bisection j created
-/// nodes (2j+1, 2j+2); mapping local id l -> (l == 0 ? entry : base+l-1)
-/// aligns them with the globally assigned ids.
+/// The walk visits the prefix tree heavier (left) child first.  An
+/// internal prefix node adds its bisection to `tree`; a prefix leaf is a
+/// frontier frame, whose local subtree (root 0; local bisection j created
+/// nodes 2j+1 and 2j+2) is spliced in with local id l -> (l == 0 ? the
+/// leaf's id : base + l - 1).  Since the sequential kernels bisect a
+/// subtree's nodes contiguously, heavier subtree first, this replays the
+/// sequential creation order.
 template <core::Bisectable P>
-void stitch_tree(core::BisectionTree& tree, Fragment* root,
-                 std::optional<core::Piece<P>>* staging) {
-  std::vector<std::pair<Fragment*, core::NodeId>> stack;
-  stack.emplace_back(root, 0);
+void stitch_tree(core::BisectionTree& tree, const core::BisectionTree& prefix,
+                 const FrameJob<P>& job, std::size_t frames) {
+  std::vector<std::size_t> frame_of(prefix.size());
+  for (std::size_t i = 0; i < frames; ++i) {
+    frame_of[static_cast<std::size_t>(job.frames[i].tag.node)] = i;
+  }
+  // (prefix node, output node) pairs still to visit.
+  std::vector<std::pair<core::NodeId, core::NodeId>> stack;
+  stack.emplace_back(0, 0);
   while (!stack.empty()) {
-    auto [frag, entry] = stack.back();
+    const auto [pre, at] = stack.back();
     stack.pop_back();
-    core::NodeId cur = entry;
-    for (const Fragment::ChainEvent& event : frag->events) {
-      const auto [heavy_id, light_id] =
-          tree.add_bisection(cur, event.heavy_weight, event.light_weight);
-      stack.emplace_back(event.light, light_id);
-      cur = heavy_id;
+    const core::BisectionTree::Node& node = prefix.node(pre);
+    if (node.left != core::kNoNode) {
+      const auto [left, right] =
+          tree.add_bisection(at, prefix.node(node.left).weight,
+                             prefix.node(node.right).weight);
+      stack.emplace_back(node.right, right);
+      stack.emplace_back(node.left, left);
+      continue;
     }
-    // Replay the terminal's local subtree.  Local bisection j reads its
-    // parent and child weights from local nodes 2j+1 / 2j+2.
-    const core::BisectionTree& sub = frag->subtree;
-    const core::NodeId base = static_cast<core::NodeId>(tree.size());
-    const std::size_t sub_bisections =
-        sub.empty() ? 0 : (sub.size() - 1) / 2;
+    const std::size_t i = frame_of[static_cast<std::size_t>(pre)];
+    const core::BisectionTree& sub = job.results[i].subtree;
+    const auto base = static_cast<core::NodeId>(tree.size());
     const auto to_global = [&](core::NodeId local) {
-      return local == 0 ? cur : base + local - 1;
+      return local == 0 ? at : base + local - 1;
     };
-    for (std::size_t j = 0; j < sub_bisections; ++j) {
+    for (std::size_t j = 0; 2 * j + 2 < sub.size(); ++j) {
       const auto& left = sub.node(static_cast<core::NodeId>(2 * j + 1));
       const auto& right = sub.node(static_cast<core::NodeId>(2 * j + 2));
       tree.add_bisection(to_global(left.parent), left.weight, right.weight);
     }
-    for (std::int32_t p = frag->term_lo; p < frag->term_lo + frag->term_n;
-         ++p) {
-      if (staging[p].has_value()) {
-        staging[p]->node = to_global(staging[p]->node);
+    const ParFrame<P>& f = job.frames[i];
+    for (core::ProcessorId p = f.tag.proc_lo; p < f.tag.proc_lo + f.n; ++p) {
+      if (job.staging[p].has_value()) {
+        job.staging[p]->node = to_global(job.staging[p]->node);
       }
     }
   }
 }
-
-/// Caller-thread scratch reused across calls: the staging slots and the
-/// root task's slot (caller-owned: released as a no-op by the trampoline).
-template <core::Bisectable P>
-struct ParScratch {
-  std::vector<std::optional<core::Piece<P>>> staging;
-  TaskSlot root_slot;
-};
 
 [[nodiscard]] inline std::int32_t effective_grain(std::int32_t requested,
                                                   std::int32_t n,
@@ -362,20 +226,17 @@ struct ParScratch {
   return std::clamp(auto_grain, 1, 8192);
 }
 
-/// Shared driver of the three public entry points.
+/// Shared driver of the public entry points: BA' when prune_below >= 0,
+/// BA-HF when switch_threshold > 0, BA otherwise.
 template <core::Bisectable P>
-[[nodiscard]] core::Partition<P> par_run(WorkStealingPool& pool,
+[[nodiscard]] core::Partition<P> par_run(ThreadPool& pool,
                                          core::TrialWorkspace<P>* caller_ws,
                                          P problem, std::int32_t n,
-                                         ParFamily family, double prune_below,
+                                         double prune_below,
                                          std::int32_t switch_threshold,
                                          const ParOptions& opt,
                                          ParStats* stats) {
-  if (pool.current_worker() != nullptr) {
-    throw std::logic_error(
-        "parallel partition: blocking call from a pool worker would "
-        "deadlock the job's join");
-  }
+  using Clock = std::chrono::steady_clock;
   const bool record = opt.partition.record_tree;
   const std::int32_t grain = effective_grain(opt.grain, n, pool.size());
 
@@ -397,38 +258,50 @@ template <core::Bisectable P>
     scratch.staging.resize(static_cast<std::size_t>(n));
   }
 
-  ParJob<P> job;
-  job.family = family;
-  job.prune_below = prune_below;
-  job.switch_threshold = switch_threshold;
-  job.grain = grain;
-  job.record = record;
-  job.ws_pool = &pool;
-  job.staging = scratch.staging.data();
-  if (record) job.frag_arena.resize(pool.size());
+  // Phase 1: the frontier descent.
+  scratch.frontier.clear();
+  core::Partition<P> prefix;
+  core::detail::BuildContext<P> pctx(prefix, record);
+  const core::NodeId root = pctx.root(out.total_weight);
+  core::detail::ba_descend(
+      pctx, scratch.ws,
+      ParFrame<P>(std::move(problem), out.total_weight, n, {0, 0, root}),
+      [&](const ParFrame<P>& f) {
+        return f.n <= grain || f.weight <= prune_below ||
+               f.n < switch_threshold;
+      },
+      [&](ParFrame<P>& f) { scratch.frontier.push_back(std::move(f)); });
 
-  const std::int64_t idle_before = pool.idle_ns_total();
-  TaskSlot& root = scratch.root_slot;
-  ::new (static_cast<void*>(root.payload)) ParFrame<P>{
-      &job, std::move(problem), out.total_weight, n, 0, 0,
-      record ? &job.root_frag : nullptr};
-  root.run = &chain_trampoline<P>;
-  root.job = &job;
-  job.pending.store(1);
-  pool.inject(&root, &job);
-  job.wait();
+  // Phase 2: the frames, on the pool.
+  const std::size_t frames = scratch.frontier.size();
+  scratch.results.resize(frames);
+  const FrameJob<P> job{scratch.frontier.data(), scratch.results.data(),
+                        scratch.staging.data(), prune_below,
+                        switch_threshold, record};
+  const auto fork = Clock::now();
+  parallel_for_chunks(pool, 0, static_cast<std::int64_t>(frames), 1,
+                      [&job](std::int64_t i, std::int64_t, std::int64_t) {
+                        run_frame(job, static_cast<std::size_t>(i));
+                      });
+  const auto join_ns = std::chrono::duration_cast<std::chrono::nanoseconds>(
+                           Clock::now() - fork)
+                           .count();
 
-  if (std::exception_ptr err = job.take_error()) {
-    // Staging may be partially filled; the next call's assign() clears it.
-    std::rethrow_exception(err);
+  // Phase 3: compaction.
+  std::int64_t busy_ns = 0;
+  lbb::stats::AllocStats allocs;
+  out.bisections = prefix.bisections;
+  for (const FrameResult& result : scratch.results) {
+    out.bisections += result.bisections;
+    busy_ns += result.busy_ns;
+    allocs.count += result.allocs.count;
+    allocs.bytes += result.allocs.bytes;
   }
-
-  out.bisections = job.bisections.load();
   if (record) {
     core::detail::BuildContext<P> tctx(out, /*record_tree=*/true);
     tctx.reserve(n);
     (void)tctx.root(out.total_weight);
-    stitch_tree(out.tree, &job.root_frag, scratch.staging.data());
+    stitch_tree(out.tree, prefix.tree, job, frames);
   }
   for (auto& slot : scratch.staging) {
     if (!slot.has_value()) continue;  // BA' leaves gaps in pruned ranges
@@ -436,41 +309,18 @@ template <core::Bisectable P>
     out.pieces.push_back(std::move(*slot));
     slot.reset();
   }
+  scratch.frontier.clear();
 
   if (stats != nullptr) {
-    stats->spawns = job.spawns.load();
-    stats->steals = job.steals.load();
-    stats->idle_ns = pool.idle_ns_total() - idle_before;
-    stats->alloc_count = job.alloc_count.load();
-    stats->alloc_bytes = job.alloc_bytes.load();
+    stats->spawns = static_cast<std::int64_t>(frames);
+    stats->steals = 0;
+    stats->idle_ns = std::max<std::int64_t>(
+        0, static_cast<std::int64_t>(pool.size()) * join_ns - busy_ns);
+    stats->alloc_count = allocs.count;
+    stats->alloc_bytes = allocs.bytes;
     stats->grain = grain;
   }
   return out;
-}
-
-/// Oversized-frame fallback: run the sequential counterpart outright
-/// (byte-identical by definition).  Selected at compile time.
-template <core::Bisectable P>
-[[nodiscard]] core::Partition<P> par_run_sequential(
-    core::TrialWorkspace<P>* caller_ws, P problem, std::int32_t n,
-    ParFamily family, double alpha, double beta, const ParOptions& opt,
-    ParStats* stats) {
-  if (stats != nullptr) *stats = ParStats{};
-  core::TrialWorkspace<P> local_ws;
-  core::TrialWorkspace<P>& ws =
-      caller_ws != nullptr ? *caller_ws : local_ws;
-  switch (family) {
-    case ParFamily::kBaStar:
-      return core::ba_star_partition(ws, std::move(problem), n, alpha,
-                                     opt.partition);
-    case ParFamily::kBaHf:
-      return core::ba_hf_partition(ws, std::move(problem), n,
-                                   core::BaHfParams{alpha, beta},
-                                   opt.partition);
-    case ParFamily::kBa:
-      break;
-  }
-  return core::ba_partition(ws, std::move(problem), n, opt.partition);
 }
 
 }  // namespace detail
@@ -478,68 +328,50 @@ template <core::Bisectable P>
 /// Partitions `problem` into exactly `n` subproblems with Algorithm BA on
 /// `pool`'s worker threads.  Output (pieces, order, counters, recorded
 /// tree) is byte-identical to core::ba_partition for every thread count.
-/// Do not call from a task running on `pool` (the join would deadlock);
-/// concurrent calls from distinct caller threads are fully supported.
+/// Throws std::logic_error when called from a task running on `pool` (the
+/// join would deadlock); concurrent calls from distinct caller threads are
+/// fully supported.
 template <core::Bisectable P>
 [[nodiscard]] core::Partition<P> par_ba_partition(
-    WorkStealingPool& pool, core::TrialWorkspace<P>& ws, P problem,
-    std::int32_t n, const ParOptions& opt = {}, ParStats* stats = nullptr) {
+    ThreadPool& pool, core::TrialWorkspace<P>& ws, P problem, std::int32_t n,
+    const ParOptions& opt = {}, ParStats* stats = nullptr) {
   if (n < 1) throw std::invalid_argument("par_ba_partition: n must be >= 1");
-  if constexpr (!detail::frame_fits_slot_v<P>) {
-    return detail::par_run_sequential(&ws, std::move(problem), n,
-                                      detail::ParFamily::kBa, 0.25, 1.0, opt,
-                                      stats);
-  } else {
-    return detail::par_run(pool, &ws, std::move(problem), n,
-                           detail::ParFamily::kBa, /*prune_below=*/-1.0,
-                           /*switch_threshold=*/0, opt, stats);
-  }
+  return detail::par_run(pool, &ws, std::move(problem), n,
+                         /*prune_below=*/-1.0, /*switch_threshold=*/0, opt,
+                         stats);
 }
 
 /// Workspace-free form (fresh pieces storage per call; identical output).
 template <core::Bisectable P>
 [[nodiscard]] core::Partition<P> par_ba_partition(
-    WorkStealingPool& pool, P problem, std::int32_t n,
-    const ParOptions& opt = {}, ParStats* stats = nullptr) {
+    ThreadPool& pool, P problem, std::int32_t n, const ParOptions& opt = {},
+    ParStats* stats = nullptr) {
   if (n < 1) throw std::invalid_argument("par_ba_partition: n must be >= 1");
-  if constexpr (!detail::frame_fits_slot_v<P>) {
-    return detail::par_run_sequential<P>(nullptr, std::move(problem), n,
-                                         detail::ParFamily::kBa, 0.25, 1.0,
-                                         opt, stats);
-  } else {
-    return detail::par_run<P>(pool, nullptr, std::move(problem), n,
-                              detail::ParFamily::kBa, /*prune_below=*/-1.0,
-                              /*switch_threshold=*/0, opt, stats);
-  }
+  return detail::par_run<P>(pool, nullptr, std::move(problem), n,
+                            /*prune_below=*/-1.0, /*switch_threshold=*/0, opt,
+                            stats);
 }
 
 /// Algorithm BA' (BA pruned at the PHF phase-1 weight threshold) on the
 /// pool; byte-identical to core::ba_star_partition.
 template <core::Bisectable P>
 [[nodiscard]] core::Partition<P> par_ba_star_partition(
-    WorkStealingPool& pool, P problem, std::int32_t n, double alpha,
+    ThreadPool& pool, P problem, std::int32_t n, double alpha,
     const ParOptions& opt = {}, ParStats* stats = nullptr) {
   if (n < 1) {
     throw std::invalid_argument("par_ba_star_partition: n must be >= 1");
   }
   core::require_valid_alpha(alpha);
-  if constexpr (!detail::frame_fits_slot_v<P>) {
-    return detail::par_run_sequential<P>(nullptr, std::move(problem), n,
-                                         detail::ParFamily::kBaStar, alpha,
-                                         1.0, opt, stats);
-  } else {
-    const double threshold =
-        core::phf_phase1_threshold(alpha, problem.weight(), n);
-    return detail::par_run<P>(pool, nullptr, std::move(problem), n,
-                              detail::ParFamily::kBaStar, threshold,
-                              /*switch_threshold=*/0, opt, stats);
-  }
+  const double threshold =
+      core::phf_phase1_threshold(alpha, problem.weight(), n);
+  return detail::par_run<P>(pool, nullptr, std::move(problem), n, threshold,
+                            /*switch_threshold=*/0, opt, stats);
 }
 
 /// Algorithm BA-HF on the pool; byte-identical to core::ba_hf_partition.
 template <core::Bisectable P>
 [[nodiscard]] core::Partition<P> par_ba_hf_partition(
-    WorkStealingPool& pool, P problem, std::int32_t n,
+    ThreadPool& pool, P problem, std::int32_t n,
     const core::BaHfParams& params = {}, const ParOptions& opt = {},
     ParStats* stats = nullptr) {
   if (n < 1) {
@@ -549,18 +381,10 @@ template <core::Bisectable P>
   if (!(params.beta > 0.0)) {
     throw std::invalid_argument("par_ba_hf_partition: beta must be > 0");
   }
-  if constexpr (!detail::frame_fits_slot_v<P>) {
-    return detail::par_run_sequential<P>(nullptr, std::move(problem), n,
-                                         detail::ParFamily::kBaHf,
-                                         params.alpha, params.beta, opt,
-                                         stats);
-  } else {
-    const std::int32_t threshold =
-        core::ba_hf_switch_threshold(params.alpha, params.beta);
-    return detail::par_run<P>(pool, nullptr, std::move(problem), n,
-                              detail::ParFamily::kBaHf, /*prune_below=*/-1.0,
-                              threshold, opt, stats);
-  }
+  const std::int32_t threshold =
+      core::ba_hf_switch_threshold(params.alpha, params.beta);
+  return detail::par_run<P>(pool, nullptr, std::move(problem), n,
+                            /*prune_below=*/-1.0, threshold, opt, stats);
 }
 
 }  // namespace lbb::runtime

@@ -25,9 +25,11 @@ using lbb::core::PartitionerInfo;
 using lbb::core::PartitionerRegistry;
 using lbb::core::RunContext;
 
+enum class ParFamily { kBa, kBaStar, kBaHf };
+
 class ParPartitioner final : public Partitioner {
  public:
-  ParPartitioner(PartitionerInfo info, detail::ParFamily family,
+  ParPartitioner(PartitionerInfo info, ParFamily family,
                  const PartitionerConfig& config)
       : info_(std::move(info)), family_(family), config_(config) {}
 
@@ -36,24 +38,24 @@ class ParPartitioner final : public Partitioner {
   [[nodiscard]] Partition<AnyProblem> run(RunContext& ctx, AnyProblem problem,
                                           std::int32_t n) const override {
     ctx.checkpoint();
-    WorkStealingPool& pool = shared_pool(config_.threads);
+    ThreadPool& pool = shared_pool(config_.threads);
     ParOptions opt;
     opt.partition = config_.options;
     ParStats stats;
     // Caller-side allocations measured here; worker-side ones arrive
-    // through stats.alloc_* (the pool attributes per-thread deltas to the
-    // job -- see WorkStealingPool::execute).
+    // through stats.alloc_* (each frame measures its worker's delta -- see
+    // detail::run_frame).
     const auto allocs_before = lbb::stats::alloc_stats();
     Partition<AnyProblem> out = [&] {
       switch (family_) {
-        case detail::ParFamily::kBaStar:
+        case ParFamily::kBaStar:
           return par_ba_star_partition(pool, std::move(problem), n,
                                        config_.alpha, opt, &stats);
-        case detail::ParFamily::kBaHf:
+        case ParFamily::kBaHf:
           return par_ba_hf_partition(
               pool, std::move(problem), n,
               core::BaHfParams{config_.alpha, config_.beta}, opt, &stats);
-        case detail::ParFamily::kBa:
+        case ParFamily::kBa:
           break;
       }
       return par_ba_partition(pool, std::move(problem), n, opt, &stats);
@@ -70,7 +72,6 @@ class ParPartitioner final : public Partitioner {
     ctx.counter("par.threads", static_cast<double>(pool.size()));
     ctx.counter("par.grain", static_cast<double>(stats.grain));
     ctx.counter("par.spawns", static_cast<double>(stats.spawns));
-    ctx.counter("par.steals", static_cast<double>(stats.steals));
     ctx.counter("par.idle_ns", static_cast<double>(stats.idle_ns));
     return out;
   }
@@ -78,11 +79,11 @@ class ParPartitioner final : public Partitioner {
   /// Identical output to the sequential family, so its bound applies.
   [[nodiscard]] double ratio_bound(std::int32_t n) const override {
     switch (family_) {
-      case detail::ParFamily::kBa:
+      case ParFamily::kBa:
         return lbb::core::ba_ratio_bound(config_.alpha, n);
-      case detail::ParFamily::kBaStar:
+      case ParFamily::kBaStar:
         return lbb::core::ba_star_ratio_bound(config_.alpha, n);
-      case detail::ParFamily::kBaHf:
+      case ParFamily::kBaHf:
         return lbb::core::ba_hf_ratio_bound(config_.alpha, config_.beta, n);
     }
     return 0.0;
@@ -90,39 +91,39 @@ class ParPartitioner final : public Partitioner {
 
  private:
   PartitionerInfo info_;
-  detail::ParFamily family_;
+  ParFamily family_;
   PartitionerConfig config_;
 };
 
 struct ParEntry {
   PartitionerInfo info;
-  detail::ParFamily family;
+  ParFamily family;
 };
 
 const ParEntry kParEntries[] = {
     {{"par:ba", "BA(par)",
-      "Algorithm BA on the work-stealing thread pool (byte-identical to ba)"},
-     detail::ParFamily::kBa},
+      "Algorithm BA on the thread pool (byte-identical to ba)"},
+     ParFamily::kBa},
     {{"par:ba_star", "BA*(par)",
-      "Algorithm BA' on the work-stealing thread pool (phase-1 pruning)"},
-     detail::ParFamily::kBaStar},
+      "Algorithm BA' on the thread pool (phase-1 pruning)"},
+     ParFamily::kBaStar},
     {{"par:ba_hf", "BA-HF(par)",
-      "Algorithm BA-HF on the work-stealing thread pool"},
-     detail::ParFamily::kBaHf},
+      "Algorithm BA-HF on the thread pool"},
+     ParFamily::kBaHf},
 };
 
 }  // namespace
 
 namespace {
 
-/// Process-wide cache of one WorkStealingPool per thread count.  Pools
+/// Process-wide cache of one ThreadPool per thread count.  Pools
 /// stay alive until shutdown_shared_pools() or the cache's own exit-time
 /// destruction (first use is after the PartitionerRegistry singleton
 /// exists, so this static dies before the registry -- see the lifetime
 /// contract in par_partitioners.hpp).
 struct PoolCache {
   lbb::core::Mutex mu;
-  std::map<std::int32_t, std::unique_ptr<WorkStealingPool>> pools
+  std::map<std::int32_t, std::unique_ptr<ThreadPool>> pools
       LBB_GUARDED_BY(mu);
 };
 
@@ -133,7 +134,7 @@ PoolCache& pool_cache() {
 
 }  // namespace
 
-WorkStealingPool& shared_pool(std::int32_t threads) {
+ThreadPool& shared_pool(std::int32_t threads) {
   if (threads <= 0) {
     const unsigned hw = std::thread::hardware_concurrency();
     threads = hw != 0 ? static_cast<std::int32_t>(hw) : 1;
@@ -142,15 +143,14 @@ WorkStealingPool& shared_pool(std::int32_t threads) {
   lbb::core::MutexLock lock(cache.mu);
   auto& slot = cache.pools[threads];
   if (slot == nullptr) {
-    slot = std::make_unique<WorkStealingPool>(
-        static_cast<unsigned>(threads));
+    slot = std::make_unique<ThreadPool>(static_cast<unsigned>(threads));
   }
   return *slot;
 }
 
 void shutdown_shared_pools() {
   PoolCache& cache = pool_cache();
-  std::map<std::int32_t, std::unique_ptr<WorkStealingPool>> drained;
+  std::map<std::int32_t, std::unique_ptr<ThreadPool>> drained;
   {
     lbb::core::MutexLock lock(cache.mu);
     drained.swap(cache.pools);

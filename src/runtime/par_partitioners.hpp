@@ -1,10 +1,10 @@
 // Registry hook and pool sharing for the par:* partitioner families
-// (work-stealing BA / BA' / BA-HF on real threads; par_partition.hpp).
+// (BA / BA' / BA-HF on ThreadPool workers; par_partition.hpp).
 #pragma once
 
 #include <cstdint>
 
-#include "runtime/work_stealing.hpp"
+#include "runtime/thread_pool.hpp"
 
 namespace lbb::runtime {
 
@@ -21,7 +21,7 @@ namespace lbb::runtime {
 /// (the partition service, long-lived drivers) should not rely on that
 /// implicit teardown: call shutdown_shared_pools() once serving stops so
 /// worker threads are joined at a point the embedder controls.
-[[nodiscard]] WorkStealingPool& shared_pool(std::int32_t threads = 0);
+[[nodiscard]] ThreadPool& shared_pool(std::int32_t threads = 0);
 
 /// Stops and joins every pool shared_pool() has created, releasing them.
 /// References previously returned by shared_pool() are invalidated; a
@@ -37,7 +37,7 @@ void shutdown_shared_pools();
 ///
 /// The registered partitioners run through the type-erased AnyProblem
 /// interface on shared_pool(config.threads) and report par.spawns /
-/// par.steals / par.idle_ns counters through the RunContext sink.  Their
+/// par.idle_ns counters through the RunContext sink.  Their
 /// output is byte-identical to the sequential ba / ba_star / ba_hf
 /// partitioners for every thread count.  Note: arena-backed AnyProblems
 /// must not cross threads (MonotonicArena is single-threaded); pass

@@ -1,9 +1,18 @@
 #include "runtime/thread_pool.hpp"
 
+#include <algorithm>
 #include <stdexcept>
 #include <utility>
 
 namespace lbb::runtime {
+
+namespace {
+
+/// The pool whose worker the calling thread is (nullptr off every pool).
+/// A thread belongs to at most one pool, and dies with it.
+thread_local const ThreadPool* tls_pool = nullptr;
+
+}  // namespace
 
 ThreadPool::ThreadPool(unsigned threads) : threads_(threads) {
   if (threads == 0) {
@@ -33,15 +42,39 @@ void ThreadPool::submit(UniqueFunction task) {
     if (stopping_) {
       throw std::logic_error("ThreadPool::submit: pool is shutting down");
     }
-    queue_.push_back(std::move(task));
+    push_locked(std::move(task));
   }
   work_available_.notify_one();
+}
+
+bool ThreadPool::on_worker() const noexcept { return tls_pool == this; }
+
+void ThreadPool::push_locked(UniqueFunction task) {
+  if (queued_ == ring_.size()) {
+    // Full: move the queue, oldest first, to the front of a ring twice as
+    // large.  Growth-only, so a warm pool never comes back here.
+    std::vector<UniqueFunction> grown(std::max<std::size_t>(16, 2 * queued_));
+    for (std::size_t i = 0; i < queued_; ++i) {
+      grown[i] = std::move(ring_[(head_ + i) & (ring_.size() - 1)]);
+    }
+    ring_.swap(grown);
+    head_ = 0;
+  }
+  ring_[(head_ + queued_) & (ring_.size() - 1)] = std::move(task);
+  ++queued_;
+}
+
+UniqueFunction ThreadPool::pop_locked() {
+  UniqueFunction task = std::move(ring_[head_]);
+  head_ = (head_ + 1) & (ring_.size() - 1);
+  --queued_;
+  return task;
 }
 
 void ThreadPool::wait_idle() {
   core::CvLock lock(mutex_);
   lock.wait(idle_, [this]() LBB_REQUIRES(mutex_) {
-    return queue_.empty() && active_ == 0;
+    return queued_ == 0 && active_ == 0;
   });
   if (first_error_) {
     std::exception_ptr err = std::exchange(first_error_, nullptr);
@@ -56,18 +89,18 @@ std::size_t ThreadPool::suppressed_exception_count() const {
 }
 
 void ThreadPool::worker_loop() {
+  tls_pool = this;
   for (;;) {
     UniqueFunction task;
     {
       core::CvLock lock(mutex_);
       lock.wait(work_available_, [this]() LBB_REQUIRES(mutex_) {
-        return stopping_ || !queue_.empty();
+        return stopping_ || queued_ > 0;
       });
-      if (queue_.empty()) {
+      if (queued_ == 0) {
         return;  // stopping_ and drained
       }
-      task = std::move(queue_.front());
-      queue_.pop_front();
+      task = pop_locked();
       ++active_;
     }
     try {
@@ -83,7 +116,7 @@ void ThreadPool::worker_loop() {
     {
       core::MutexLock lock(mutex_);
       --active_;
-      if (queue_.empty() && active_ == 0) {
+      if (queued_ == 0 && active_ == 0) {
         idle_.notify_all();
       }
     }

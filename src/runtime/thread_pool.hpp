@@ -1,9 +1,10 @@
 // Minimal fixed-size thread pool (tasks, not threads -- CP.4).
 //
-// Used by the examples to actually *run* the subproblems of a partition on
-// worker threads and measure the realized balance, and by the experiment
-// engine (src/experiments) to fan independent Monte-Carlo trials out over
-// workers.  RAII: the destructor drains the queue and joins all workers.
+// The library's one pool: the experiment engine (src/experiments) fans
+// Monte-Carlo trial chunks out over it, the par:* partitioners finish
+// their frontier frames on it (both through parallel_for_chunks), and the
+// examples run a partition's subproblems on it to measure the realized
+// balance.  RAII: the destructor drains the queue and joins all workers.
 //
 // Two submission styles:
 //   * submit(fn)       -- fire-and-forget; exceptions are captured by the
@@ -17,11 +18,15 @@
 // guarded by `mutex_`; the condition variables pair with it.  Workers hold
 // the lock only around queue/bookkeeping transitions, never while a task
 // runs.
+//
+// The queue is a growth-only ring of UniqueFunction: once it has grown to
+// the deepest backlog a caller produces, submit() and the workers' pops
+// allocate nothing (the par:* and parallel_for_chunks allocation gates
+// rely on this; a std::deque would allocate a node every few pushes).
 #pragma once
 
 #include <condition_variable>
 #include <cstddef>
-#include <deque>
 #include <exception>
 #include <future>
 #include <thread>
@@ -94,14 +99,25 @@ class ThreadPool {
 
   [[nodiscard]] unsigned size() const noexcept { return threads_; }
 
+  /// True when the calling thread is one of this pool's workers.  A task
+  /// that blocks on other tasks of its own pool can deadlock it;
+  /// parallel_for_chunks refuses such calls through this.
+  [[nodiscard]] bool on_worker() const noexcept;
+
  private:
   void worker_loop() LBB_EXCLUDES(mutex_);
+  void push_locked(UniqueFunction task) LBB_REQUIRES(mutex_);
+  [[nodiscard]] UniqueFunction pop_locked() LBB_REQUIRES(mutex_);
 
   unsigned threads_;
   mutable core::Mutex mutex_;
   std::condition_variable work_available_;  ///< paired with mutex_
   std::condition_variable idle_;            ///< paired with mutex_
-  std::deque<UniqueFunction> queue_ LBB_GUARDED_BY(mutex_);
+  /// The queue: `queued_` tasks from ring_[head_] on, wrapping; the size
+  /// is zero or a power of two.
+  std::vector<UniqueFunction> ring_ LBB_GUARDED_BY(mutex_);
+  std::size_t head_ LBB_GUARDED_BY(mutex_) = 0;
+  std::size_t queued_ LBB_GUARDED_BY(mutex_) = 0;
   std::size_t active_ LBB_GUARDED_BY(mutex_) = 0;
   bool stopping_ LBB_GUARDED_BY(mutex_) = false;
   std::exception_ptr first_error_ LBB_GUARDED_BY(mutex_);

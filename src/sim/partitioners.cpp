@@ -74,7 +74,6 @@ class PhfPartitioner final : public Partitioner {
     auto result =
         phf_simulate(std::move(problem), n, config_.alpha, cost_, opts);
     report(ctx, result.metrics, lbb::stats::alloc_stats() - allocs_before);
-    ctx.emit("phf.makespan", result.metrics.makespan);
     return std::move(result.partition);
   }
 
@@ -118,7 +117,6 @@ class SimBaPartitioner final : public Partitioner {
       return ba_simulate(std::move(problem), n, cost_, config_.options);
     }();
     report(ctx, result.metrics, lbb::stats::alloc_stats() - allocs_before);
-    ctx.emit("sim_ba.makespan", result.metrics.makespan);
     return std::move(result.partition);
   }
 

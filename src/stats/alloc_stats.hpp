@@ -21,7 +21,7 @@
 //
 // Counters are per-thread: alloc_stats() reports the calling thread's
 // allocations only, which is exactly the attribution a service worker's
-// request or a work-stealing task needs (no cross-thread noise).
+// request or a par:* frame needs (no cross-thread noise).
 #pragma once
 
 #include <cstdint>

@@ -27,7 +27,8 @@
 #include "problems/alpha_dist.hpp"
 #include "problems/synthetic.hpp"
 #include "runtime/par_partition.hpp"
-#include "runtime/work_stealing.hpp"
+#include "runtime/parallel_for.hpp"
+#include "runtime/thread_pool.hpp"
 #include "service/partition_service.hpp"
 #include "stats/alloc_stats.hpp"
 #include "stats/tail_accumulator.hpp"
@@ -156,13 +157,13 @@ TEST(AllocGate, InlineErasedBisectIsAllocationFree) {
 }
 
 // ---------------------------------------------------------------------------
-// Parallel path (ISSUE 6): the warm work-stealing runtime must allocate
-// nothing per partition call -- task frames live in pre-allocated slots,
-// terminal scratch in worker-thread-local workspaces, staging in the
-// caller's thread-local scratch, pieces in the caller's TrialWorkspace.
-// Allocation attribution is two-sided: the caller measures its own thread's
-// delta; worker-side deltas are accumulated into the job by the pool and
-// surface as ParStats::alloc_count.
+// Parallel path: the warm par:* runtime must allocate nothing per
+// partition call -- the frontier, per-frame results and staging live in
+// the caller's thread-local scratch, frame scratch in worker-thread-local
+// workspaces, pieces in the caller's TrialWorkspace, and the dispatch is
+// parallel_for_chunks' allocation-free fork-join.  Allocation attribution
+// is two-sided: the caller measures its own thread's delta; each frame
+// measures its worker's delta, which surfaces as ParStats::alloc_count.
 
 /// One warm parallel trial; returns caller-delta plus job-attributed
 /// worker allocations.
@@ -177,9 +178,9 @@ std::int64_t par_trial_allocs(Run&& run) {
 
 TEST(AllocGate, ParBaSteadyStateIsAllocationFree) {
   // A single-worker pool makes worker-side warm-up deterministic: the one
-  // worker executes every terminal, so two rounds size its thread-local
+  // worker executes every frame, so two rounds size its thread-local
   // workspace exactly like the sequential gates above.
-  runtime::WorkStealingPool pool(1);
+  runtime::ThreadPool pool(1);
   TrialWorkspace<SyntheticProblem> ws;
   const auto run = [&](runtime::ParStats* stats) {
     auto part =
@@ -194,7 +195,7 @@ TEST(AllocGate, ParBaSteadyStateIsAllocationFree) {
 }
 
 TEST(AllocGate, ParBaHfSteadyStateIsAllocationFree) {
-  runtime::WorkStealingPool pool(1);
+  runtime::ThreadPool pool(1);
   const BaHfParams params{0.1, 1.0};
   TrialWorkspace<SyntheticProblem> ws;
   std::vector<Piece<SyntheticProblem>> recycled;
@@ -216,11 +217,11 @@ TEST(AllocGate, ParBaHfSteadyStateIsAllocationFree) {
 
 TEST(AllocGate, ParBaMultiWorkerSteadyStateStabilizes) {
   // With two workers the warm-up is schedule-dependent (a worker sizes its
-  // thread-local workspace the first time it executes a terminal), so warm
+  // thread-local workspace the first time it executes a frame), so warm
   // until the runtime reports consecutive allocation-free calls, then hold
   // it to zero.  A per-call regression fails every attempt; a late worker
   // wake-up only restarts the stabilization loop.
-  runtime::WorkStealingPool pool(2);
+  runtime::ThreadPool pool(2);
   TrialWorkspace<SyntheticProblem> ws;
   const auto run = [&](runtime::ParStats* stats) {
     auto part =
@@ -241,6 +242,24 @@ TEST(AllocGate, ParBaMultiWorkerSteadyStateStabilizes) {
   EXPECT_EQ(consecutive_clean, kTrials)
       << "parallel path never reached an allocation-free steady state in "
       << calls << " calls";
+}
+
+TEST(AllocGate, ParallelForChunksSteadyStateIsAllocationFree) {
+  // The experiment engine's dispatch of every Monte-Carlo cell: runner
+  // tasks sit inline in the pool's warm ring, and the join lives in the
+  // caller's frame, so the calling thread allocates nothing.
+  runtime::ThreadPool pool(4);
+  const auto run = [&] {
+    runtime::parallel_for_chunks(
+        pool, 0, 256 * 32, 32,
+        [](std::int64_t, std::int64_t, std::int64_t) {});
+  };
+  for (int warm = 0; warm < 2; ++warm) run();
+  for (int t = 0; t < kTrials; ++t) {
+    const auto before = lbb::stats::alloc_stats();
+    run();
+    EXPECT_EQ((lbb::stats::alloc_stats() - before).count, 0) << "trial " << t;
+  }
 }
 
 // ---------------------------------------------------------------------------

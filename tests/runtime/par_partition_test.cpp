@@ -1,11 +1,12 @@
-// Tests for the work-stealing parallel partitioner runtime: deque
-// semantics, byte-identical parallel output across thread counts and steal
-// schedules, exception propagation, concurrent-caller stress (the tsan
-// preset's main target -- the `runtime` label is in its filter), and the
-// par:* registry entries.
+// Tests for the parallel partitioners on ThreadPool: byte-identical
+// parallel output across thread counts and grains, oversized problem
+// types, exception propagation, the deadlock guard, concurrent-caller
+// stress (the tsan preset's main target -- the `runtime` label is in its
+// filter), and the par:* registry entries.
 #include <gtest/gtest.h>
 
-#include <atomic>
+#include <array>
+#include <cstddef>
 #include <cstdint>
 #include <map>
 #include <stdexcept>
@@ -26,7 +27,7 @@
 #include "problems/synthetic.hpp"
 #include "runtime/par_partition.hpp"
 #include "runtime/par_partitioners.hpp"
-#include "runtime/work_stealing.hpp"
+#include "runtime/thread_pool.hpp"
 
 namespace lbb::runtime {
 namespace {
@@ -34,92 +35,6 @@ namespace {
 using lbb::core::Partition;
 using lbb::problems::AlphaDistribution;
 using lbb::problems::SyntheticProblem;
-
-// ---------------------------------------------------------------------------
-// WsDeque
-
-TEST(WsDeque, OwnerPushPopIsLifo) {
-  WsDeque deque(8);
-  TaskSlot slots[3];
-  for (auto& s : slots) ASSERT_TRUE(deque.push(&s));
-  EXPECT_EQ(deque.pop(), &slots[2]);
-  EXPECT_EQ(deque.pop(), &slots[1]);
-  EXPECT_EQ(deque.pop(), &slots[0]);
-  EXPECT_EQ(deque.pop(), nullptr);
-}
-
-TEST(WsDeque, StealTakesOldestFirst) {
-  WsDeque deque(8);
-  TaskSlot slots[3];
-  for (auto& s : slots) ASSERT_TRUE(deque.push(&s));
-  EXPECT_EQ(deque.steal(), &slots[0]);
-  EXPECT_EQ(deque.steal(), &slots[1]);
-  // Owner gets the remaining task.
-  EXPECT_EQ(deque.pop(), &slots[2]);
-  EXPECT_EQ(deque.steal(), nullptr);
-}
-
-TEST(WsDeque, PushRefusesWhenFull) {
-  WsDeque deque(4);
-  TaskSlot slots[5];
-  for (int i = 0; i < 4; ++i) ASSERT_TRUE(deque.push(&slots[i]));
-  EXPECT_FALSE(deque.push(&slots[4]));
-  EXPECT_EQ(deque.pop(), &slots[3]);
-  EXPECT_TRUE(deque.push(&slots[4]));  // space again after a pop
-}
-
-TEST(WsDeque, ConcurrentThievesEachTaskExecutesOnce) {
-  constexpr int kTasks = 4096;
-  constexpr int kThieves = 3;
-  WsDeque deque(512);
-  std::vector<TaskSlot> slots(kTasks);
-  std::vector<std::atomic<int>> taken(kTasks);
-  for (auto& t : taken) t.store(0);
-  const auto index_of = [&](TaskSlot* s) {
-    return static_cast<int>(s - slots.data());
-  };
-
-  std::atomic<bool> done{false};
-  std::vector<std::thread> thieves;
-  thieves.reserve(kThieves);
-  for (int t = 0; t < kThieves; ++t) {
-    thieves.emplace_back([&] {
-      while (!done.load()) {
-        if (TaskSlot* s = deque.steal()) taken[index_of(s)].fetch_add(1);
-      }
-    });
-  }
-  // Owner: interleave pushes with occasional pops.
-  int pushed = 0;
-  while (pushed < kTasks) {
-    if (deque.push(&slots[pushed])) {
-      ++pushed;
-    } else if (TaskSlot* s = deque.pop()) {
-      taken[index_of(s)].fetch_add(1);
-    }
-    if (pushed % 7 == 0) {
-      if (TaskSlot* s = deque.pop()) taken[index_of(s)].fetch_add(1);
-    }
-  }
-  // Drain the rest from the owner side; thieves keep competing.
-  for (;;) {
-    TaskSlot* s = deque.pop();
-    if (s == nullptr) {
-      // Thieves may still hold the last few; wait for the count.
-      std::int64_t total = 0;
-      for (auto& t : taken) total += t.load();
-      if (total == kTasks) break;
-      std::this_thread::yield();
-      continue;
-    }
-    taken[index_of(s)].fetch_add(1);
-  }
-  done.store(true);
-  for (auto& t : thieves) t.join();
-  for (int i = 0; i < kTasks; ++i) {
-    EXPECT_EQ(taken[i].load(), 1) << "task " << i;
-  }
-}
 
 // ---------------------------------------------------------------------------
 // Byte-identical parallel output
@@ -162,7 +77,7 @@ TEST(ParPartition, BaByteIdenticalAcrossThreadsAndGrains) {
   core::PartitionOptions record;
   record.record_tree = true;
   for (const unsigned threads : {1u, 2u, 4u, 8u}) {
-    WorkStealingPool pool(threads);
+    ThreadPool pool(threads);
     for (const std::int32_t grain : {0, 1, 7}) {
       ParOptions opt;
       opt.partition = record;
@@ -191,8 +106,8 @@ TEST(ParPartition, BaStarByteIdentical) {
   record.record_tree = true;
   ParOptions opt;
   opt.partition = record;
-  opt.grain = 1;  // chain everywhere the sequential recursion goes
-  WorkStealingPool pool(4);
+  opt.grain = 1;  // descend on the caller wherever the recursion goes
+  ThreadPool pool(4);
   for (const std::uint64_t seed : {3ull, 99ull}) {
     for (const std::int32_t n : {1, 2, 13, 64, 333}) {
       core::TrialWorkspace<SyntheticProblem> seq_ws;
@@ -212,7 +127,7 @@ TEST(ParPartition, BaHfByteIdentical) {
   core::PartitionOptions record;
   record.record_tree = true;
   for (const unsigned threads : {1u, 2u, 8u}) {
-    WorkStealingPool pool(threads);
+    ThreadPool pool(threads);
     for (const std::int32_t grain : {0, 1}) {
       ParOptions opt;
       opt.partition = record;
@@ -236,14 +151,14 @@ TEST(ParPartition, BaHfByteIdentical) {
 }
 
 TEST(ParPartition, LargeNByteIdenticalAtEveryThreadCount) {
-  // The one large-N steal schedule: every par:* family at the default
+  // The one large-N schedule: every par:* family at the default
   // grain on U[0.1, 0.5], pieces at N = 2^13 and recorded trees at
   // N = 2^12 (the stitch logic has no N-dependent branch that 2^12 does
   // not already reach).
   const SyntheticProblem root(1, AlphaDistribution::uniform(0.1, 0.5));
   const core::BaHfParams params{0.25, 1.0};
   for (const unsigned threads : {1u, 2u, 4u, 8u}) {
-    WorkStealingPool pool(threads);
+    ThreadPool pool(threads);
     core::TrialWorkspace<SyntheticProblem> par_ws;
     for (const bool record : {false, true}) {
       ParOptions opt;
@@ -271,14 +186,14 @@ TEST(ParPartition, LargeNByteIdenticalAtEveryThreadCount) {
 
 TEST(ParPartition, ExpensiveBisectionProblem) {
   // FE-tree separators make bisection genuinely costly, exercising real
-  // overlap between chains (and shared_ptr refcounting across threads).
+  // overlap between frames (and shared_ptr refcounting across threads).
   const auto fe_tree = lbb::problems::FeTree::adaptive_refinement(3, 2000, 2.0);
   const auto make_fe = [&] { return lbb::problems::FeTreeProblem(fe_tree); };
   core::PartitionOptions record;
   record.record_tree = true;
   ParOptions opt;
   opt.partition = record;
-  WorkStealingPool pool(4);
+  ThreadPool pool(4);
   core::TrialWorkspace<lbb::problems::FeTreeProblem> seq_ws;
   const auto seq = core::ba_partition(seq_ws, make_fe(), 24, record);
   const auto par = par_ba_partition(pool, make_fe(), 24, opt);
@@ -286,7 +201,7 @@ TEST(ParPartition, ExpensiveBisectionProblem) {
 }
 
 TEST(ParPartition, WorkspaceOverloadMatchesAndRecycles) {
-  WorkStealingPool pool(2);
+  ThreadPool pool(2);
   core::TrialWorkspace<SyntheticProblem> par_ws;
   core::TrialWorkspace<SyntheticProblem> seq_ws;
   for (int round = 0; round < 3; ++round) {
@@ -299,21 +214,72 @@ TEST(ParPartition, WorkspaceOverloadMatchesAndRecycles) {
 }
 
 TEST(ParPartition, StatsCountSpawnsAndBisections) {
-  WorkStealingPool pool(2);
+  ThreadPool pool(2);
   ParStats stats;
   ParOptions opt;
   opt.grain = 1;
   const auto par = par_ba_partition(pool, make_problem(123), 256, opt, &stats);
   EXPECT_EQ(par.bisections, 255);
-  // With grain 1 every bisection spawns its lighter child (modulo inline
-  // fallbacks under slot exhaustion, which this size cannot reach).
-  EXPECT_EQ(stats.spawns, 255);
-  EXPECT_GE(stats.steals, 0);
+  // With grain 1 the frontier descent runs down to the pieces: every piece
+  // is a frontier frame.
+  EXPECT_EQ(stats.spawns, 256);
+  EXPECT_EQ(stats.steals, 0);
   EXPECT_EQ(stats.grain, 1);
 }
 
+/// A SyntheticProblem padded past 192 bytes: frontier frames of any size
+/// run on the pool.
+struct PaddedProblem {
+  SyntheticProblem inner;
+  std::array<std::byte, 200> pad{};
+
+  [[nodiscard]] double weight() const { return inner.weight(); }
+  [[nodiscard]] std::pair<PaddedProblem, PaddedProblem> bisect() const {
+    auto [left, right] = inner.bisect();
+    return {PaddedProblem{std::move(left)}, PaddedProblem{std::move(right)}};
+  }
+};
+static_assert(sizeof(PaddedProblem) > 192);
+
+TEST(ParPartition, OversizedProblemRunsOnThePool) {
+  const core::BaHfParams params{0.25, 1.0};
+  ParOptions opt;
+  opt.partition.record_tree = true;
+  constexpr std::int32_t kN = 300;
+  for (const unsigned threads : {1u, 4u}) {
+    ThreadPool pool(threads);
+    const std::string label = "threads=" + std::to_string(threads);
+    core::TrialWorkspace<PaddedProblem> seq_ws;
+    ParStats stats;
+    expect_identical(
+        par_ba_partition(pool, PaddedProblem{make_problem(17)}, kN, opt,
+                         &stats),
+        core::ba_partition(seq_ws, PaddedProblem{make_problem(17)}, kN,
+                           opt.partition),
+        "ba " + label);
+    EXPECT_GT(stats.spawns, 1) << label;
+    expect_identical(
+        par_ba_hf_partition(pool, PaddedProblem{make_problem(17)}, kN,
+                            params, opt, &stats),
+        core::ba_hf_partition(seq_ws, PaddedProblem{make_problem(17)}, kN,
+                              params, opt.partition),
+        "ba_hf " + label);
+    EXPECT_GT(stats.spawns, 1) << label;
+  }
+}
+
+TEST(ParPartition, CallFromPoolWorkerThrows) {
+  // The partition's join would wait for the worker it runs on.
+  ThreadPool pool(1);
+  auto nested = pool.submit_task(
+      [&pool] { return par_ba_partition(pool, make_problem(2), 64); });
+  EXPECT_THROW((void)nested.get(), std::logic_error);
+  // The pool still serves calls from outside.
+  EXPECT_EQ(par_ba_partition(pool, make_problem(2), 64).pieces.size(), 64u);
+}
+
 TEST(ParPartition, RejectsBadN) {
-  WorkStealingPool pool(2);
+  ThreadPool pool(2);
   EXPECT_THROW((void)par_ba_partition(pool, make_problem(1), 0),
                std::invalid_argument);
   EXPECT_THROW(
@@ -341,11 +307,16 @@ struct ThrowingProblem {
 };
 
 TEST(ParPartition, TaskExceptionPropagatesToCaller) {
-  WorkStealingPool pool(4);
-  ParOptions opt;
-  opt.grain = 1;
-  EXPECT_THROW((void)par_ba_partition(pool, ThrowingProblem{}, 512, opt),
-               std::runtime_error);
+  ThreadPool pool(4);
+  // Grain 1 throws in the caller's frontier descent; grain 64 stops the
+  // descent at weights near 1/8, so frames on the workers throw.
+  for (const std::int32_t grain : {1, 64}) {
+    ParOptions opt;
+    opt.grain = grain;
+    EXPECT_THROW((void)par_ba_partition(pool, ThrowingProblem{}, 512, opt),
+                 std::runtime_error)
+        << "grain=" << grain;
+  }
   // The pool survives a failed job and serves later ones.
   const auto seq = [&] {
     core::TrialWorkspace<SyntheticProblem> ws;
@@ -356,13 +327,12 @@ TEST(ParPartition, TaskExceptionPropagatesToCaller) {
 }
 
 // ---------------------------------------------------------------------------
-// Concurrent callers (tsan stress: randomized steal pressure from many
-// simultaneous jobs on one pool)
+// Concurrent callers (tsan stress: many simultaneous jobs on one pool)
 
 TEST(ParPartition, ConcurrentCallersGetIndependentIdenticalResults) {
   constexpr int kCallers = 4;
   constexpr int kRounds = 8;
-  WorkStealingPool pool(4);
+  ThreadPool pool(4);
   core::PartitionOptions record;
   record.record_tree = true;
 
@@ -374,7 +344,7 @@ TEST(ParPartition, ConcurrentCallersGetIndependentIdenticalResults) {
       for (int r = 0; r < kRounds; ++r) {
         const std::uint64_t seed =
             static_cast<std::uint64_t>(c * 1000 + r + 1);
-        // Vary shape per caller/round to randomize steal pressure.
+        // Vary shape and grain per caller/round.
         const std::int32_t n = 32 + 61 * ((c + r) % 5);
         ParOptions opt;
         opt.partition = record;
@@ -443,15 +413,14 @@ TEST(ParRegistry, RegistersAndRunsByteIdentical) {
   EXPECT_EQ(ctx.metrics.bisections, par.bisections);
   EXPECT_EQ(sink.counters.at("par.threads"), 2.0);
   EXPECT_GE(sink.counters.at("par.spawns"), 0.0);
-  EXPECT_GE(sink.counters.at("par.steals"), 0.0);
   EXPECT_GE(sink.counters.at("par.idle_ns"), 0.0);
   EXPECT_GT(part->ratio_bound(100), 0.0);
 }
 
 TEST(ParRegistry, SharedPoolReusesPerThreadCount) {
-  WorkStealingPool& a = shared_pool(2);
-  WorkStealingPool& b = shared_pool(2);
-  WorkStealingPool& c = shared_pool(3);
+  ThreadPool& a = shared_pool(2);
+  ThreadPool& b = shared_pool(2);
+  ThreadPool& c = shared_pool(3);
   EXPECT_EQ(&a, &b);
   EXPECT_NE(&a, &c);
   EXPECT_EQ(a.size(), 2u);
@@ -464,7 +433,7 @@ TEST(ParRegistry, SharedPoolReusesPerThreadCount) {
 // work between the steps so tsan sees the worker threads start and join
 // cleanly.
 TEST(ParRegistry, SharedPoolShutdownJoinsAndAllowsRecreation) {
-  WorkStealingPool& before = shared_pool(2);
+  ThreadPool& before = shared_pool(2);
   auto run_once = [](std::uint64_t seed) {
     return par_ba_partition(shared_pool(2), make_problem(seed), 64,
                             ParOptions{});
@@ -474,7 +443,7 @@ TEST(ParRegistry, SharedPoolShutdownJoinsAndAllowsRecreation) {
 
   shutdown_shared_pools();
   // A fresh pool must come up after teardown and serve identical answers.
-  WorkStealingPool& after = shared_pool(2);
+  ThreadPool& after = shared_pool(2);
   EXPECT_EQ(after.size(), 2u);
   const auto second = run_once(11);
   expect_identical(second, first, "pool recreated after shutdown");

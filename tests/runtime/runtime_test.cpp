@@ -135,8 +135,8 @@ TEST(ExecutionReport, ImbalanceComputation) {
 }  // namespace
 }  // namespace lbb::runtime
 
-// Appended: tests for the real-thread BA partitioner (the work-stealing
-// par_ba_partition on the shared pool of a given thread count).
+// Appended: tests for the real-thread BA partitioner (par_ba_partition on
+// the shared pool of a given thread count).
 #include "core/ba.hpp"
 #include "runtime/par_partition.hpp"
 #include "runtime/par_partitioners.hpp"
@@ -148,7 +148,7 @@ using lbb::problems::AlphaDistribution;
 using lbb::problems::SyntheticProblem;
 
 TEST(ParallelBa, MatchesSequentialBaExactly) {
-  WorkStealingPool& pool = shared_pool(4);
+  ThreadPool& pool = shared_pool(4);
   for (std::uint64_t seed : {1ULL, 7ULL}) {
     SyntheticProblem p(seed, AlphaDistribution::uniform(0.1, 0.5));
     for (int n : {1, 2, 16, 128, 500}) {
@@ -174,7 +174,7 @@ TEST(ParallelBa, ValidatesAndConserves) {
 }
 
 TEST(ParallelBa, RepeatedRunsAreDeterministic) {
-  WorkStealingPool& pool = shared_pool(8);
+  ThreadPool& pool = shared_pool(8);
   SyntheticProblem p(11, AlphaDistribution::uniform(0.2, 0.5));
   const auto a = par_ba_partition(pool, p, 64);
   const auto b = par_ba_partition(pool, p, 64);
@@ -266,8 +266,8 @@ TEST(ParallelForChunks, ChunkBoundariesAreFixed) {
 
 TEST(ParallelForChunks, PropagatesLowestChunkException) {
   ThreadPool pool(4);
-  // Chunks 2 and 5 fail; the harvest walks futures in chunk order, so the
-  // caller must observe chunk 2's exception deterministically.
+  // Chunks 2 and 5 fail; the join keeps the lowest failing chunk's
+  // exception, so the caller must observe chunk 2's deterministically.
   try {
     parallel_for_chunks(pool, 0, 80, 10,
                         [](std::int64_t chunk, std::int64_t, std::int64_t) {
@@ -284,6 +284,21 @@ TEST(ParallelForChunks, PropagatesLowestChunkException) {
   std::atomic<int> counter{0};
   parallel_for(pool, 0, 5, 2, [&counter](std::int64_t) { counter++; });
   EXPECT_EQ(counter.load(), 5);
+}
+
+TEST(ParallelForChunks, CallFromOwnWorkerThrows) {
+  // The nested call's runners would queue behind the worker that waits
+  // for them.
+  ThreadPool pool(1);
+  auto nested = pool.submit_task([&pool] {
+    parallel_for_chunks(pool, 0, 4, 1,
+                        [](std::int64_t, std::int64_t, std::int64_t) {});
+  });
+  EXPECT_THROW(nested.get(), std::logic_error);
+  // The pool still serves calls from outside.
+  std::atomic<int> counter{0};
+  parallel_for(pool, 0, 4, 1, [&counter](std::int64_t) { counter++; });
+  EXPECT_EQ(counter.load(), 4);
 }
 
 TEST(ParallelForChunks, EmptyAndBadRanges) {

@@ -10,7 +10,7 @@
 # or single-core CI runners.
 #
 # The other identity and allocation checks live in ctest: `par:*` against
-# the sequential kernels in `runtime_work_stealing_test`, max-sink against
+# the sequential kernels in `runtime_par_partition_test`, max-sink against
 # full-partition ratio cells in `experiments_batch_identity_test`, and the
 # service's hit/miss/bypass identity and warm zero-allocation serving in
 # `service_test` and `perf_alloc_gate_test`.
@@ -30,10 +30,12 @@
 #   ctest --preset ubsan-sim
 #
 # (likewise asan / asan-sim and tsan / tsan-sim; the tsan-sim preset's
-# label filter also covers the `runtime` suites, so the work-stealing
-# deque/parking protocol runs under ThreadSanitizer).  The fault-injection
-# tests (sim_fault_model_test) assert the same thread-count determinism for
-# degraded simulations that this script asserts for the experiment engine.
+# label filter also covers the `runtime` suites, so the thread pool's
+# queue, the parallel_for_chunks join and the par:* frame staging run
+# under ThreadSanitizer; ctest --preset tsan-runtime runs those alone).
+# The fault-injection tests (sim_fault_model_test) assert the same
+# thread-count determinism for degraded simulations that this script
+# asserts for the experiment engine.
 # The asan-core test preset (labels core|runtime|perf|property) puts the
 # arena / small-buffer AnyProblem / TrialWorkspace code and the
 # zero-allocation gate under AddressSanitizer:

@@ -7,9 +7,8 @@ The repo makes three promises that ordinary compilers cannot check:
                   Xoshiro256 streams); any stray std::rand / mt19937 /
                   random_device breaks run-to-run byte identity.
   memory order -- the cross-thread protocol is sequentially consistent by
-                  policy; weaker std::memory_order_* arguments are allowed
-                  only inside runtime/work_stealing.cpp, where the deque
-                  protocol documents each order.
+                  policy; weaker std::memory_order_* arguments are not
+                  allowed anywhere.
   hot-path alloc -- functions marked LBB_HOT (the per-bisection kernels,
                   HF's tree walk among them, and their workspace helpers)
                   must not allocate except
@@ -26,7 +25,7 @@ Rules (ids used in messages and allow-comments):
 
   hot-alloc     allocation reachable from an LBB_HOT function
   raw-rng       raw RNG primitive outside src/stats/rng.hpp
-  memory-order  non-seq_cst memory order outside runtime/work_stealing.cpp
+  memory-order  non-seq_cst memory order anywhere
   raw-simd      raw x86 intrinsic (<immintrin.h>, _mm*/__builtin_ia32_*)
                 anywhere
   registry-key  malformed or duplicate partitioner registry key
@@ -53,7 +52,6 @@ from dataclasses import dataclass, field
 REPO_MARKERS = ("CMakeLists.txt", "ROADMAP.md")
 
 RNG_EXEMPT = "src/stats/rng.hpp"
-MEMORY_ORDER_EXEMPT = "src/runtime/work_stealing.cpp"
 
 # Problem-polymorphic calls the hot-alloc closure must not descend into:
 # their cost (and any allocation) belongs to the problem instance, which the
@@ -456,8 +454,6 @@ def check_raw_rng(sf: SourceFile, findings: list) -> None:
 
 
 def check_memory_order(sf: SourceFile, findings: list) -> None:
-    if sf.rel == MEMORY_ORDER_EXEMPT:
-        return
     for idx, line in enumerate(sf.masked_lines):
         for m in MEMORY_ORDER.finditer(line):
             if "memory-order" in allow_rules_for_line(sf, idx, findings):
@@ -465,8 +461,7 @@ def check_memory_order(sf: SourceFile, findings: list) -> None:
             findings.append(Finding(
                 sf.path, idx + 1, "memory-order",
                 f"non-seq_cst memory order '{m.group(0)}' -- the "
-                "cross-thread protocol is seq_cst by policy; weaker orders "
-                f"are confined to {MEMORY_ORDER_EXEMPT}"))
+                "cross-thread protocol is seq_cst by policy"))
 
 
 def check_raw_simd(sf: SourceFile, findings: list) -> None:
@@ -647,7 +642,7 @@ def main(argv=None) -> int:
     check_registry_keys(files, findings)
     # Hot-alloc closure: on a repo scan the index covers src/core (all
     # LBB_HOT roots live there and short method names like push/pop would
-    # otherwise collide with the work-stealing deque); explicit paths are
+    # otherwise collide with other layers' containers); explicit paths are
     # indexed as given so fixtures are self-contained.
     if explicit:
         check_hot_alloc(files, findings)

@@ -1,5 +1,5 @@
 // lbb-lint negative fixture for the memory-order rule: weaker-than-seq_cst
-// orders outside runtime/work_stealing.cpp.  Never compiled.
+// orders, which no file may use.  Never compiled.
 #include <atomic>
 
 inline int bad_memory_orders(std::atomic<int>& x) {

@@ -33,7 +33,6 @@ fi
 # them all in.
 TUS=(
   src/runtime/thread_pool.cpp
-  src/runtime/work_stealing.cpp
   src/runtime/par_partitioners.cpp
   src/core/partitioner.cpp
   src/problems/alpha_dist.cpp
