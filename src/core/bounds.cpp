@@ -72,8 +72,10 @@ std::int32_t ba_hf_switch_threshold(double alpha, double beta) {
   require_valid_alpha(alpha);
   if (!(beta > 0.0)) throw std::invalid_argument("beta must be > 0");
   const double t = beta / alpha + 1.0;
+  // At least 2: a frame of one processor is a piece, never a BA split
+  // (beta/alpha below kUlpSlack would otherwise round t down to 1).
   return static_cast<std::int32_t>(
-      std::min<double>(std::ceil(t - kUlpSlack), 1e9));
+      std::clamp<double>(std::ceil(t - kUlpSlack), 2.0, 1e9));
 }
 
 double phf_phase1_threshold(double alpha, double total_weight,

@@ -55,7 +55,7 @@ void require_valid_alpha(double alpha);
 
 /// BA-HF switches from BA-style splitting to HF when the processor count of
 /// a subproblem drops below beta/alpha + 1; this returns that threshold as
-/// the smallest processor count that still recurses BA-style.
+/// the smallest processor count that still recurses BA-style (at least 2).
 [[nodiscard]] std::int32_t ba_hf_switch_threshold(double alpha, double beta);
 
 /// PHF phase-1 weight threshold: problems heavier than w(p)*r_alpha/N are

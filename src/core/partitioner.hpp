@@ -99,9 +99,8 @@ class Partitioner {
 
   [[nodiscard]] virtual const PartitionerInfo& info() const = 0;
 
-  /// Partitions `problem` into (at most) `n` pieces.  Accumulates
-  /// bisection counts into ctx.metrics, honors ctx.checkpoint() at run
-  /// granularity, and reports layer-specific counters through ctx.sink.
+  /// Partitions `problem` into (at most) `n` pieces, honoring
+  /// ctx.checkpoint() at run granularity.
   [[nodiscard]] virtual Partition<AnyProblem> run(RunContext& ctx,
                                                   AnyProblem problem,
                                                   std::int32_t n) const = 0;
@@ -185,7 +184,7 @@ class PartitionerRegistry {
 /// erasure when the partitioner is a builtin family (monomorphizing
 /// hf_partition & co. exactly like direct calls); returns std::nullopt for
 /// custom partitioners, whose only entry point is the erased run().
-/// Context bookkeeping (bisections, checkpoint) matches run().
+/// Checkpoints the context as run() does.
 ///
 /// This overload draws all scratch and output storage from `ws`: with a
 /// warm workspace the hf/ba/ba_star/ba_hf cases allocate nothing (the
@@ -223,8 +222,6 @@ template <Bisectable P>
       break;
     }
   }
-  ctx.metrics.partitions += 1;
-  ctx.metrics.bisections += out->bisections;
   return out;
 }
 

@@ -14,18 +14,15 @@
 // src/problems/, pinned by static_asserts there -- are stored in place, so
 // wrapping and (crucially) bisect() on the erased path perform no heap
 // allocation: the two children of an inline problem are constructed
-// directly inside the child handles.  Oversized problems fall back to a
-// single heap cell, or to a caller-supplied MonotonicArena (bump
-// allocation, recycled per trial) when constructed with one; children of
-// an arena-backed problem stay in the same arena.
+// directly inside the child handles.  Oversized problems live in a single
+// heap cell each.
 #pragma once
 
 #include <concepts>
+#include <cstddef>
 #include <new>
 #include <type_traits>
 #include <utility>
-
-#include "runtime/arena.hpp"
 
 namespace lbb::core {
 
@@ -76,17 +73,7 @@ class AnyProblem {
   template <Bisectable P>
     requires(!std::same_as<std::decay_t<P>, AnyProblem>)
   explicit AnyProblem(P problem) {
-    emplace<P>(std::move(problem), nullptr);
-  }
-
-  /// Wraps `problem`, using `arena` for storage when P does not fit the
-  /// inline buffer.  Children produced by bisect() use the same arena.
-  /// The arena must outlive every handle (and every descendant handle)
-  /// allocated from it; destroy them all before MonotonicArena::reset().
-  template <Bisectable P>
-    requires(!std::same_as<std::decay_t<P>, AnyProblem>)
-  AnyProblem(P problem, runtime::MonotonicArena& arena) {
-    emplace<P>(std::move(problem), &arena);
+    emplace<P>(std::move(problem));
   }
 
   AnyProblem(AnyProblem&& other) noexcept { steal(other); }
@@ -131,37 +118,30 @@ class AnyProblem {
       if constexpr (fits_inline_v<P>) {
         return *std::launder(reinterpret_cast<P*>(self.storage_.buf));
       } else {
-        return *static_cast<P*>(self.storage_.remote.ptr);
+        return *static_cast<P*>(self.storage_.ptr);
       }
     }
     static const P& get(const AnyProblem& self) noexcept {
       if constexpr (fits_inline_v<P>) {
         return *std::launder(reinterpret_cast<const P*>(self.storage_.buf));
       } else {
-        return *static_cast<const P*>(self.storage_.remote.ptr);
+        return *static_cast<const P*>(self.storage_.ptr);
       }
     }
 
     static double weight(const AnyProblem& self) { return get(self).weight(); }
 
     static void bisect(AnyProblem& self, AnyProblem& left, AnyProblem& right) {
-      runtime::MonotonicArena* arena = nullptr;
-      if constexpr (!fits_inline_v<P>) arena = self.storage_.remote.arena;
       auto [a, b] = get(self).bisect();
-      left.emplace<P>(std::move(a), arena);
-      right.emplace<P>(std::move(b), arena);
+      left.emplace<P>(std::move(a));
+      right.emplace<P>(std::move(b));
     }
 
     static void destroy(AnyProblem& self) noexcept {
       if constexpr (fits_inline_v<P>) {
         get(self).~P();
       } else {
-        P* p = static_cast<P*>(self.storage_.remote.ptr);
-        if (self.storage_.remote.arena != nullptr) {
-          p->~P();  // bytes stay with the arena until its reset()
-        } else {
-          delete p;
-        }
+        delete &get(self);
       }
     }
 
@@ -170,7 +150,7 @@ class AnyProblem {
         ::new (static_cast<void*>(dst.storage_.buf)) P(std::move(get(src)));
         get(src).~P();
       } else {
-        dst.storage_.remote = src.storage_.remote;
+        dst.storage_.ptr = src.storage_.ptr;
       }
     }
 
@@ -180,15 +160,11 @@ class AnyProblem {
 
   /// Installs `problem` into an EMPTY handle.
   template <Bisectable P>
-  void emplace(P problem, runtime::MonotonicArena* arena) {
+  void emplace(P problem) {
     if constexpr (fits_inline_v<P>) {
       ::new (static_cast<void*>(storage_.buf)) P(std::move(problem));
-    } else if (arena != nullptr) {
-      storage_.remote.ptr = arena->create<P>(std::move(problem));
-      storage_.remote.arena = arena;
     } else {
-      storage_.remote.ptr = new P(std::move(problem));
-      storage_.remote.arena = nullptr;
+      storage_.ptr = new P(std::move(problem));
     }
     vt_ = &Ops<P>::vtable;
   }
@@ -210,11 +186,8 @@ class AnyProblem {
   }
 
   union Storage {
-    constexpr Storage() noexcept : remote{nullptr, nullptr} {}
-    struct Remote {
-      void* ptr;
-      runtime::MonotonicArena* arena;  ///< nullptr: ptr is a heap cell
-    } remote;
+    constexpr Storage() noexcept : ptr(nullptr) {}
+    void* ptr;  ///< an oversized problem's heap cell
     alignas(kInlineAlign) std::byte buf[kInlineSize];
   } storage_;
   const VTable* vt_ = nullptr;

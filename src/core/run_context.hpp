@@ -5,12 +5,11 @@
 // simulated execution) carries one RunContext.  It holds
 //
 //   * the run's seed (substream seeds via fork_seed, so parallel chunks
-//     stay deterministic and independent),
-//   * a metrics accumulator (RunMetrics) plus an optional MetricsSink for
-//     named counters the core layer cannot know about (the sim layer
-//     reports makespan / messages / collectives / fault accounting through
-//     it, the par:* partitioners their frame counts), and
+//     stay deterministic and independent), and
 //   * an optional cooperative cancellation token.
+//
+// What a run measures has a typed home of its own: a Partition's
+// bisections, a simulation's SimMetrics, a service's ServiceStats.
 //
 // Granularity contract: contexts are checked at *run boundaries* (per
 // partition call, per experiment trial), never inside the per-bisection hot
@@ -23,7 +22,6 @@
 #include <cstdint>
 #include <stdexcept>
 #include <string>
-#include <string_view>
 
 #include "stats/rng.hpp"
 
@@ -53,35 +51,6 @@ class OperationCancelled : public std::runtime_error {
       : std::runtime_error(what) {}
 };
 
-/// Core-layer metrics every run accumulates.  Sim-specific accounting
-/// (SimMetrics) flows through the MetricsSink counters instead, so the core
-/// layer never depends on the sim layer.
-struct RunMetrics {
-  std::int64_t partitions = 0;   ///< partitioning runs completed
-  std::int64_t bisections = 0;   ///< bisection steps across those runs
-  std::int64_t alloc_count = 0;  ///< heap allocations attributed to the run
-  std::int64_t alloc_bytes = 0;  ///< bytes requested by those allocations
-
-  // alloc_* are zero unless the binary links the interposing allocation
-  // probe (tools/alloc_probe); see stats/alloc_stats.hpp.
-
-  void merge(const RunMetrics& other) noexcept {
-    partitions += other.partitions;
-    bisections += other.bisections;
-    alloc_count += other.alloc_count;
-    alloc_bytes += other.alloc_bytes;
-  }
-};
-
-/// Receiver for named counters from layers above core (sim reports
-/// "sim.makespan", "sim.messages", ... through this).  Implementations are
-/// used from one thread at a time per RunContext.
-class MetricsSink {
- public:
-  virtual ~MetricsSink() = default;
-  virtual void on_counter(std::string_view key, double value) = 0;
-};
-
 /// The run spine.  Cheap to construct; movable.
 class RunContext {
  public:
@@ -107,14 +76,6 @@ class RunContext {
       throw OperationCancelled("run cancelled");
     }
   }
-
-  /// Reports a named counter to the sink, if any.
-  void counter(std::string_view key, double value) const {
-    if (sink != nullptr) sink->on_counter(key, value);
-  }
-
-  RunMetrics metrics;          ///< core accounting, owned by this context
-  MetricsSink* sink = nullptr; ///< optional named-counter sink (not owned)
 
  private:
   std::uint64_t seed_ = 0;

@@ -7,9 +7,7 @@
 //     detail::kHfBandMinPieces pieces, the weight-band queue from there
 //     on; HF's tree walk under the max sink; the BA-family frame stack),
 //   * a piece pool that recycles the Partition::pieces storage of finished
-//     trials back into the next partition call, and
-//   * a MonotonicArena for arena-backed AnyProblem storage (problems too
-//     large for the handle's inline buffer).
+//     trials back into the next partition call.
 //
 // With a warm workspace, hf_partition / ba_partition / ba_star_partition /
 // ba_hf_partition perform ZERO heap allocations per trial -- the
@@ -18,10 +16,6 @@
 // live, never what the algorithms compute: every workspace-backed call is
 // byte-identical to its workspace-free overload (the `driver` golden gates
 // cover the full experiment pipeline).
-//
-// Layering note: runtime/arena.hpp is a freestanding header (standard
-// library only), so including it here adds no link edge from lbb_core to
-// lbb_runtime.
 #pragma once
 
 #include <cstdint>
@@ -32,7 +26,6 @@
 #include "core/partition.hpp"
 #include "core/problem.hpp"
 #include "core/thread_annotations.hpp"
-#include "runtime/arena.hpp"
 
 namespace lbb::core {
 
@@ -47,10 +40,6 @@ class TrialWorkspace {
   TrialWorkspace& operator=(TrialWorkspace&&) noexcept = default;
   TrialWorkspace(const TrialWorkspace&) = delete;
   TrialWorkspace& operator=(const TrialWorkspace&) = delete;
-
-  /// Arena for oversized type-erased problems; reset between trials by
-  /// reset() once every handle into it has been destroyed.
-  [[nodiscard]] runtime::MonotonicArena& arena() noexcept { return arena_; }
 
   /// Takes a pieces vector for a new Partition: the recycled buffer of a
   /// previous trial when one is pooled (capacity retained -- no
@@ -75,11 +64,12 @@ class TrialWorkspace {
     piece_pool_.clear();
   }
 
-  /// Rewinds the arena (buffers keep their capacity regardless).  Every
-  /// arena-backed AnyProblem from the previous trial must be dead.
-  void reset() noexcept { arena_.reset(); }
+  /// Does nothing: between trials a workspace needs no rewind (its
+  /// buffers keep their capacity, their contents are dead).  Kept because
+  /// the repository benchmark (benchmark/) still calls it.
+  void reset() noexcept {}
 
-  /// Drops all retained memory (buffers and arena chunks).
+  /// Drops all retained memory.
   void release() noexcept {
     hf_slots = detail::RawBuffer();
     slot_weight = detail::RawBuffer();
@@ -88,7 +78,6 @@ class TrialWorkspace {
     frames = detail::RawBuffer();
     walk_hist = detail::RawBuffer();
     piece_pool_ = std::vector<Piece<P>>();
-    arena_.release();
   }
 
   // Kernel scratch, used directly by detail::hf_run / ba_run / ba_hf_run.
@@ -110,7 +99,6 @@ class TrialWorkspace {
 
  private:
   std::vector<Piece<P>> piece_pool_;
-  runtime::MonotonicArena arena_;
 };
 
 }  // namespace lbb::core

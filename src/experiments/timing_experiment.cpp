@@ -1,25 +1,18 @@
 #include "experiments/timing_experiment.hpp"
 
 #include <algorithm>
-#include <chrono>
-#include <memory>
-#include <optional>
 #include <stdexcept>
-#include <string_view>
+#include <utility>
+#include <vector>
 
-#include "core/partitioner.hpp"
-#include "experiments/ratio_experiment.hpp"
 #include "experiments/trial_engine.hpp"
 #include "problems/synthetic.hpp"
-#include "sim/partitioners.hpp"
+#include "sim/par_ba.hpp"
+#include "sim/phf.hpp"
 #include "stats/rng.hpp"
 
 namespace lbb::experiments {
 
-using lbb::core::AnyProblem;
-using lbb::core::Partitioner;
-using lbb::core::PartitionerConfig;
-using lbb::core::RunContext;
 using lbb::problems::SyntheticProblem;
 
 const char* par_algo_name(ParAlgo algo) {
@@ -40,24 +33,6 @@ const char* par_algo_name(ParAlgo algo) {
   return "?";
 }
 
-const char* par_algo_key(ParAlgo algo) {
-  switch (algo) {
-    case ParAlgo::kPHFOracle:
-      return "phf:oracle";
-    case ParAlgo::kPHFBaPrime:
-      return "phf:ba_prime";
-    case ParAlgo::kPHFProbe:
-      return "phf:probe";
-    case ParAlgo::kBA:
-      return "sim:ba";
-    case ParAlgo::kBAHF:
-      return "sim:ba_hf";
-    case ParAlgo::kSeqHF:
-      return "hf";
-  }
-  return "?";
-}
-
 namespace {
 
 constexpr std::uint64_t timing_cell_key(ParAlgo algo, std::int32_t log2_n) {
@@ -65,29 +40,38 @@ constexpr std::uint64_t timing_cell_key(ParAlgo algo, std::int32_t log2_n) {
          static_cast<std::uint32_t>(log2_n);
 }
 
-/// Captures the timing-relevant sink counters of one simulated execution.
-class TimingSink final : public lbb::core::MetricsSink {
- public:
-  void on_counter(std::string_view key, double value) override {
-    if (key == "sim.makespan") {
-      makespan = value;
-    } else if (key == "sim.messages") {
-      messages = value;
-    } else if (key == "sim.collective_ops") {
-      collective_ops = value;
-    } else if (key == "sim.phase2_iterations") {
-      phase2_iterations = value;
-    } else if (key == "alloc.count") {
-      allocs = value;
+/// One simulated execution of `algo` on `problem` (kSeqHF: the analytic
+/// model, no simulation).  PHF's probing manager draws from `seed`.
+lbb::sim::SimMetrics simulate(ParAlgo algo, SyntheticProblem problem,
+                              std::int32_t n, double alpha, double beta,
+                              const lbb::sim::CostModel& cost,
+                              std::uint64_t seed) {
+  using lbb::sim::FreeProcManager;
+  lbb::sim::PhfSimOptions phf;
+  phf.probe_seed = seed;
+  switch (algo) {
+    case ParAlgo::kPHFOracle:
+      phf.manager = FreeProcManager::kOracle;
+      break;
+    case ParAlgo::kPHFBaPrime:
+      phf.manager = FreeProcManager::kBaPrime;
+      break;
+    case ParAlgo::kPHFProbe:
+      phf.manager = FreeProcManager::kRandomProbe;
+      break;
+    case ParAlgo::kBA:
+      return lbb::sim::ba_simulate(problem, n, cost).metrics;
+    case ParAlgo::kBAHF:
+      return lbb::sim::ba_hf_simulate(problem, n, alpha, beta, cost).metrics;
+    case ParAlgo::kSeqHF: {
+      lbb::sim::SimMetrics m;
+      m.makespan = sequential_hf_time(n, cost);
+      m.messages = n - 1;
+      return m;
     }
   }
-
-  double makespan = 0.0;
-  double messages = 0.0;
-  double collective_ops = 0.0;
-  double phase2_iterations = 0.0;
-  double allocs = 0.0;
-};
+  return lbb::sim::phf_simulate(problem, n, alpha, cost, phf).metrics;
+}
 
 /// Per-chunk accumulator mirroring TimingCell's statistics fields.
 struct ChunkStats {
@@ -95,7 +79,6 @@ struct ChunkStats {
   lbb::stats::RunningStats messages;
   lbb::stats::RunningStats collective_ops;
   lbb::stats::RunningStats phase2_iterations;
-  lbb::stats::RunningStats allocs;
 };
 
 }  // namespace
@@ -134,29 +117,9 @@ TimingExperimentResult run_timing_experiment(
   result.config = config;
   const double alpha = config.dist.lower_bound();
 
-  // Resolve each simulated execution through the sim partitioner factory
-  // (explicit cost model); kSeqHF is analytic and keeps a null slot.  A
-  // partitioner is created once per algorithm and shared across worker
-  // threads (stateless after construction); seed 0 makes the probing
-  // manager follow each trial's context seed, reproducing the historical
-  // probe_seed = instance_seed behavior.
-  std::vector<std::unique_ptr<Partitioner>> partitioners;
-  partitioners.reserve(config.algos.size());
-  for (const ParAlgo algo : config.algos) {
-    if (algo == ParAlgo::kSeqHF) {
-      partitioners.push_back(nullptr);
-      continue;
-    }
-    partitioners.push_back(lbb::sim::make_sim_partitioner(
-        par_algo_key(algo), PartitionerConfig{alpha, config.beta, 0, {}},
-        config.cost));
-  }
-
   detail::TrialEngine engine(config.threads, config.time_limit_seconds);
 
-  for (std::size_t a = 0; a < config.algos.size(); ++a) {
-    const ParAlgo algo = config.algos[a];
-    const Partitioner* part = partitioners[a].get();
+  for (const ParAlgo algo : config.algos) {
     for (const std::int32_t k : config.log2_n) {
       const std::int32_t n = 1 << k;
       TimingCell cell;
@@ -174,24 +137,13 @@ TimingExperimentResult run_timing_experiment(
           engine.ensure_alive(config.cancel, "timing experiment cancelled");
           const std::uint64_t instance_seed =
               lbb::stats::mix64(config.seed, static_cast<std::uint64_t>(t));
-          TimingSink sink;
-          if (part != nullptr) {
-            RunContext ctx(instance_seed);
-            ctx.set_cancel_token(config.cancel);
-            ctx.sink = &sink;
-            (void)part->run(
-                ctx, AnyProblem(SyntheticProblem(instance_seed, config.dist)),
-                n);
-          } else {
-            // kSeqHF: analytic model, no simulated execution.
-            sink.makespan = sequential_hf_time(n, config.cost);
-            sink.messages = static_cast<double>(n - 1);
-          }
-          local.makespan.add(sink.makespan);
-          local.messages.add(sink.messages);
-          local.collective_ops.add(sink.collective_ops);
-          local.phase2_iterations.add(sink.phase2_iterations);
-          local.allocs.add(sink.allocs);
+          const lbb::sim::SimMetrics m = simulate(
+              algo, SyntheticProblem(instance_seed, config.dist), n, alpha,
+              config.beta, config.cost, instance_seed);
+          local.makespan.add(m.makespan);
+          local.messages.add(static_cast<double>(m.messages));
+          local.collective_ops.add(static_cast<double>(m.collective_ops));
+          local.phase2_iterations.add(m.phase2_iterations);
         }
         chunk_stats[static_cast<std::size_t>(chunk)] = local;
       };
@@ -204,7 +156,6 @@ TimingExperimentResult run_timing_experiment(
         cell.messages.merge(local.messages);
         cell.collective_ops.merge(local.collective_ops);
         cell.phase2_iterations.merge(local.phase2_iterations);
-        cell.allocs.merge(local.allocs);
       }
       result.cells.push_back(std::move(cell));
     }

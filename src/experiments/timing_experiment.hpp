@@ -3,12 +3,10 @@
 // collective-operation counts of PHF / BA / BA-HF versus N, next to the
 // Theta(N) time of sequential HF.
 //
-// Simulated executions are resolved through the partitioner registry's sim
-// entries (sim::make_sim_partitioner, so the experiment's CostModel
-// applies) and their metrics come back through the RunContext metrics-sink
-// counters ("sim.makespan" & co.) -- the same pipe every other consumer of
-// the sim partitioners uses.  kSeqHF stays an analytic model (no
-// simulation runs; see sequential_hf_time).
+// Each trial calls the simulators (phf_simulate, ba_simulate,
+// ba_hf_simulate) under the experiment's CostModel and reads their
+// SimMetrics.  kSeqHF stays an analytic model (no simulation runs; see
+// sequential_hf_time).
 #pragma once
 
 #include <cstdint>
@@ -36,10 +34,6 @@ enum class ParAlgo {
 
 /// Display name ("PHF(oracle)", ..., "HF(seq)").
 [[nodiscard]] const char* par_algo_name(ParAlgo algo);
-
-/// Registry key ("phf:oracle", ..., "sim:ba_hf"); kSeqHF has no simulated
-/// execution and maps to "hf" (its partition; the time is analytic).
-[[nodiscard]] const char* par_algo_key(ParAlgo algo);
 
 struct TimingExperimentConfig {
   lbb::problems::AlphaDistribution dist =
@@ -74,10 +68,6 @@ struct TimingCell {
   lbb::stats::RunningStats messages;
   lbb::stats::RunningStats collective_ops;
   lbb::stats::RunningStats phase2_iterations;  ///< PHF only
-  /// Heap allocations per simulated run ("alloc.count" counter; all-zero
-  /// unless the binary links the allocation probe, and always zero for the
-  /// analytic kSeqHF rows).
-  lbb::stats::RunningStats allocs;
 };
 
 struct TimingExperimentResult {

@@ -43,7 +43,6 @@ void TrialEngine::run_trials(const lbb::core::Partitioner& part,
             part, ctx, ws, SyntheticProblem(instance_seed, dist), n)) {
       out[t - lo] = {typed->ratio(), typed->bisections};
       ws.recycle(std::move(*typed));
-      ws.reset();
     } else {
       const auto erased = part.run(
           ctx, lbb::core::AnyProblem(SyntheticProblem(instance_seed, dist)),

@@ -79,8 +79,7 @@ struct ParOptions {
   std::int32_t grain = 0;
 };
 
-/// Per-call runtime counters (reported as par.* through RunContext by the
-/// registered partitioners; also available directly).
+/// Per-call runtime counters of a direct par_*_partition call.
 struct ParStats {
   std::int64_t spawns = 0;       ///< frontier frames dealt to the pool
   /// Always 0; kept only for benchmark/large_n.cpp, which reports it.

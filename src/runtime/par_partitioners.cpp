@@ -11,7 +11,6 @@
 #include "core/partitioner.hpp"
 #include "core/sync.hpp"
 #include "runtime/par_partition.hpp"
-#include "stats/alloc_stats.hpp"
 
 namespace lbb::runtime {
 
@@ -41,39 +40,18 @@ class ParPartitioner final : public Partitioner {
     ThreadPool& pool = shared_pool(config_.threads);
     ParOptions opt;
     opt.partition = config_.options;
-    ParStats stats;
-    // Caller-side allocations measured here; worker-side ones arrive
-    // through stats.alloc_* (each frame measures its worker's delta -- see
-    // detail::run_frame).
-    const auto allocs_before = lbb::stats::alloc_stats();
-    Partition<AnyProblem> out = [&] {
-      switch (family_) {
-        case ParFamily::kBaStar:
-          return par_ba_star_partition(pool, std::move(problem), n,
-                                       config_.alpha, opt, &stats);
-        case ParFamily::kBaHf:
-          return par_ba_hf_partition(
-              pool, std::move(problem), n,
-              core::BaHfParams{config_.alpha, config_.beta}, opt, &stats);
-        case ParFamily::kBa:
-          break;
-      }
-      return par_ba_partition(pool, std::move(problem), n, opt, &stats);
-    }();
-    const auto allocs = lbb::stats::alloc_stats() - allocs_before;
-    ctx.metrics.partitions += 1;
-    ctx.metrics.bisections += out.bisections;
-    ctx.metrics.alloc_count += allocs.count + stats.alloc_count;
-    ctx.metrics.alloc_bytes += allocs.bytes + stats.alloc_bytes;
-    ctx.counter("alloc.count",
-                static_cast<double>(allocs.count + stats.alloc_count));
-    ctx.counter("alloc.bytes",
-                static_cast<double>(allocs.bytes + stats.alloc_bytes));
-    ctx.counter("par.threads", static_cast<double>(pool.size()));
-    ctx.counter("par.grain", static_cast<double>(stats.grain));
-    ctx.counter("par.spawns", static_cast<double>(stats.spawns));
-    ctx.counter("par.idle_ns", static_cast<double>(stats.idle_ns));
-    return out;
+    switch (family_) {
+      case ParFamily::kBaStar:
+        return par_ba_star_partition(pool, std::move(problem), n,
+                                     config_.alpha, opt);
+      case ParFamily::kBaHf:
+        return par_ba_hf_partition(
+            pool, std::move(problem), n,
+            core::BaHfParams{config_.alpha, config_.beta}, opt);
+      case ParFamily::kBa:
+        break;
+    }
+    return par_ba_partition(pool, std::move(problem), n, opt);
   }
 
   /// Identical output to the sequential family, so its bound applies.

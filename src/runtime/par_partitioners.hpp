@@ -36,13 +36,9 @@ void shutdown_shared_pools();
 /// (lbb_bench does this at startup, next to the sim registration).
 ///
 /// The registered partitioners run through the type-erased AnyProblem
-/// interface on shared_pool(config.threads) and report par.spawns /
-/// par.idle_ns counters through the RunContext sink.  Their
-/// output is byte-identical to the sequential ba / ba_star / ba_hf
-/// partitioners for every thread count.  Note: arena-backed AnyProblems
-/// must not cross threads (MonotonicArena is single-threaded); pass
-/// heap/inline-backed problems, which is what every caller in this repo
-/// constructs.
+/// interface on shared_pool(config.threads).  Their output is
+/// byte-identical to the sequential ba / ba_star / ba_hf partitioners for
+/// every thread count.
 void register_par_partitioners();
 
 }  // namespace lbb::runtime

@@ -394,7 +394,6 @@ std::shared_ptr<const PartitionResult> PartitionService::compute(
   if (typed.has_value()) {
     fill_result(*result, *typed);
     self.ws.recycle(std::move(*typed));
-    self.ws.reset();
   } else {
     auto erased = part.run(ctx, core::AnyProblem(problem), key.n);
     fill_result(*result, erased);
@@ -497,35 +496,6 @@ ServiceStats PartitionService::snapshot() const {
           ? static_cast<double>(out.served_ok) / out.elapsed_seconds
           : 0.0;
   return out;
-}
-
-void PartitionService::report(core::MetricsSink& sink) const {
-  const ServiceStats s = snapshot();
-  sink.on_counter("service.workers", static_cast<double>(s.workers));
-  sink.on_counter("service.submitted", static_cast<double>(s.submitted));
-  sink.on_counter("service.completed", static_cast<double>(s.completed));
-  sink.on_counter("service.served_ok", static_cast<double>(s.served_ok));
-  sink.on_counter("service.cache_hits", static_cast<double>(s.cache_hits));
-  sink.on_counter("service.cache_misses",
-                  static_cast<double>(s.cache_misses));
-  sink.on_counter("service.coalesced", static_cast<double>(s.coalesced));
-  sink.on_counter("service.bypassed", static_cast<double>(s.bypassed));
-  sink.on_counter("service.rejected", static_cast<double>(s.rejected));
-  sink.on_counter("service.cancelled", static_cast<double>(s.cancelled));
-  sink.on_counter("service.errors", static_cast<double>(s.errors));
-  sink.on_counter("service.cache_entries",
-                  static_cast<double>(s.cache_entries));
-  sink.on_counter("service.cache_evictions",
-                  static_cast<double>(s.cache_evictions));
-  sink.on_counter("service.alloc_count", static_cast<double>(s.alloc_count));
-  sink.on_counter("service.alloc_bytes", static_cast<double>(s.alloc_bytes));
-  sink.on_counter("service.latency_samples",
-                  static_cast<double>(s.latency_samples));
-  sink.on_counter("service.p50_ms", s.p50_ms);
-  sink.on_counter("service.p95_ms", s.p95_ms);
-  sink.on_counter("service.p99_ms", s.p99_ms);
-  sink.on_counter("service.elapsed_seconds", s.elapsed_seconds);
-  sink.on_counter("service.partitions_per_sec", s.partitions_per_sec);
 }
 
 void PartitionService::reset_stats() {

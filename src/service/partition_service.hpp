@@ -31,8 +31,8 @@
 // cache node): that is the cold path by definition.
 //
 // Tail latency: every served request records enqueue-to-completion time in
-// a stats::PercentileReservoir; snapshot() / report() expose p50/p95/p99
-// and partitions/sec.  The repository benchmark times the service from
+// a stats::PercentileReservoir; snapshot() exposes p50/p95/p99 and
+// partitions/sec.  The repository benchmark times the service from
 // outside (benchmark/serve.cpp).
 #pragma once
 
@@ -285,11 +285,6 @@ class PartitionService {
 
   /// Point-in-time counters and latency percentiles.
   [[nodiscard]] ServiceStats snapshot() const LBB_EXCLUDES(mu_);
-
-  /// Emits the snapshot as "service.*" named counters (p50/p95/p99,
-  /// partitions_per_sec, hit/miss/coalesced/rejected counts, ...) -- the
-  /// same MetricsSink channel the sim layer reports through.
-  void report(core::MetricsSink& sink) const LBB_EXCLUDES(mu_);
 
   /// Zeroes counters and the latency window and restarts the stats epoch.
   /// The memo cache is retained -- this is how a load test separates warm

@@ -13,6 +13,10 @@
 // owning processor, shipping the resulting pieces to the processors of its
 // range (constant extra time per processor for fixed beta/alpha).
 //
+// The simulators run core's BA descent (core::detail::ba_descend, ba_run)
+// through SimSink, which keeps each frame's clock next to its place in the
+// partition, so every piece, tree node and bisection is core's own.
+//
 // All simulators accept a FaultConfig (sim/fault_model.hpp).  BA's
 // recursion order is structural, so injected slowdowns, message loss and
 // delays stretch the critical path and the fault metrics but leave the
@@ -23,14 +27,13 @@
 #include <cstdint>
 #include <stdexcept>
 #include <utility>
-#include <vector>
 
+#include "core/ba.hpp"
 #include "core/bounds.hpp"
 #include "core/detail/build_context.hpp"
 #include "core/hf.hpp"
 #include "core/partition.hpp"
 #include "core/problem.hpp"
-#include "core/split.hpp"
 #include "core/workspace.hpp"
 #include "sim/cost_model.hpp"
 #include "sim/fault_model.hpp"
@@ -52,197 +55,111 @@ enum class BaHfSecondPhase {
 
 namespace detail {
 
-/// Shared BA-style simulated recursion.  If `switch_threshold` > 0, frames
-/// whose range drops below it run sequential HF locally (BA-HF); if
-/// `prune_below` >= 0, subproblems at or below that weight become leaves
-/// regardless of range (BA').
+/// The BA-family kernels' output sink on the simulated machine: the
+/// BuildContext that builds the partition, plus the time at which each
+/// frame's subproblem is on its first processor.
 template <lbb::core::Bisectable P>
-SimResult<P> ba_like_simulate(P problem, std::int32_t n,
-                              const CostModel& cost,
-                              const lbb::core::PartitionOptions& popt,
-                              std::int32_t switch_threshold,
-                              double prune_below, Trace* trace,
-                              const FaultConfig& faults) {
-  if (n < 1) throw std::invalid_argument("ba_simulate: n must be >= 1");
-  FaultModel fault(faults);
-  SimResult<P> result;
-  lbb::core::Partition<P>& out = result.partition;
-  SimMetrics& m = result.metrics;
-  out.processors = n;
-  out.total_weight = problem.weight();
-  out.pieces.reserve(static_cast<std::size_t>(n));
-  lbb::core::detail::BuildContext<P> ctx(out, popt.record_tree);
-  const lbb::core::NodeId root_node = ctx.root(out.total_weight);
-
-  struct Frame {
-    P problem;
-    double weight;
-    std::int32_t n;
-    lbb::core::ProcessorId proc_lo;
+struct SimSink {
+  struct FrameTag {
+    typename lbb::core::detail::BuildContext<P>::FrameTag at;
     double time;
-    std::int32_t depth;
-    lbb::core::NodeId node;
   };
-  std::vector<Frame> stack;
-  stack.push_back(Frame{std::move(problem), out.total_weight, n, 0, 0.0, 0,
-                        root_node});
-  // One workspace for every below-threshold HF leaf of this simulate call
-  // (BA-HF runs many); warm after the first leaf.
-  lbb::core::TrialWorkspace<P> hf_ws;
 
-  while (!stack.empty()) {
-    Frame f = std::move(stack.back());
-    stack.pop_back();
+  lbb::core::Partition<P>& out;
+  lbb::core::detail::BuildContext<P>& ctx;
+  const CostModel& cost;
+  const FaultConfig& faults;
+  FaultModel fault;
+  SimMetrics& m;
+  Trace* trace;
 
-    if (f.n == 1 || (prune_below >= 0.0 && f.weight <= prune_below)) {
-      m.makespan = std::max(m.makespan, f.time);
-      ctx.piece(std::move(f.problem), f.weight, f.proc_lo, f.depth, f.node);
-      continue;
-    }
-    if (switch_threshold > 0 && f.n < switch_threshold) {
-      // BA-HF leaf phase: sequential HF on the owning processor, then ship
-      // the pieces (pipelined sends, one per unit of t_send).
-      const auto pieces_before = out.pieces.size();
-      lbb::core::detail::hf_run(ctx, hf_ws, std::move(f.problem), f.n,
-                                {f.proc_lo, f.depth, f.node});
-      const auto produced =
-          static_cast<std::int32_t>(out.pieces.size() - pieces_before);
-      const double step = fault.bisect_cost(f.proc_lo, cost.t_bisect);
-      const double bisect_done =
-          f.time + step * static_cast<double>(produced - 1);
-      double send_clock = bisect_done;
-      for (std::int32_t j = 1; j < produced; ++j) {
-        if (trace) {
-          trace->record(f.time + step * j, f.proc_lo, TraceEvent::kBisect);
-        }
-        // Pipelined sends: each departs when the previous one is done.
-        send_clock = faulted_transfer(fault, cost, n, m, trace, f.proc_lo,
-                                      f.proc_lo + j, send_clock, 0.0);
-        m.makespan = std::max(m.makespan, send_clock);
-      }
-      m.makespan = std::max(m.makespan, bisect_done);
-      continue;
-    }
-
-    auto [a, b] = f.problem.bisect();
-    double wa = a.weight();
-    double wb = b.weight();
-    if (wa < wb) {
-      std::swap(a, b);
-      std::swap(wa, wb);
-    }
-    const auto [node_a, node_b] = ctx.bisected(f.node, wa, wb);
-    const std::int32_t n1 = lbb::core::ba_split_processors(wa, wb, f.n);
-    const double done = f.time + fault.bisect_cost(f.proc_lo, cost.t_bisect);
-    const std::int32_t depth = f.depth + 1;
-    if (trace) trace->record(done, f.proc_lo, TraceEvent::kBisect, wa);
-    const double arrival = faulted_transfer(fault, cost, n, m, trace,
-                                            f.proc_lo, f.proc_lo + n1, done,
-                                            wb);
-    stack.push_back(Frame{std::move(b), wb, f.n - n1,
-                          f.proc_lo + static_cast<lbb::core::ProcessorId>(n1),
-                          arrival, depth, node_b});
-    stack.push_back(
-        Frame{std::move(a), wa, n1, f.proc_lo, done, depth, node_a});
+  /// One bisection on the frame's first processor; the lighter child
+  /// travels to proc_lo + n1.
+  std::pair<FrameTag, FrameTag> split(const FrameTag& f, double wl,
+                                      double wr, std::int32_t n1) {
+    const lbb::core::ProcessorId proc = f.at.proc_lo;
+    const double done = f.time + fault.bisect_cost(proc, cost.t_bisect);
+    if (trace) trace->record(done, proc, TraceEvent::kBisect, wl);
+    const double arrival = faulted_transfer(fault, cost, out.processors, m,
+                                            trace, proc, proc + n1, done, wr);
+    const auto [left, right] = ctx.split(f.at, wl, wr, n1);
+    return {FrameTag{left, done}, FrameTag{right, arrival}};
   }
 
-  m.bisections = out.bisections;
-  m.collective_ops = 0;  // BA-family: no global communication, by design
-  return result;
-}
+  void piece(P problem, double weight, const FrameTag& f) {
+    m.makespan = std::max(m.makespan, f.time);
+    ctx.piece(std::move(problem), weight, f.at);
+  }
 
-/// BA-HF with PHF as the second phase: BA-style recursion down to the
-/// switch threshold, then each below-threshold subproblem runs PHF inside
-/// its own processor range (collectives scoped to that range).  Tree
-/// recording covers the BA phase only; the PHF sub-runs contribute their
-/// pieces and metrics.
-template <lbb::core::Bisectable P>
-SimResult<P> ba_hf_phf_simulate(P problem, std::int32_t n, double alpha,
+  /// BA-HF's sequential second phase on a frame of k >= 2 processors: HF
+  /// on its first processor, then pipelined sends of the other k - 1
+  /// pieces, each departing when the previous one is done.
+  void hf_phase(lbb::core::TrialWorkspace<P>& ws, P problem, std::int32_t k,
+                const FrameTag& f) {
+    const lbb::core::ProcessorId proc = f.at.proc_lo;
+    lbb::core::detail::hf_run(ctx, ws, std::move(problem), k, f.at);
+    const double step = fault.bisect_cost(proc, cost.t_bisect);
+    const double bisect_done = f.time + step * (k - 1);
+    double send_clock = bisect_done;
+    for (std::int32_t j = 1; j < k; ++j) {
+      if (trace) trace->record(f.time + step * j, proc, TraceEvent::kBisect);
+      send_clock = faulted_transfer(fault, cost, out.processors, m, trace,
+                                    proc, proc + j, send_clock, 0.0);
+      m.makespan = std::max(m.makespan, send_clock);
+    }
+    m.makespan = std::max(m.makespan, bisect_done);
+  }
+
+  /// BA-HF's PHF second phase on a frame of k >= 2 processors: PHF within
+  /// the range [proc_lo, proc_lo + k), on a fault stream derived from
+  /// (seed, proc_lo) so the pattern differs per range but stays
+  /// deterministic.  The tree covers the BA phase only; the sub-run adds
+  /// its pieces and metrics.
+  void phf_phase(P problem, std::int32_t k, const FrameTag& f, double alpha) {
+    const lbb::core::ProcessorId proc = f.at.proc_lo;
+    PhfSimOptions opt;
+    opt.faults = faults;
+    opt.faults.seed =
+        lbb::stats::mix64(faults.seed, static_cast<std::uint64_t>(proc));
+    auto sub = phf_simulate(std::move(problem), k, alpha, cost, opt);
+    m.makespan = std::max(m.makespan, f.time + sub.metrics.makespan);
+    m.messages += sub.metrics.messages;
+    m.collective_ops += sub.metrics.collective_ops;
+    m.retries += sub.metrics.retries;
+    m.lost_messages += sub.metrics.lost_messages;
+    m.delayed_messages += sub.metrics.delayed_messages;
+    m.backoff_time += sub.metrics.backoff_time;
+    out.bisections += sub.partition.bisections;
+    for (auto& piece : sub.partition.pieces) {
+      ctx.piece(std::move(piece.problem), piece.weight,
+                proc + piece.processor, f.at.depth + piece.depth,
+                lbb::core::kNoNode);
+    }
+  }
+};
+
+/// Runs `descend(sink, ws, problem, root)` with a SimSink over a fresh
+/// partition of `n` processors; returns the partition and its metrics.
+template <lbb::core::Bisectable P, typename Descend>
+SimResult<P> simulate_ba_family(P problem, std::int32_t n,
                                 const CostModel& cost,
                                 const lbb::core::PartitionOptions& popt,
-                                std::int32_t switch_threshold, Trace* trace,
-                                const FaultConfig& faults) {
-  FaultModel fault(faults);
+                                Trace* trace, const FaultConfig& faults,
+                                const Descend& descend) {
+  if (n < 1) throw std::invalid_argument("ba_simulate: n must be >= 1");
   SimResult<P> result;
   lbb::core::Partition<P>& out = result.partition;
-  SimMetrics& m = result.metrics;
   out.processors = n;
   out.total_weight = problem.weight();
   out.pieces.reserve(static_cast<std::size_t>(n));
   lbb::core::detail::BuildContext<P> ctx(out, popt.record_tree);
-  const lbb::core::NodeId root_node = ctx.root(out.total_weight);
-
-  struct Frame {
-    P problem;
-    double weight;
-    std::int32_t n;
-    lbb::core::ProcessorId proc_lo;
-    double time;
-    std::int32_t depth;
-    lbb::core::NodeId node;
-  };
-  std::vector<Frame> stack;
-  stack.push_back(Frame{std::move(problem), out.total_weight, n, 0, 0.0, 0,
-                        root_node});
-
-  while (!stack.empty()) {
-    Frame f = std::move(stack.back());
-    stack.pop_back();
-
-    if (f.n == 1) {
-      m.makespan = std::max(m.makespan, f.time);
-      ctx.piece(std::move(f.problem), f.weight, f.proc_lo, f.depth, f.node);
-      continue;
-    }
-    if (f.n < switch_threshold) {
-      // PHF within the range [proc_lo, proc_lo + f.n).  Each sub-run gets
-      // its own fault stream derived from (seed, range start) so the fault
-      // pattern differs per range but stays deterministic.
-      PhfSimOptions sub_opt;
-      sub_opt.faults = faults;
-      sub_opt.faults.seed = lbb::stats::mix64(
-          faults.seed, static_cast<std::uint64_t>(f.proc_lo));
-      auto sub =
-          phf_simulate(std::move(f.problem), f.n, alpha, cost, sub_opt);
-      m.makespan = std::max(m.makespan, f.time + sub.metrics.makespan);
-      m.messages += sub.metrics.messages;
-      m.collective_ops += sub.metrics.collective_ops;
-      m.retries += sub.metrics.retries;
-      m.lost_messages += sub.metrics.lost_messages;
-      m.delayed_messages += sub.metrics.delayed_messages;
-      m.backoff_time += sub.metrics.backoff_time;
-      out.bisections += sub.partition.bisections;
-      for (auto& piece : sub.partition.pieces) {
-        ctx.piece(std::move(piece.problem), piece.weight,
-                  f.proc_lo + piece.processor, f.depth + piece.depth,
-                  lbb::core::kNoNode);
-      }
-      continue;
-    }
-
-    auto [a, b] = f.problem.bisect();
-    double wa = a.weight();
-    double wb = b.weight();
-    if (wa < wb) {
-      std::swap(a, b);
-      std::swap(wa, wb);
-    }
-    const auto [node_a, node_b] = ctx.bisected(f.node, wa, wb);
-    const std::int32_t n1 = lbb::core::ba_split_processors(wa, wb, f.n);
-    const double done = f.time + fault.bisect_cost(f.proc_lo, cost.t_bisect);
-    const std::int32_t depth = f.depth + 1;
-    if (trace) trace->record(done, f.proc_lo, TraceEvent::kBisect, wa);
-    const double arrival = faulted_transfer(fault, cost, n, m, trace,
-                                            f.proc_lo, f.proc_lo + n1, done,
-                                            wb);
-    stack.push_back(Frame{std::move(b), wb, f.n - n1,
-                          f.proc_lo + static_cast<lbb::core::ProcessorId>(n1),
-                          arrival, depth, node_b});
-    stack.push_back(
-        Frame{std::move(a), wa, n1, f.proc_lo, done, depth, node_a});
-  }
-
-  m.bisections = out.bisections;
+  const lbb::core::NodeId root = ctx.root(out.total_weight);
+  SimSink<P> sink{out, ctx, cost, faults, FaultModel(faults), result.metrics,
+                  trace};
+  lbb::core::TrialWorkspace<P> ws;
+  descend(sink, ws, std::move(problem),
+          typename SimSink<P>::FrameTag{{0, 0, root}, 0.0});
+  result.metrics.bisections = out.bisections;
   return result;
 }
 
@@ -255,9 +172,12 @@ template <lbb::core::Bisectable P>
     P problem, std::int32_t n, const CostModel& cost = {},
     const lbb::core::PartitionOptions& popt = {}, Trace* trace = nullptr,
     const FaultConfig& faults = {}) {
-  return detail::ba_like_simulate(std::move(problem), n, cost, popt,
-                                  /*switch_threshold=*/0,
-                                  /*prune_below=*/-1.0, trace, faults);
+  return detail::simulate_ba_family(
+      std::move(problem), n, cost, popt, trace, faults,
+      [n](auto& sink, auto& ws, P p, const auto& root) {
+        lbb::core::detail::ba_run(sink, ws, std::move(p), n, root,
+                                  /*prune_below=*/-1.0);
+      });
 }
 
 /// Simulates Algorithm BA' (threshold-pruned BA, Section 3.4).
@@ -269,9 +189,11 @@ template <lbb::core::Bisectable P>
   lbb::core::require_valid_alpha(alpha);
   const double threshold =
       lbb::core::phf_phase1_threshold(alpha, problem.weight(), n);
-  return detail::ba_like_simulate(std::move(problem), n, cost, popt,
-                                  /*switch_threshold=*/0, threshold, trace,
-                                  faults);
+  return detail::simulate_ba_family(
+      std::move(problem), n, cost, popt, trace, faults,
+      [n, threshold](auto& sink, auto& ws, P p, const auto& root) {
+        lbb::core::detail::ba_run(sink, ws, std::move(p), n, root, threshold);
+      });
 }
 
 /// Simulates Algorithm BA-HF.  The second (below-threshold) phase runs
@@ -290,14 +212,24 @@ template <lbb::core::Bisectable P>
   if (!(beta > 0.0)) throw std::invalid_argument("ba_hf_simulate: beta <= 0");
   const std::int32_t threshold =
       lbb::core::ba_hf_switch_threshold(alpha, beta);
-  if (second_phase == BaHfSecondPhase::kSequentialHf) {
-    return detail::ba_like_simulate(std::move(problem), n, cost, popt,
-                                    std::max<std::int32_t>(threshold, 2),
-                                    /*prune_below=*/-1.0, trace, faults);
-  }
-  return detail::ba_hf_phf_simulate(std::move(problem), n, alpha, cost, popt,
-                                    std::max<std::int32_t>(threshold, 2),
-                                    trace, faults);
+  using Frame = lbb::core::detail::BaFrame<P, detail::SimSink<P>>;
+  return detail::simulate_ba_family(
+      std::move(problem), n, cost, popt, trace, faults,
+      [&](auto& sink, auto& ws, P p, const auto& root) {
+        const double w = p.weight();
+        lbb::core::detail::ba_descend(
+            sink, ws, Frame(std::move(p), w, n, root),
+            [threshold](const Frame& f) { return f.n < threshold; },
+            [&](Frame& f) {
+              if (f.n == 1) {
+                sink.piece(std::move(f.problem), f.weight, f.tag);
+              } else if (second_phase == BaHfSecondPhase::kSequentialHf) {
+                sink.hf_phase(ws, std::move(f.problem), f.n, f.tag);
+              } else {
+                sink.phf_phase(std::move(f.problem), f.n, f.tag, alpha);
+              }
+            });
+      });
 }
 
 }  // namespace lbb::sim

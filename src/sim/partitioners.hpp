@@ -11,23 +11,12 @@
 //   "sim:ba_hf"     Algorithm BA-HF executed on the simulated machine
 //
 // Every sim partitioner returns the same partition as its core counterpart
-// ("phf:*" == HF, see src/sim/phf.hpp) and additionally reports the
-// simulated execution's SimMetrics through the RunContext metrics sink as
-// named counters:
-//
-//   sim.makespan, sim.messages, sim.collective_ops, sim.phase1_end,
-//   sim.phase2_iterations, sim.mop_up_iterations, sim.failed_probes,
-//   sim.retries, sim.lost_messages, sim.delayed_messages, sim.backoff_time
-//
-// This is how the metrics flow core -> sim -> experiments -> bench without
-// the core layer depending on sim types.
+// ("phf:*" == HF, see src/sim/phf.hpp; "sim:*" runs core's BA descent, see
+// src/sim/par_ba.hpp) on the default CostModel{}.  The simulated machine's
+// time and communication (SimMetrics) come from the simulate calls
+// themselves (phf_simulate, ba_simulate, ba_hf_simulate), which is how the
+// timing experiment measures them under its own cost model.
 #pragma once
-
-#include <memory>
-#include <string_view>
-
-#include "core/partitioner.hpp"
-#include "sim/cost_model.hpp"
 
 namespace lbb::sim {
 
@@ -35,13 +24,5 @@ namespace lbb::sim {
 /// Idempotent and cheap; call before resolving "phf:*" / "sim:*" names
 /// (the lbb_bench driver and the conformance tests call it at startup).
 void register_sim_partitioners();
-
-/// Creates one of the sim partitioners listed above with an explicit cost
-/// model -- the registry factories use the default CostModel{}, so callers
-/// that sweep machine parameters (the timing experiment) come through
-/// here.  Throws core::UnknownPartitionerError for any other name.
-[[nodiscard]] std::unique_ptr<lbb::core::Partitioner> make_sim_partitioner(
-    std::string_view name, const lbb::core::PartitionerConfig& config,
-    const CostModel& cost);
 
 }  // namespace lbb::sim

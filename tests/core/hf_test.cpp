@@ -14,6 +14,7 @@
 
 #include "core/bounds.hpp"
 #include "core/detail/scratch.hpp"
+#include "core/workspace.hpp"
 #include "problems/alpha_dist.hpp"
 #include "problems/synthetic.hpp"
 #include "stats/rng.hpp"
@@ -275,6 +276,41 @@ TEST_P(HfAdversarialSweep, PointMassStaysWithinBound) {
 INSTANTIATE_TEST_SUITE_P(PointMasses, HfAdversarialSweep,
                          ::testing::Values(0.05, 0.1, 0.15, 0.2, 0.25, 0.3,
                                            1.0 / 3.0, 0.4, 0.5));
+
+// TrialWorkspace's pooling contract.
+
+TEST(TrialWorkspace, RecycleReusesPieceStorage) {
+  TrialWorkspace<SyntheticProblem> ws;
+  SyntheticProblem p(3, AlphaDistribution::uniform(0.1, 0.5));
+  auto part = hf_partition(ws, p, 64);
+  const auto* data = part.pieces.data();
+  ws.recycle(std::move(part));
+  auto again = hf_partition(ws, p, 64);
+  // The recycled buffer backs the next partition (same capacity, and with
+  // an equal-size request the identical allocation).
+  EXPECT_EQ(again.pieces.data(), data);
+  EXPECT_EQ(again.pieces.size(), 64u);
+}
+
+TEST(TrialWorkspace, WorkspaceRunsMatchColdRuns) {
+  TrialWorkspace<SyntheticProblem> ws;
+  for (std::uint64_t seed = 1; seed <= 8; ++seed) {
+    SyntheticProblem p(seed, AlphaDistribution::uniform(0.1, 0.5));
+    auto warm = hf_partition(ws, p, 128);
+    auto cold = hf_partition(p, 128);
+    EXPECT_EQ(warm.sorted_weights(), cold.sorted_weights()) << seed;
+    ws.recycle(std::move(warm));
+  }
+}
+
+TEST(TrialWorkspace, ReleaseKeepsWorkspaceUsable) {
+  TrialWorkspace<SyntheticProblem> ws;
+  SyntheticProblem p(5, AlphaDistribution::uniform(0.1, 0.5));
+  ws.recycle(hf_partition(ws, p, 32));
+  ws.release();
+  auto part = hf_partition(ws, p, 32);
+  EXPECT_EQ(part.pieces.size(), 32u);
+}
 
 }  // namespace
 }  // namespace lbb::core

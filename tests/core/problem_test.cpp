@@ -121,14 +121,13 @@ TEST(Partition, SortedWeights) {
 }  // namespace lbb::core
 
 // Appended: AnyProblem through the remaining algorithms, plus the
-// ownership/storage contracts of the small-buffer + arena rewrite.
+// ownership/storage contracts of the small-buffer storage.
 #include <array>
 #include <type_traits>
 #include <utility>
 
 #include "core/ba.hpp"
 #include "core/ba_hf.hpp"
-#include "runtime/arena.hpp"
 
 namespace lbb::core {
 namespace {
@@ -189,7 +188,7 @@ TEST(AnyProblem, MoveAssignOntoEngagedDestroysOldValue) {
 }
 
 // A problem too large for the inline buffer: falls back to a single heap
-// cell (or a caller-supplied arena below).
+// cell.
 struct PaddedProblem {
   double w = 1.0;
   std::array<double, 16> padding{};
@@ -210,21 +209,6 @@ TEST(AnyProblem, OversizedProblemUsesRemoteStorage) {
   EXPECT_DOUBLE_EQ(b.weight(), 4.0);
   AnyProblem moved(std::move(a));
   EXPECT_DOUBLE_EQ(moved.weight(), 4.0);
-}
-
-TEST(AnyProblem, ArenaBackedProblemAndChildren) {
-  runtime::MonotonicArena arena;
-  {
-    AnyProblem any(PaddedProblem{16.0, {}}, arena);
-    ASSERT_TRUE(any.has_value());
-    auto [a, b] = any.bisect();  // children inherit the arena
-    auto [aa, ab] = a.bisect();
-    EXPECT_DOUBLE_EQ(aa.weight() + ab.weight() + b.weight(), 16.0);
-    // Handles (and their destructors) die here; bytes stay in the arena.
-  }
-  EXPECT_GT(arena.bytes_used_peak(), 0u);
-  arena.reset();
-  EXPECT_GT(arena.bytes_reserved(), 0u);
 }
 
 TEST(AnyProblem, OversizedPartitionMatchesInlineEquivalent) {

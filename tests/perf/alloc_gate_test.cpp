@@ -80,7 +80,6 @@ TEST(AllocGate, HfPartitionSteadyStateIsAllocationFree) {
         auto part = hf_partition(ws, make_problem(seed), kN);
         ASSERT_EQ(part.pieces.size(), static_cast<std::size_t>(kN));
         ws.recycle(std::move(part));
-        ws.reset();
       });
   EXPECT_EQ(delta.count, 0) << "HF hot loop allocated " << delta.bytes
                             << " bytes across " << kTrials << " warm trials";
@@ -108,7 +107,6 @@ TEST(AllocGate, BaPartitionSteadyStateIsAllocationFree) {
         auto part = ba_partition(ws, make_problem(seed), kN);
         ASSERT_EQ(part.pieces.size(), static_cast<std::size_t>(kN));
         ws.recycle(std::move(part));
-        ws.reset();
       });
   EXPECT_EQ(delta.count, 0) << "BA hot loop allocated " << delta.bytes
                             << " bytes across " << kTrials << " warm trials";
@@ -119,7 +117,6 @@ TEST(AllocGate, BaStarPartitionSteadyStateIsAllocationFree) {
       [](TrialWorkspace<SyntheticProblem>& ws, std::uint64_t seed) {
         auto part = ba_star_partition(ws, make_problem(seed), kN, 0.1);
         ws.recycle(std::move(part));
-        ws.reset();
       });
   EXPECT_EQ(delta.count, 0);
 }
@@ -131,7 +128,6 @@ TEST(AllocGate, BaHfPartitionSteadyStateIsAllocationFree) {
             ba_hf_partition(ws, make_problem(seed), kN, BaHfParams{0.1, 1.0});
         ASSERT_EQ(part.pieces.size(), static_cast<std::size_t>(kN));
         ws.recycle(std::move(part));
-        ws.reset();
       });
   EXPECT_EQ(delta.count, 0) << "BA-HF hot loop allocated " << delta.bytes
                             << " bytes across " << kTrials << " warm trials";
@@ -450,21 +446,6 @@ TEST(AllocGate, TailAccumulatorSteadyStateIsAllocationFree) {
   const auto delta = lbb::stats::alloc_stats() - before;
   EXPECT_EQ(delta.count, 0)
       << "tail accumulation allocated " << delta.bytes << " bytes";
-}
-
-TEST(AllocGate, ArenaSteadyStateIsAllocationFree) {
-  // After the first trial sized its chunks, reset() + re-allocation of the
-  // same footprint must be pure pointer bumps.
-  runtime::MonotonicArena arena;
-  for (int i = 0; i < 64; ++i) (void)arena.create<double>(1.0);
-  arena.reset();
-  const auto before = lbb::stats::alloc_stats();
-  for (int t = 0; t < kTrials; ++t) {
-    for (int i = 0; i < 64; ++i) (void)arena.create<double>(1.0);
-    arena.reset();
-  }
-  const auto delta = lbb::stats::alloc_stats() - before;
-  EXPECT_EQ(delta.count, 0);
 }
 
 }  // namespace

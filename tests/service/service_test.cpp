@@ -7,7 +7,6 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
-#include <map>
 #include <memory>
 #include <stdexcept>
 #include <string>
@@ -504,34 +503,25 @@ TEST(PartitionService, StopDrainsQueueAndRefusesNewWork) {
 // ---------------------------------------------------------------------------
 // Stats and reporting
 
-struct CapturingSink final : core::MetricsSink {
-  std::map<std::string, double> counters;
-  void on_counter(std::string_view key, double value) override {
-    counters[std::string(key)] = value;
-  }
-};
-
+// The name predates ServiceStats being the service's only report: the same
+// numbers now come straight from snapshot().
 TEST(PartitionService, ReportsCoherentStatsThroughMetricsSink) {
   PartitionService svc(small_config(1));
   for (int i = 0; i < 3; ++i) (void)svc.call(spec_for("ba", 1));
   (void)svc.call(spec_for("ba", 2));
 
-  CapturingSink sink;
-  svc.report(sink);
-  EXPECT_EQ(sink.counters.at("service.submitted"), 4.0);
-  EXPECT_EQ(sink.counters.at("service.served_ok"), 4.0);
-  EXPECT_EQ(sink.counters.at("service.cache_hits"), 2.0);
-  EXPECT_EQ(sink.counters.at("service.cache_misses"), 2.0);
-  EXPECT_EQ(sink.counters.at("service.cache_entries"), 2.0);
-  EXPECT_EQ(sink.counters.at("service.workers"), 1.0);
-  EXPECT_EQ(sink.counters.at("service.latency_samples"), 4.0);
-  const double p50 = sink.counters.at("service.p50_ms");
-  const double p95 = sink.counters.at("service.p95_ms");
-  const double p99 = sink.counters.at("service.p99_ms");
-  EXPECT_GT(p50, 0.0);
-  EXPECT_LE(p50, p95);
-  EXPECT_LE(p95, p99);
-  EXPECT_GT(sink.counters.at("service.partitions_per_sec"), 0.0);
+  const ServiceStats stats = svc.snapshot();
+  EXPECT_EQ(stats.submitted, 4);
+  EXPECT_EQ(stats.served_ok, 4);
+  EXPECT_EQ(stats.cache_hits, 2);
+  EXPECT_EQ(stats.cache_misses, 2);
+  EXPECT_EQ(stats.cache_entries, 2);
+  EXPECT_EQ(stats.workers, 1);
+  EXPECT_EQ(stats.latency_samples, 4);
+  EXPECT_GT(stats.p50_ms, 0.0);
+  EXPECT_LE(stats.p50_ms, stats.p95_ms);
+  EXPECT_LE(stats.p95_ms, stats.p99_ms);
+  EXPECT_GT(stats.partitions_per_sec, 0.0);
 
   // reset_stats() zeroes the window but keeps the cache warm.
   svc.reset_stats();

@@ -5,6 +5,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <string>
 
 #include "core/ba.hpp"
 #include "core/ba_hf.hpp"
@@ -18,16 +19,53 @@ namespace {
 using lbb::problems::AlphaDistribution;
 using lbb::problems::SyntheticProblem;
 
+/// Expects the simulator's partition to be core's: every piece in order
+/// (weight, processor, depth, tree node), the counters and every recorded
+/// tree node.
+template <typename P>
+void expect_same_partition(const lbb::core::Partition<P>& sim,
+                           const lbb::core::Partition<P>& core) {
+  EXPECT_EQ(sim.bisections, core.bisections);
+  EXPECT_EQ(sim.max_depth, core.max_depth);
+  ASSERT_EQ(sim.pieces.size(), core.pieces.size());
+  for (std::size_t i = 0; i < core.pieces.size(); ++i) {
+    EXPECT_EQ(sim.pieces[i].weight, core.pieces[i].weight) << "piece " << i;
+    EXPECT_EQ(sim.pieces[i].processor, core.pieces[i].processor)
+        << "piece " << i;
+    EXPECT_EQ(sim.pieces[i].depth, core.pieces[i].depth) << "piece " << i;
+    EXPECT_EQ(sim.pieces[i].node, core.pieces[i].node) << "piece " << i;
+  }
+  ASSERT_FALSE(core.tree.empty());
+  ASSERT_EQ(sim.tree.size(), core.tree.size());
+  for (std::size_t id = 0; id < core.tree.size(); ++id) {
+    const auto& a = sim.tree.node(static_cast<lbb::core::NodeId>(id));
+    const auto& b = core.tree.node(static_cast<lbb::core::NodeId>(id));
+    EXPECT_EQ(a.weight, b.weight) << "node " << id;
+    EXPECT_EQ(a.parent, b.parent) << "node " << id;
+    EXPECT_EQ(a.left, b.left) << "node " << id;
+    EXPECT_EQ(a.right, b.right) << "node " << id;
+    EXPECT_EQ(a.depth, b.depth) << "node " << id;
+  }
+}
+
+lbb::core::PartitionOptions recording() {
+  lbb::core::PartitionOptions opt;
+  opt.record_tree = true;
+  return opt;
+}
+
 TEST(SimBa, MatchesCorePartitionExactly) {
   for (std::uint64_t seed : {1ULL, 5ULL, 9ULL}) {
-    SyntheticProblem p(seed, AlphaDistribution::uniform(0.1, 0.5));
-    for (int n : {1, 2, 7, 64, 500}) {
-      const auto sim = ba_simulate(p, n);
-      const auto core = lbb::core::ba_partition(p, n);
-      EXPECT_EQ(sim.partition.sorted_weights(), core.sorted_weights())
-          << "seed=" << seed << " n=" << n;
-      // Same processor assignment too (range-based management).
-      ASSERT_EQ(sim.partition.pieces.size(), core.pieces.size());
+    for (double lo : {0.01, 0.1, 0.3}) {
+      SyntheticProblem p(seed, AlphaDistribution::uniform(lo, 0.5));
+      for (int n : {1, 2, 3, 7, 64, 500}) {
+        SCOPED_TRACE("seed=" + std::to_string(seed) +
+                     " lo=" + std::to_string(lo) + " n=" + std::to_string(n));
+        const auto sim = ba_simulate(p, n, CostModel{}, recording());
+        // Same pieces on the same processors (range-based management).
+        expect_same_partition(sim.partition,
+                              lbb::core::ba_partition(p, n, recording()));
+      }
     }
   }
 }
@@ -70,13 +108,21 @@ TEST(SimBa, SingleProcessor) {
 }
 
 TEST(SimBaStar, MatchesCoreBaStar) {
-  const double alpha = 0.1;
-  SyntheticProblem p(6, AlphaDistribution::uniform(alpha, 0.5));
-  for (int n : {8, 128, 1024}) {
-    const auto sim = ba_star_simulate(p, n, alpha);
-    const auto core = lbb::core::ba_star_partition(p, n, alpha);
-    EXPECT_EQ(sim.partition.sorted_weights(), core.sorted_weights());
-    EXPECT_EQ(sim.metrics.collective_ops, 0);
+  for (double alpha : {0.01, 0.1, 0.3}) {
+    for (std::uint64_t seed : {6ULL, 7ULL}) {
+      SyntheticProblem p(seed, AlphaDistribution::uniform(alpha, 0.5));
+      for (int n : {1, 8, 128, 1024}) {
+        SCOPED_TRACE("alpha=" + std::to_string(alpha) +
+                     " seed=" + std::to_string(seed) +
+                     " n=" + std::to_string(n));
+        const auto sim = ba_star_simulate(p, n, alpha, CostModel{},
+                                          recording());
+        expect_same_partition(
+            sim.partition,
+            lbb::core::ba_star_partition(p, n, alpha, recording()));
+        EXPECT_EQ(sim.metrics.collective_ops, 0);
+      }
+    }
   }
 }
 
@@ -92,15 +138,20 @@ TEST(SimBaStar, FasterThanFullBa) {
 
 TEST(SimBaHf, MatchesCoreBaHf) {
   const double alpha = 0.1;
-  const double beta = 1.0;
-  for (std::uint64_t seed : {11ULL, 13ULL}) {
-    SyntheticProblem p(seed, AlphaDistribution::uniform(alpha, 0.5));
-    for (int n : {2, 16, 128, 777}) {
-      const auto sim = ba_hf_simulate(p, n, alpha, beta);
-      const auto core = lbb::core::ba_hf_partition(
-          p, n, lbb::core::BaHfParams{alpha, beta});
-      EXPECT_EQ(sim.partition.sorted_weights(), core.sorted_weights())
-          << "seed=" << seed << " n=" << n;
+  for (double beta : {0.5, 1.0, 3.0}) {
+    for (std::uint64_t seed : {11ULL, 13ULL}) {
+      SyntheticProblem p(seed, AlphaDistribution::uniform(alpha, 0.5));
+      for (int n : {1, 2, 3, 16, 128, 777}) {
+        SCOPED_TRACE("beta=" + std::to_string(beta) +
+                     " seed=" + std::to_string(seed) +
+                     " n=" + std::to_string(n));
+        const auto sim =
+            ba_hf_simulate(p, n, alpha, beta, CostModel{}, recording());
+        expect_same_partition(
+            sim.partition,
+            lbb::core::ba_hf_partition(
+                p, n, lbb::core::BaHfParams{alpha, beta}, recording()));
+      }
     }
   }
 }

@@ -37,8 +37,8 @@
 # thread-count determinism for degraded simulations that this script
 # asserts for the experiment engine.
 # The asan-core test preset (labels core|runtime|perf|property) puts the
-# arena / small-buffer AnyProblem / TrialWorkspace code and the
-# zero-allocation gate under AddressSanitizer:
+# small-buffer AnyProblem / TrialWorkspace code and the zero-allocation
+# gate under AddressSanitizer:
 #
 #   cmake --preset asan && cmake --build --preset asan -j
 #   ctest --preset asan-core

@@ -1,12 +1,14 @@
 #!/bin/sh
 # Golden-output gate for the lbb_bench driver: asserts that a subcommand's
-# output is byte-identical to the pre-driver binaries' output captured in
-# tests/golden/ (same experiment code paths, same RNG seeding, same CSV
-# serialization).  Any diff here means the refactor changed observable
+# output is byte-identical to the output captured in tests/golden/ (same
+# experiment code paths, same RNG seeding, same CSV serialization).
+# table1/fig5/fault_sweep were captured from the pre-driver binaries,
+# runtime_scaling/topology_ablation before the simulated BA family moved
+# onto core's descent.  Any diff here means a refactor changed observable
 # results, not just structure.
 #
 # Usage: golden_check.sh <lbb_bench-binary> <golden-dir> <case>
-# Cases: table1 | fig5 | fault_sweep
+# Cases: table1 | fig5 | fault_sweep | runtime_scaling | topology_ablation
 set -eu
 
 LBB=${1:?usage: golden_check.sh <lbb_bench-binary> <golden-dir> <case>}
@@ -35,6 +37,15 @@ case "$CASE" in
   fault_sweep)
     "$LBB" fault_sweep --logn=8 --trials=3 > "$TMP/stdout.txt"
     require_same "$GOLDEN/fault_sweep.txt" "$TMP/stdout.txt"
+    ;;
+  runtime_scaling)
+    "$LBB" runtime_scaling --trials=2 > "$TMP/stdout.txt"
+    require_same "$GOLDEN/runtime_scaling.txt" "$TMP/stdout.txt"
+    ;;
+  topology_ablation)
+    "$LBB" topology_ablation --trials=2 --logn=8 --loss=0.1 --slow=0.25 \
+      > "$TMP/stdout.txt"
+    require_same "$GOLDEN/topology_ablation.txt" "$TMP/stdout.txt"
     ;;
   *)
     echo "golden_check.sh: unknown case '$CASE'" >&2
