@@ -14,7 +14,8 @@
 //
 // Output: ba_run writes through a sink (core/detail/build_context.hpp):
 // BuildContext builds the Partition, the max sink keeps only the heaviest
-// piece and the bisection count.
+// piece and the bisection count, and so lets BA skip every frame that
+// cannot raise the heaviest piece (DESIGN.md section 10).
 //
 // Memory: the recursion stack lives in a TrialWorkspace (ws.frames) so the
 // experiment engine reuses it across trials; workspace-free overloads run
@@ -22,6 +23,7 @@
 #pragma once
 
 #include <stdexcept>
+#include <type_traits>
 #include <utility>
 
 #include "core/bounds.hpp"
@@ -80,18 +82,38 @@ LBB_HOT void ba_descend(Sink& sink, TrialWorkspace<P>& ws, Frame f,
 /// `prune_below`: if >= 0, subproblems of weight <= prune_below are
 /// emitted as leaves even when they hold more than one processor
 /// (Algorithm BA').
+///
+/// Under the max sink, BA (prune_below < 0) on a problem type that
+/// declares core::monotone_bisect_v finishes every frame no heavier than
+/// the heaviest piece so far without bisecting it: none of its pieces can
+/// raise the maximum, and BA makes n - 1 bisections on an n-processor frame
+/// whatever the weights.  BA' keeps its descent, because its count depends
+/// on where it prunes.
 template <typename Sink, Bisectable P>
 LBB_HOT void ba_run(Sink& sink, TrialWorkspace<P>& ws, P problem,
                     std::int32_t n, const typename Sink::FrameTag& at,
                     double prune_below) {
   using Frame = BaFrame<P, Sink>;
+  constexpr bool kSkips =
+      std::is_same_v<Sink, MaxSink> && monotone_bisect_v<P>;
   const double w = problem.weight();
   ba_descend(
       sink, ws, Frame(std::move(problem), w, n, at),
-      [prune_below](const Frame& f) {
+      [&sink, prune_below](const Frame& f) {
+        if constexpr (kSkips) {
+          if (prune_below < 0.0) return f.n == 1 || f.weight <= sink.max;
+        }
         return f.n == 1 || (prune_below >= 0.0 && f.weight <= prune_below);
       },
-      [&sink](Frame& f) { sink.piece(std::move(f.problem), f.weight, f.tag); });
+      [&sink, prune_below](Frame& f) {
+        if constexpr (kSkips) {
+          if (prune_below < 0.0) {
+            sink.add_run(f.weight, f.n - 1);
+            return;
+          }
+        }
+        sink.piece(std::move(f.problem), f.weight, f.tag);
+      });
 }
 
 }  // namespace detail

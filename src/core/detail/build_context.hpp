@@ -3,7 +3,9 @@
 // heaviest piece's weight and the bisection count.  What a sink keeps per
 // subproblem rides in the kernels' frames and slots as its FrameTag or
 // SlotTag.  Both sinks see the same bisections, in the same order, with
-// the same weights (DESIGN.md section 10).  Internal; not public API.
+// the same weights, except that under the max sink BA skips the frames that
+// can neither raise the maximum nor change the count (DESIGN.md section
+// 10).  Internal; not public API.
 #pragma once
 
 #include <algorithm>
@@ -142,7 +144,7 @@ struct MaxSink {
   }
 
   /// Folds in a run known only by its heaviest piece and bisection count
-  /// (HF's tree walk).
+  /// (HF's tree walk, or a frame BA skips).
   LBB_HOT void add_run(double heaviest,
                        std::int64_t run_bisections) noexcept {
     if (max < heaviest) max = heaviest;

@@ -44,6 +44,13 @@ concept Bisectable =
 template <typename P>
 inline constexpr bool pure_bisect_v = false;
 
+/// Opt-in for BA's skip under the max sink (detail::ba_run): specialize to
+/// true next to a problem class in which, for a positive weight, no child
+/// outweighs its parent.  Unlike the walk's assumptions, nothing checks
+/// this at run time: a skipped subtree is never bisected.
+template <typename P>
+inline constexpr bool monotone_bisect_v = false;
+
 /// Type-erased problem handle (for non-template API surfaces and examples
 /// mixing problem classes).  Wraps any Bisectable type.
 ///

@@ -13,7 +13,8 @@
 namespace lbb::core {
 
 /// Returns the processor count n1 assigned to the heavier child.
-/// Preconditions: heavier >= lighter > 0, n >= 2.
+/// Preconditions: heavier >= lighter > 0 with n * heavier finite, n >= 2;
+/// std::invalid_argument otherwise (NaN and infinite weights included).
 /// Postconditions: 1 <= n1 <= n-1, and (Lemma 4)
 ///   max(heavier/n1, lighter/(n-n1)) <= (heavier+lighter)/(n-1).
 [[nodiscard]] std::int32_t ba_split_processors(double heavier, double lighter,

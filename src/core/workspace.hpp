@@ -69,17 +69,6 @@ class TrialWorkspace {
   /// the repository benchmark (benchmark/) still calls it.
   void reset() noexcept {}
 
-  /// Drops all retained memory.
-  void release() noexcept {
-    hf_slots = detail::RawBuffer();
-    slot_weight = detail::RawBuffer();
-    heap = detail::HfHeap();
-    hf_queue = detail::HfBandQueue();
-    frames = detail::RawBuffer();
-    walk_hist = detail::RawBuffer();
-    piece_pool_ = std::vector<Piece<P>>();
-  }
-
   // Kernel scratch, used directly by detail::hf_run / ba_run / ba_hf_run.
   // The raw buffers are untyped: a kernel's records depend on its output
   // sink, so each kernel sizes what it uses on entry and views it as its

@@ -2,10 +2,11 @@
 //
 // BatchTrialRunner runs a range of synthetic trials through the kernels
 // (detail::hf_run, ba_run, ba_hf_run) under the max sink, which keeps only
-// the heaviest piece and the bisection count, on one retained workspace.
-// Trial t's instance seed is mix64(base_seed, t), as on every trial path,
-// so each outcome equals the full partition's ratio() and bisections bit
-// for bit (DESIGN.md section 10).
+// the heaviest piece and the bisection count, on one retained workspace;
+// BA then skips the frames that can neither raise the maximum nor change
+// the count.  Trial t's instance seed is mix64(base_seed, t), as on every
+// trial path, so each outcome equals the full partition's ratio() and
+// bisections bit for bit (DESIGN.md section 10).
 #pragma once
 
 #include <cstdint>

@@ -100,3 +100,9 @@ static_assert(lbb::core::AnyProblem::fits_inline_v<SyntheticProblem>,
 template <>
 inline constexpr bool lbb::core::pure_bisect_v<lbb::problems::SyntheticProblem> =
     true;
+
+/// (1 - alpha_hat) * w and alpha_hat * w round to at most w for alpha_hat in
+/// (0, 1/2].
+template <>
+inline constexpr bool
+    lbb::core::monotone_bisect_v<lbb::problems::SyntheticProblem> = true;

@@ -303,14 +303,5 @@ TEST(TrialWorkspace, WorkspaceRunsMatchColdRuns) {
   }
 }
 
-TEST(TrialWorkspace, ReleaseKeepsWorkspaceUsable) {
-  TrialWorkspace<SyntheticProblem> ws;
-  SyntheticProblem p(5, AlphaDistribution::uniform(0.1, 0.5));
-  ws.recycle(hf_partition(ws, p, 32));
-  ws.release();
-  auto part = hf_partition(ws, p, 32);
-  EXPECT_EQ(part.pieces.size(), 32u);
-}
-
 }  // namespace
 }  // namespace lbb::core

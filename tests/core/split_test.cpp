@@ -5,6 +5,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <limits>
 
 #include "stats/rng.hpp"
 
@@ -73,6 +74,17 @@ TEST(BaSplit, InvalidArguments) {
   EXPECT_THROW(static_cast<void>(ba_split_processors(1.0, 1.0, 1)), std::invalid_argument);
   EXPECT_THROW(static_cast<void>(ba_split_processors(1.0, 2.0, 4)), std::invalid_argument);
   EXPECT_THROW(static_cast<void>(ba_split_processors(1.0, 0.0, 4)), std::invalid_argument);
+  // Non-finite weights are rejected before eta reaches an integer cast.
+  constexpr double kNaN = std::numeric_limits<double>::quiet_NaN();
+  constexpr double kInf = std::numeric_limits<double>::infinity();
+  EXPECT_THROW(static_cast<void>(ba_split_processors(kNaN, 0.4, 16)), std::invalid_argument);
+  EXPECT_THROW(static_cast<void>(ba_split_processors(1.0, kNaN, 16)), std::invalid_argument);
+  EXPECT_THROW(static_cast<void>(ba_split_processors(kInf, 1.0, 16)), std::invalid_argument);
+  EXPECT_THROW(static_cast<void>(ba_split_processors(kInf, kInf, 16)), std::invalid_argument);
+  // Finite, but n * heavier overflows, so eta is infinite.
+  EXPECT_THROW(static_cast<void>(ba_split_processors(
+                   std::numeric_limits<double>::max(), 1.0, 16)),
+               std::invalid_argument);
 }
 
 }  // namespace

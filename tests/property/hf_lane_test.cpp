@@ -9,11 +9,15 @@
 //   * HF on two toy problem types that opt into the walk and break its
 //     assumptions -- a heavier child that sometimes outweighs its parent,
 //     and children that sum to 3/4 of the parent.
-//   * BaLaneProperty: BA, BA' and BA-HF, instance by instance.
+//   * BaLaneProperty: BA, BA' and BA-HF, instance by instance; and BA's
+//     skip of frames that cannot raise the maximum, counted by bisect()
+//     calls: it fires for a type that declares core::monotone_bisect_v,
+//     and nowhere else.
 #include <gtest/gtest.h>
 
 #include <bit>
 #include <cstdint>
+#include <cstdio>
 #include <string>
 #include <utility>
 
@@ -21,6 +25,7 @@
 #include "core/ba_hf.hpp"
 #include "core/bounds.hpp"
 #include "core/hf.hpp"
+#include "problems/noisy_weight.hpp"
 #include "problems/synthetic.hpp"
 #include "stats/rng.hpp"
 
@@ -63,6 +68,20 @@ struct ShrinkingProblem {
   }
 };
 
+/// A SyntheticProblem that counts its bisect() calls in `*calls`.  Only
+/// CountingProblem<true> declares core::monotone_bisect_v.
+template <bool Monotone>
+struct CountingProblem {
+  problems::SyntheticProblem inner;
+  std::int64_t* calls;
+  [[nodiscard]] double weight() const noexcept { return inner.weight(); }
+  [[nodiscard]] std::pair<CountingProblem, CountingProblem> bisect() const {
+    ++*calls;
+    auto [heavy, light] = inner.bisect();
+    return {{heavy, calls}, {light, calls}};
+  }
+};
+
 }  // namespace
 }  // namespace lbb::core::detail
 
@@ -74,6 +93,10 @@ inline constexpr bool
 template <>
 inline constexpr bool
     lbb::core::pure_bisect_v<lbb::core::detail::ShrinkingProblem> = true;
+template <>
+inline constexpr bool
+    lbb::core::monotone_bisect_v<lbb::core::detail::CountingProblem<true>> =
+        true;
 
 namespace lbb::core::detail {
 namespace {
@@ -89,6 +112,14 @@ static_assert(TreeWalkable<SyntheticProblem>);
 static_assert(TreeWalkable<HeavierChildProblem>);
 static_assert(TreeWalkable<ShrinkingProblem>);
 static_assert(!TreeWalkable<AnyProblem>);
+
+// BA's skip is opt-in: a type that merely wraps SyntheticProblem, erases it
+// or declares a pure bisect() does not get it.
+static_assert(monotone_bisect_v<SyntheticProblem>);
+static_assert(!monotone_bisect_v<AnyProblem>);
+static_assert(
+    !monotone_bisect_v<problems::NoisyWeightProblem<SyntheticProblem>>);
+static_assert(!monotone_bisect_v<HeavierChildProblem>);
 
 std::uint64_t bits(double x) { return std::bit_cast<std::uint64_t>(x); }
 
@@ -271,6 +302,73 @@ TEST(BaLaneProperty, MatchesScalarBaFamilyLaneByLane) {
           [n, params](const SyntheticProblem& root) {
             return ba_hf_partition(root, n, params);
           });
+    }
+  }
+}
+
+TEST(BaLaneProperty, MaxSinkBaSkipsOnlyWhereAllowed) {
+  const AlphaDistribution dists[] = {
+      AlphaDistribution::uniform(0.01, 0.5),
+      AlphaDistribution::uniform(0.1, 0.5),
+  };
+  constexpr std::int32_t kInstances = 32;
+  TrialWorkspace<CountingProblem<true>> ws;
+  TrialWorkspace<CountingProblem<false>> plain_ws;
+  for (const AlphaDistribution& dist : dists) {
+    const double alpha = dist.lower_bound();
+    for (const std::int32_t n : {64, 1024, 16384}) {
+      std::int64_t kept = 0;
+      for (std::int32_t i = 0; i < kInstances; ++i) {
+        const std::uint64_t instance =
+            stats::mix64(0x5c1b, static_cast<std::uint64_t>(n) * kInstances +
+                                     static_cast<std::uint64_t>(i));
+        const SyntheticProblem root(instance, dist);
+        const std::string what = describe(dist, n, instance);
+        std::int64_t full_calls = 0;
+        const auto want =
+            ba_partition(CountingProblem<true>{root, &full_calls}, n);
+        ASSERT_EQ(want.bisections, n - 1) << what;
+        ASSERT_EQ(full_calls, n - 1) << what;
+
+        // BA on the opted-in type: same answer, fewer bisect() calls.
+        std::int64_t calls = 0;
+        MaxSink sink;
+        ba_run(sink, ws, CountingProblem<true>{root, &calls}, n, {},
+               /*prune_below=*/-1.0);
+        ASSERT_EQ(bits(sink.max), bits(want.max_weight())) << what;
+        ASSERT_EQ(sink.bisections, n - 1) << what;
+        ASSERT_LT(calls, n - 1) << what;
+        kept += calls;
+
+        // The same problem without the trait: every bisection.
+        std::int64_t plain_calls = 0;
+        MaxSink plain;
+        ba_run(plain, plain_ws, CountingProblem<false>{root, &plain_calls}, n,
+               {}, /*prune_below=*/-1.0);
+        ASSERT_EQ(bits(plain.max), bits(want.max_weight())) << what;
+        ASSERT_EQ(plain.bisections, n - 1) << what;
+        ASSERT_EQ(plain_calls, n - 1) << what;
+
+        // BA' on the opted-in type: as many calls as its full partition.
+        const double prune_below =
+            phf_phase1_threshold(alpha, root.weight(), n);
+        std::int64_t star_full_calls = 0;
+        const auto star_want = ba_star_partition(
+            CountingProblem<true>{root, &star_full_calls}, n, alpha);
+        std::int64_t star_calls = 0;
+        MaxSink star;
+        ba_run(star, ws, CountingProblem<true>{root, &star_calls}, n, {},
+               prune_below);
+        ASSERT_EQ(bits(star.max), bits(star_want.max_weight())) << what;
+        ASSERT_EQ(star.bisections, star_want.bisections) << what;
+        ASSERT_EQ(star_calls, star_full_calls) << what;
+      }
+      // The share of BA's bisections the max sink still makes (DESIGN.md
+      // section 10.1 records these).
+      std::printf("[   kept   ] BA %s n=%d: %.3f of n-1 bisections\n",
+                  dist.describe().c_str(), n,
+                  static_cast<double>(kept) /
+                      (static_cast<double>(kInstances) * (n - 1)));
     }
   }
 }

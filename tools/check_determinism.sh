@@ -42,6 +42,14 @@
 #
 #   cmake --preset asan && cmake --build --preset asan -j
 #   ctest --preset asan-core
+#
+# The ubsan preset adds float-cast-overflow, which GCC's "undefined" group
+# leaves out (a NaN or infinite double converted to an integer), and the
+# ubsan-core test preset (labels core|property|experiments) runs the
+# kernels and the max-sink trials under it:
+#
+#   cmake --preset ubsan && cmake --build --preset ubsan -j
+#   ctest --preset ubsan-core
 set -eu
 
 LBB=${1:?usage: check_determinism.sh <lbb_bench-binary> [build-dir]}
