@@ -318,9 +318,11 @@ void BM_ThreadPoolSubmitInline(benchmark::State& state) {
                           static_cast<std::int64_t>(batch));
 }
 
-// Parallel BA over a warm single-worker pool: the same contract as
-// BM_BaPartitionWorkspace (allocs_per_op == 0 steady-state, asserted by
-// the perf gate) plus the runtime's frontier/frame/compaction overhead.
+// Parallel BA over a warm single-worker pool: BM_BaPartitionWorkspace plus
+// the runtime's frontier descent, dispatch and join of the frames' runs.
+// allocs_per_op counts the calling thread only; the perf gate
+// (AllocGate.ParBaSteadyStateIsAllocationFree) holds the caller and the
+// worker to zero.
 void BM_ParBaPartitionWorkspace(benchmark::State& state) {
   const auto n = static_cast<std::int32_t>(state.range(0));
   const SyntheticProblem p(1, AlphaDistribution::uniform(0.1, 0.5));

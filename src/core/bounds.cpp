@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <limits>
 #include <stdexcept>
 
 namespace lbb::core {
@@ -10,6 +11,26 @@ namespace {
 constexpr double kE = 2.718281828459045235360287;
 // Tolerance for recognizing alpha == 1/k despite rounding.
 constexpr double kUlpSlack = 1e-12;
+
+// A tiny alpha pushes 1/alpha and the depth bounds past every integer
+// type (1/alpha is +inf below about 5.6e-309), where a plain cast is
+// undefined, so the integer bounds saturate.  They reach their caps only
+// for alpha below about 2e-8.
+
+/// floor(x + slack) as an integer, saturated at kFloorInverseCap.
+std::int64_t floor_saturated(double x) {
+  const double f = std::floor(x + kUlpSlack);
+  return f < static_cast<double>(kFloorInverseCap)
+             ? static_cast<std::int64_t>(f)
+             : kFloorInverseCap;
+}
+
+/// A nonnegative integer-valued double (or +inf) as an int32, saturated at
+/// INT32_MAX.
+std::int32_t int32_saturated(double c) {
+  constexpr auto kMax = std::numeric_limits<std::int32_t>::max();
+  return c < static_cast<double>(kMax) ? static_cast<std::int32_t>(c) : kMax;
+}
 }  // namespace
 
 void require_valid_alpha(double alpha) {
@@ -20,7 +41,7 @@ void require_valid_alpha(double alpha) {
 
 std::int64_t floor_inverse(double alpha) {
   require_valid_alpha(alpha);
-  return static_cast<std::int64_t>(std::floor(1.0 / alpha + kUlpSlack));
+  return floor_saturated(1.0 / alpha);
 }
 
 double hf_ratio_bound(double alpha) {
@@ -45,9 +66,8 @@ double ba_ratio_bound(double alpha, std::int32_t n) {
   if (n <= floor_inverse(alpha)) {
     return ba_small_n_ratio_bound(alpha, n);
   }
-  const auto half = static_cast<std::int64_t>(
-      std::floor(1.0 / (2.0 * alpha) + kUlpSlack));
-  const auto k = static_cast<double>(half - 1);
+  const auto k =
+      static_cast<double>(floor_saturated(1.0 / (2.0 * alpha)) - 1);
   return kE / (alpha * std::pow(1.0 - alpha, k));
 }
 
@@ -90,7 +110,7 @@ std::int32_t phase1_depth_bound(double alpha, std::int32_t n) {
   if (n == 1) return 0;
   const double d =
       std::log(static_cast<double>(n)) / -std::log1p(-alpha);
-  return static_cast<std::int32_t>(std::ceil(d - kUlpSlack));
+  return int32_saturated(std::ceil(d - kUlpSlack));
 }
 
 std::int32_t phase2_iteration_bound(double alpha) {
@@ -103,10 +123,8 @@ std::int32_t phase2_iteration_bound(double alpha) {
   // partial round.
   const double inv = 1.0 / alpha;
   const auto extra = std::max<std::int64_t>(floor_inverse(alpha) - 2, 0);
-  return static_cast<std::int32_t>(
-             std::ceil(inv * std::log(inv) - kUlpSlack) +
-             static_cast<double>(extra)) +
-         1;
+  return int32_saturated(std::ceil(inv * std::log(inv) - kUlpSlack) +
+                         static_cast<double>(extra) + 1.0);
 }
 
 std::int32_t ba_depth_bound(double alpha, std::int32_t n) {
@@ -115,7 +133,7 @@ std::int32_t ba_depth_bound(double alpha, std::int32_t n) {
   if (n == 1) return 0;
   const double d =
       std::log(static_cast<double>(n)) / -std::log1p(-alpha / 2.0);
-  return static_cast<std::int32_t>(std::ceil(d - kUlpSlack));
+  return int32_saturated(std::ceil(d - kUlpSlack));
 }
 
 }  // namespace lbb::core

@@ -24,8 +24,13 @@ namespace lbb::core {
 /// Validates 0 < alpha <= 1/2; throws std::invalid_argument otherwise.
 void require_valid_alpha(double alpha);
 
+/// The most floor_inverse() returns: 2^53, the last integer up to which a
+/// double holds every integer.  Reached only for alpha below about 1.1e-16.
+inline constexpr std::int64_t kFloorInverseCap = std::int64_t{1} << 53;
+
 /// floor(1/alpha) computed robustly against floating-point representation
-/// of alpha = 1/k (e.g. alpha = 1.0/3.0 yields 3, not 2).
+/// of alpha = 1/k (e.g. alpha = 1.0/3.0 yields 3, not 2); saturates at
+/// kFloorInverseCap.
 [[nodiscard]] std::int64_t floor_inverse(double alpha);
 
 /// Theorem 2: worst-case ratio r_alpha of sequential Algorithm HF.

@@ -36,20 +36,7 @@ class BuiltinPartitioner final : public Partitioner {
   }
 
   [[nodiscard]] double ratio_bound(std::int32_t n) const override {
-    switch (algo_.kind) {
-      case BuiltinKind::kHf:
-        return hf_ratio_bound(algo_.alpha);
-      case BuiltinKind::kBa:
-        return ba_ratio_bound(algo_.alpha, n);
-      case BuiltinKind::kBaStar:
-        return ba_star_ratio_bound(algo_.alpha, n);
-      case BuiltinKind::kBaHf:
-        return ba_hf_ratio_bound(algo_.alpha, algo_.beta, n);
-      case BuiltinKind::kCustom:
-      case BuiltinKind::kOblivious:
-        break;  // no known worst-case bound
-    }
-    return 0.0;
+    return builtin_ratio_bound(algo_.kind, algo_.alpha, algo_.beta, n);
   }
 
   [[nodiscard]] BuiltinAlgo builtin() const override { return algo_; }
@@ -76,6 +63,24 @@ PartitionerRegistry::Factory builtin_factory(PartitionerInfo info,
 }
 
 }  // namespace
+
+double builtin_ratio_bound(BuiltinKind kind, double alpha, double beta,
+                           std::int32_t n) {
+  switch (kind) {
+    case BuiltinKind::kHf:
+      return hf_ratio_bound(alpha);
+    case BuiltinKind::kBa:
+      return ba_ratio_bound(alpha, n);
+    case BuiltinKind::kBaStar:
+      return ba_star_ratio_bound(alpha, n);
+    case BuiltinKind::kBaHf:
+      return ba_hf_ratio_bound(alpha, beta, n);
+    case BuiltinKind::kCustom:
+    case BuiltinKind::kOblivious:
+      break;  // no known worst-case bound
+  }
+  return 0.0;
+}
 
 UnknownPartitionerError::UnknownPartitionerError(
     std::string_view name, std::vector<std::string> known)

@@ -81,6 +81,13 @@ enum class BuiltinKind {
   kOblivious,
 };
 
+/// Worst-case performance-ratio bound of a builtin family on a class with
+/// alpha-bisectors (core/bounds.hpp), or 0.0 for kinds with no known
+/// bound.  The par:*, sim:* and phf:* partitioners produce a builtin
+/// family's partition and report its bound through this too.
+[[nodiscard]] double builtin_ratio_bound(BuiltinKind kind, double alpha,
+                                         double beta, std::int32_t n);
+
 /// Typed-dispatch descriptor returned by Partitioner::builtin().
 struct BuiltinAlgo {
   BuiltinKind kind = BuiltinKind::kCustom;

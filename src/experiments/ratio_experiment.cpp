@@ -17,34 +17,6 @@ using lbb::core::Partitioner;
 using lbb::core::PartitionerConfig;
 using lbb::core::PartitionerRegistry;
 
-const char* algo_name(Algo algo) {
-  switch (algo) {
-    case Algo::kBA:
-      return "BA";
-    case Algo::kBAStar:
-      return "BA*";
-    case Algo::kBAHF:
-      return "BA-HF";
-    case Algo::kHF:
-      return "HF";
-  }
-  return "?";
-}
-
-const char* algo_key(Algo algo) {
-  switch (algo) {
-    case Algo::kBA:
-      return "ba";
-    case Algo::kBAStar:
-      return "ba_star";
-    case Algo::kBAHF:
-      return "ba_hf";
-    case Algo::kHF:
-      return "hf";
-  }
-  return "?";
-}
-
 namespace detail {
 
 /// 1 = sequential, 0 = hardware concurrency, k = exactly k workers.
@@ -82,11 +54,6 @@ const RatioCell& RatioExperimentResult::cell(std::string_view algo,
     if (c.algo == algo && c.log2_n == log2_n) return c;
   }
   throw std::out_of_range("RatioExperimentResult::cell: no such cell");
-}
-
-const RatioCell& RatioExperimentResult::cell(Algo algo,
-                                             std::int32_t log2_n) const {
-  return cell(std::string_view(algo_key(algo)), log2_n);
 }
 
 void RatioExperimentResult::rebuild_index() {

@@ -16,8 +16,9 @@
 // per configuration.  Trials run through the registry's *typed escape
 // hatch* (core::try_typed_partition on SyntheticProblem), so the builtin
 // families keep the monomorphized hot paths; custom registered algorithms
-// automatically fall back to the type-erased interface.  The legacy `Algo`
-// enum remains as names for the paper's comparison set.
+// automatically fall back to the type-erased interface.  The registry is
+// the one place that names a family: a cell carries its key and the
+// registry's display label.
 //
 // Parallel execution: trials are independent by construction (instance
 // seeds are path-hashed from (config.seed, trial index)), so the engine
@@ -45,21 +46,6 @@
 #include "stats/summary.hpp"
 
 namespace lbb::experiments {
-
-/// Algorithms of the paper's experimental comparison (convenience handles
-/// for the registry keys below; any registered partitioner name works).
-enum class Algo {
-  kBA,      ///< Algorithm BA        -- registry key "ba"
-  kBAStar,  ///< Algorithm BA' ("BA*" in Table 1) -- key "ba_star"
-  kBAHF,    ///< Algorithm BA-HF     -- registry key "ba_hf"
-  kHF,      ///< Algorithm HF (== PHF's partition) -- key "hf"
-};
-
-/// Display name ("BA", "BA*", "BA-HF", "HF").
-[[nodiscard]] const char* algo_name(Algo algo);
-
-/// Registry key ("ba", "ba_star", "ba_hf", "hf").
-[[nodiscard]] const char* algo_key(Algo algo);
 
 namespace detail {
 /// Maps a config's `threads` knob to a worker count: 1 = sequential,
@@ -124,8 +110,6 @@ struct RatioExperimentResult {
   /// on hand-assembled results.
   [[nodiscard]] const RatioCell& cell(std::string_view algo,
                                       std::int32_t log2_n) const;
-  /// Convenience overload for the paper's comparison set.
-  [[nodiscard]] const RatioCell& cell(Algo algo, std::int32_t log2_n) const;
 
   /// Rebuilds cell_index from `cells`.
   void rebuild_index();

@@ -15,10 +15,12 @@
 //   2. Frames, on the pool: parallel_for_chunks deals the frontier frames
 //      to the workers, and each worker finishes its frame with the
 //      unmodified sequential kernel (detail::ba_run / ba_hf_run), drawing
-//      scratch from a worker-thread-local TrialWorkspace and writing its
-//      pieces into staging slots indexed by absolute processor id.
-//   3. Compaction, on the caller: the staged pieces in ascending processor
-//      order, and under record_tree the stitched tree (stitch_tree).
+//      scratch from a worker-thread-local TrialWorkspace and building the
+//      frame's pieces (and, when recording, its local subtree) in the
+//      frame's own result slot.
+//   3. Join, on the caller: under record_tree, stitch_tree builds the
+//      output tree and remaps the slots' node ids in place; then the
+//      slots' pieces move to the output in frontier order.
 //
 // Determinism argument (why the output is byte-identical to sequential
 // ba/ba_star/ba_hf for every thread count and grain):
@@ -28,11 +30,11 @@
 //      problem, processor range and depth.  The sequential kernel run from
 //      that frame makes the same decisions the sequential run makes below
 //      it.  The pool only changes WHEN/WHERE a frame runs.
-//   2. Every piece lands in a staging slot indexed by its absolute
-//      processor id; frames own disjoint ranges, so there are no write
-//      conflicts.  The sequential kernels emit pieces in strictly
-//      increasing processor order, so compacting the staging array in
-//      ascending processor order reproduces the sequential piece order.
+//   2. The descent keeps the heavier child in hand, and that child owns
+//      the lower processors, so frontier frames come out in ascending
+//      proc_lo; each frame's kernel emits its pieces in ascending
+//      processor order.  So the frames' runs, joined in frontier order,
+//      are the sequential output.
 //   3. The sequential kernels bisect a subtree's nodes contiguously,
 //      heavier subtree first, so walking the prefix tree heavier child
 //      first and splicing in each frame's local subtree at its leaf replays
@@ -40,18 +42,20 @@
 //      all come out identical (stitch_tree).
 //
 // Allocation: once warm, the non-recording path performs ZERO heap
-// allocations -- the frontier, the per-frame results and the staging live
-// in caller-thread scratch, frame scratch in worker-thread-local
-// workspaces, the dispatch is parallel_for_chunks' allocation-free
-// fork-join, and the pieces vector can be recycled through a caller
-// TrialWorkspace (tests/perf/alloc_gate_test.cpp pins this).  Tree
-// recording allocates (the tree itself does), exactly like sequential.
+// allocations -- the frontier and the result slots live in caller-thread
+// scratch (the slots only grow, so each keeps its capacity from call to
+// call), frame scratch in worker-thread-local workspaces, the dispatch is
+// parallel_for_chunks' allocation-free fork-join, and the pieces vector
+// can be recycled through a caller TrialWorkspace
+// (tests/perf/alloc_gate_test.cpp pins this on the caller and on every
+// worker).  Tree recording allocates (the tree itself does), exactly like
+// sequential.
 #pragma once
 
 #include <algorithm>
 #include <chrono>
 #include <cstdint>
-#include <optional>
+#include <iterator>
 #include <stdexcept>
 #include <utility>
 #include <vector>
@@ -66,7 +70,6 @@
 #include "core/workspace.hpp"
 #include "runtime/parallel_for.hpp"
 #include "runtime/thread_pool.hpp"
-#include "stats/alloc_stats.hpp"
 
 namespace lbb::runtime {
 
@@ -81,13 +84,11 @@ struct ParOptions {
 
 /// Per-call runtime counters of a direct par_*_partition call.
 struct ParStats {
-  std::int64_t spawns = 0;       ///< frontier frames dealt to the pool
+  std::int64_t spawns = 0;   ///< frontier frames dealt to the pool
   /// Always 0; kept only for benchmark/large_n.cpp, which reports it.
   std::int64_t steals = 0;
-  std::int64_t idle_ns = 0;      ///< workers x join wall time - frame time
-  std::int64_t alloc_count = 0;  ///< worker-side allocations of the call
-  std::int64_t alloc_bytes = 0;
-  std::int32_t grain = 0;        ///< effective grain used
+  std::int64_t idle_ns = 0;  ///< workers x join wall time - frame time
+  std::int32_t grain = 0;    ///< effective grain used
 };
 
 namespace detail {
@@ -95,12 +96,13 @@ namespace detail {
 template <core::Bisectable P>
 using ParFrame = core::detail::BaFrame<P, core::detail::BuildContext<P>>;
 
-/// What a worker reports for one frontier frame.
+/// One frontier frame's result slot: the frame's run (its pieces,
+/// bisections, max depth and, when recording, local subtree) and the
+/// worker's busy time on it.
+template <core::Bisectable P>
 struct FrameResult {
-  std::int64_t bisections = 0;
+  core::Partition<P> run;
   std::int64_t busy_ns = 0;
-  lbb::stats::AllocStats allocs;
-  core::BisectionTree subtree;  ///< the frame's local tree, when recording
 };
 
 /// Caller-thread scratch reused across calls.
@@ -108,8 +110,9 @@ template <core::Bisectable P>
 struct ParScratch {
   core::TrialWorkspace<P> ws;  ///< the frontier descent's stack
   std::vector<ParFrame<P>> frontier;
-  std::vector<FrameResult> results;
-  std::vector<std::optional<core::Piece<P>>> staging;
+  /// One slot per frontier frame.  Only grows, so every slot keeps its
+  /// capacity from call to call.
+  std::vector<FrameResult<P>> results;
 };
 
 /// The frames phase's view of one call: references into the caller's
@@ -118,29 +121,33 @@ struct ParScratch {
 template <core::Bisectable P>
 struct FrameJob {
   ParFrame<P>* frames;
-  FrameResult* results;
-  std::optional<core::Piece<P>>* staging;
+  FrameResult<P>* results;
   double prune_below;             ///< BA' iff >= 0
   std::int32_t switch_threshold;  ///< BA-HF iff > 0
   bool record;
 };
 
 /// Finishes frontier frame `i` with the sequential kernel on this worker,
-/// writing its pieces into the staging slots.  Absolute proc_lo/depth go
+/// building its run in the frame's result slot.  Absolute proc_lo/depth go
 /// straight through; node ids are local to the frame's subtree and
 /// remapped by stitch_tree after the join.
 template <core::Bisectable P>
 void run_frame(const FrameJob<P>& job, std::size_t i) {
   using Clock = std::chrono::steady_clock;
-  const auto allocs_before = lbb::stats::alloc_stats();
   const auto start = Clock::now();
   // One workspace per (worker thread, problem type); warm after the first
   // few frames, then allocation-free like any sequential trial loop.
   static thread_local core::TrialWorkspace<P> ws;
   ParFrame<P>& f = job.frames[i];
-  core::Partition<P> tmp;
-  tmp.pieces = ws.take_pieces(static_cast<std::size_t>(f.n));
-  core::detail::BuildContext<P> bctx(tmp, job.record);
+  FrameResult<P>& result = job.results[i];
+  // The slot may hold an earlier call's run, or part of one that threw.
+  core::Partition<P>& run = result.run;
+  run.pieces.clear();
+  run.pieces.reserve(static_cast<std::size_t>(f.n));
+  run.bisections = 0;
+  run.max_depth = 0;
+  run.tree = core::BisectionTree();
+  core::detail::BuildContext<P> bctx(run, job.record);
   bctx.reserve(f.n);
   const typename core::detail::BuildContext<P>::FrameTag at{
       f.tag.proc_lo, f.tag.depth, bctx.root(f.weight)};
@@ -151,21 +158,13 @@ void run_frame(const FrameJob<P>& job, std::size_t i) {
     core::detail::ba_run(bctx, ws, std::move(f.problem), f.n, at,
                          job.prune_below);
   }
-  for (auto& piece : tmp.pieces) {
-    job.staging[piece.processor].emplace(std::move(piece));
-  }
-  FrameResult& result = job.results[i];
-  result.bisections = tmp.bisections;
-  if (job.record) result.subtree = std::move(tmp.tree);
-  ws.recycle(std::move(tmp));
   result.busy_ns = std::chrono::duration_cast<std::chrono::nanoseconds>(
                        Clock::now() - start)
                        .count();
-  result.allocs = lbb::stats::alloc_stats() - allocs_before;
 }
 
 /// Builds the output tree from the prefix tree and the frames' local
-/// subtrees, patching staged pieces' node ids along the way.
+/// subtrees, remapping the node ids of the frames' pieces in place.
 ///
 /// The walk visits the prefix tree heavier (left) child first.  An
 /// internal prefix node adds its bisection to `tree`; a prefix leaf is a
@@ -197,7 +196,8 @@ void stitch_tree(core::BisectionTree& tree, const core::BisectionTree& prefix,
       continue;
     }
     const std::size_t i = frame_of[static_cast<std::size_t>(pre)];
-    const core::BisectionTree& sub = job.results[i].subtree;
+    core::Partition<P>& run = job.results[i].run;
+    const core::BisectionTree& sub = run.tree;
     const auto base = static_cast<core::NodeId>(tree.size());
     const auto to_global = [&](core::NodeId local) {
       return local == 0 ? at : base + local - 1;
@@ -207,11 +207,8 @@ void stitch_tree(core::BisectionTree& tree, const core::BisectionTree& prefix,
       const auto& right = sub.node(static_cast<core::NodeId>(2 * j + 2));
       tree.add_bisection(to_global(left.parent), left.weight, right.weight);
     }
-    const ParFrame<P>& f = job.frames[i];
-    for (core::ProcessorId p = f.tag.proc_lo; p < f.tag.proc_lo + f.n; ++p) {
-      if (job.staging[p].has_value()) {
-        job.staging[p]->node = to_global(job.staging[p]->node);
-      }
+    for (core::Piece<P>& piece : run.pieces) {
+      piece.node = to_global(piece.node);
     }
   }
 }
@@ -251,11 +248,6 @@ template <core::Bisectable P>
                      }();
 
   static thread_local ParScratch<P> scratch;
-  // Not assign(): optional<Piece<P>> is move-only for move-only P.
-  for (auto& slot : scratch.staging) slot.reset();
-  if (scratch.staging.size() < static_cast<std::size_t>(n)) {
-    scratch.staging.resize(static_cast<std::size_t>(n));
-  }
 
   // Phase 1: the frontier descent.
   scratch.frontier.clear();
@@ -273,10 +265,9 @@ template <core::Bisectable P>
 
   // Phase 2: the frames, on the pool.
   const std::size_t frames = scratch.frontier.size();
-  scratch.results.resize(frames);
+  if (scratch.results.size() < frames) scratch.results.resize(frames);
   const FrameJob<P> job{scratch.frontier.data(), scratch.results.data(),
-                        scratch.staging.data(), prune_below,
-                        switch_threshold, record};
+                        prune_below, switch_threshold, record};
   const auto fork = Clock::now();
   parallel_for_chunks(pool, 0, static_cast<std::int64_t>(frames), 1,
                       [&job](std::int64_t i, std::int64_t, std::int64_t) {
@@ -286,27 +277,23 @@ template <core::Bisectable P>
                            Clock::now() - fork)
                            .count();
 
-  // Phase 3: compaction.
-  std::int64_t busy_ns = 0;
-  lbb::stats::AllocStats allocs;
+  // Phase 3: the frames' runs, joined in frontier order.
   out.bisections = prefix.bisections;
-  for (const FrameResult& result : scratch.results) {
-    out.bisections += result.bisections;
-    busy_ns += result.busy_ns;
-    allocs.count += result.allocs.count;
-    allocs.bytes += result.allocs.bytes;
-  }
   if (record) {
     core::detail::BuildContext<P> tctx(out, /*record_tree=*/true);
     tctx.reserve(n);
     (void)tctx.root(out.total_weight);
     stitch_tree(out.tree, prefix.tree, job, frames);
   }
-  for (auto& slot : scratch.staging) {
-    if (!slot.has_value()) continue;  // BA' leaves gaps in pruned ranges
-    out.max_depth = std::max(out.max_depth, slot->depth);
-    out.pieces.push_back(std::move(*slot));
-    slot.reset();
+  std::int64_t busy_ns = 0;
+  for (std::size_t i = 0; i < frames; ++i) {
+    core::Partition<P>& run = scratch.results[i].run;
+    out.bisections += run.bisections;
+    out.max_depth = std::max(out.max_depth, run.max_depth);
+    out.pieces.insert(out.pieces.end(),
+                      std::make_move_iterator(run.pieces.begin()),
+                      std::make_move_iterator(run.pieces.end()));
+    busy_ns += scratch.results[i].busy_ns;
   }
   scratch.frontier.clear();
 
@@ -315,8 +302,6 @@ template <core::Bisectable P>
     stats->steals = 0;
     stats->idle_ns = std::max<std::int64_t>(
         0, static_cast<std::int64_t>(pool.size()) * join_ns - busy_ns);
-    stats->alloc_count = allocs.count;
-    stats->alloc_bytes = allocs.bytes;
     stats->grain = grain;
   }
   return out;

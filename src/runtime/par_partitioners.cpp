@@ -7,7 +7,6 @@
 #include <utility>
 #include <vector>
 
-#include "core/bounds.hpp"
 #include "core/partitioner.hpp"
 #include "core/sync.hpp"
 #include "runtime/par_partition.hpp"
@@ -17,6 +16,7 @@ namespace lbb::runtime {
 namespace {
 
 using lbb::core::AnyProblem;
+using lbb::core::BuiltinKind;
 using lbb::core::Partition;
 using lbb::core::Partitioner;
 using lbb::core::PartitionerConfig;
@@ -24,13 +24,11 @@ using lbb::core::PartitionerInfo;
 using lbb::core::PartitionerRegistry;
 using lbb::core::RunContext;
 
-enum class ParFamily { kBa, kBaStar, kBaHf };
-
 class ParPartitioner final : public Partitioner {
  public:
-  ParPartitioner(PartitionerInfo info, ParFamily family,
+  ParPartitioner(PartitionerInfo info, BuiltinKind kind,
                  const PartitionerConfig& config)
-      : info_(std::move(info)), family_(family), config_(config) {}
+      : info_(std::move(info)), kind_(kind), config_(config) {}
 
   [[nodiscard]] const PartitionerInfo& info() const override { return info_; }
 
@@ -40,54 +38,44 @@ class ParPartitioner final : public Partitioner {
     ThreadPool& pool = shared_pool(config_.threads);
     ParOptions opt;
     opt.partition = config_.options;
-    switch (family_) {
-      case ParFamily::kBaStar:
-        return par_ba_star_partition(pool, std::move(problem), n,
-                                     config_.alpha, opt);
-      case ParFamily::kBaHf:
-        return par_ba_hf_partition(
-            pool, std::move(problem), n,
-            core::BaHfParams{config_.alpha, config_.beta}, opt);
-      case ParFamily::kBa:
-        break;
+    if (kind_ == BuiltinKind::kBaStar) {
+      return par_ba_star_partition(pool, std::move(problem), n,
+                                   config_.alpha, opt);
+    }
+    if (kind_ == BuiltinKind::kBaHf) {
+      return par_ba_hf_partition(
+          pool, std::move(problem), n,
+          core::BaHfParams{config_.alpha, config_.beta}, opt);
     }
     return par_ba_partition(pool, std::move(problem), n, opt);
   }
 
   /// Identical output to the sequential family, so its bound applies.
   [[nodiscard]] double ratio_bound(std::int32_t n) const override {
-    switch (family_) {
-      case ParFamily::kBa:
-        return lbb::core::ba_ratio_bound(config_.alpha, n);
-      case ParFamily::kBaStar:
-        return lbb::core::ba_star_ratio_bound(config_.alpha, n);
-      case ParFamily::kBaHf:
-        return lbb::core::ba_hf_ratio_bound(config_.alpha, config_.beta, n);
-    }
-    return 0.0;
+    return core::builtin_ratio_bound(kind_, config_.alpha, config_.beta, n);
   }
 
  private:
   PartitionerInfo info_;
-  ParFamily family_;
+  BuiltinKind kind_;  ///< kBa, kBaStar or kBaHf
   PartitionerConfig config_;
 };
 
 struct ParEntry {
   PartitionerInfo info;
-  ParFamily family;
+  BuiltinKind kind;
 };
 
 const ParEntry kParEntries[] = {
     {{"par:ba", "BA(par)",
       "Algorithm BA on the thread pool (byte-identical to ba)"},
-     ParFamily::kBa},
+     BuiltinKind::kBa},
     {{"par:ba_star", "BA*(par)",
       "Algorithm BA' on the thread pool (phase-1 pruning)"},
-     ParFamily::kBaStar},
+     BuiltinKind::kBaStar},
     {{"par:ba_hf", "BA-HF(par)",
       "Algorithm BA-HF on the thread pool"},
-     ParFamily::kBaHf},
+     BuiltinKind::kBaHf},
 };
 
 }  // namespace
@@ -143,7 +131,7 @@ void register_par_partitioners() {
     auto& registry = PartitionerRegistry::instance();
     for (const ParEntry& entry : kParEntries) {
       registry.add(entry.info, [&entry](const PartitionerConfig& config) {
-        return std::make_unique<ParPartitioner>(entry.info, entry.family,
+        return std::make_unique<ParPartitioner>(entry.info, entry.kind,
                                                 config);
       });
     }

@@ -12,6 +12,7 @@ namespace lbb::sim {
 namespace {
 
 using lbb::core::AnyProblem;
+using lbb::core::BuiltinKind;
 using lbb::core::Partition;
 using lbb::core::Partitioner;
 using lbb::core::PartitionerConfig;
@@ -44,8 +45,9 @@ class PhfPartitioner final : public Partitioner {
   }
 
   /// PHF produces HF's partition, so HF's bound applies.
-  [[nodiscard]] double ratio_bound(std::int32_t) const override {
-    return lbb::core::hf_ratio_bound(config_.alpha);
+  [[nodiscard]] double ratio_bound(std::int32_t n) const override {
+    return core::builtin_ratio_bound(BuiltinKind::kHf, config_.alpha,
+                                     config_.beta, n);
   }
 
  private:
@@ -54,11 +56,9 @@ class PhfPartitioner final : public Partitioner {
   PartitionerConfig config_;
 };
 
-enum class SimBaKind { kBa, kBaStar, kBaHf };
-
 class SimBaPartitioner final : public Partitioner {
  public:
-  SimBaPartitioner(PartitionerInfo info, SimBaKind kind,
+  SimBaPartitioner(PartitionerInfo info, BuiltinKind kind,
                    const PartitionerConfig& config)
       : info_(std::move(info)), kind_(kind), config_(config) {}
 
@@ -67,85 +67,71 @@ class SimBaPartitioner final : public Partitioner {
   [[nodiscard]] Partition<AnyProblem> run(RunContext& ctx, AnyProblem problem,
                                           std::int32_t n) const override {
     ctx.checkpoint();
-    switch (kind_) {
-      case SimBaKind::kBaStar:
-        return ba_star_simulate(std::move(problem), n, config_.alpha,
-                                CostModel{}, config_.options)
-            .partition;
-      case SimBaKind::kBaHf:
-        return ba_hf_simulate(std::move(problem), n, config_.alpha,
-                              config_.beta, CostModel{}, config_.options)
-            .partition;
-      case SimBaKind::kBa:
-        break;
+    if (kind_ == BuiltinKind::kBaStar) {
+      return ba_star_simulate(std::move(problem), n, config_.alpha,
+                              CostModel{}, config_.options)
+          .partition;
+    }
+    if (kind_ == BuiltinKind::kBaHf) {
+      return ba_hf_simulate(std::move(problem), n, config_.alpha,
+                            config_.beta, CostModel{}, config_.options)
+          .partition;
     }
     return ba_simulate(std::move(problem), n, CostModel{}, config_.options)
         .partition;
   }
 
+  /// The simulation produces the sequential family's partition, so its
+  /// bound applies.
   [[nodiscard]] double ratio_bound(std::int32_t n) const override {
-    switch (kind_) {
-      case SimBaKind::kBa:
-        return lbb::core::ba_ratio_bound(config_.alpha, n);
-      case SimBaKind::kBaStar:
-        return lbb::core::ba_star_ratio_bound(config_.alpha, n);
-      case SimBaKind::kBaHf:
-        return lbb::core::ba_hf_ratio_bound(config_.alpha, config_.beta, n);
-    }
-    return 0.0;
+    return core::builtin_ratio_bound(kind_, config_.alpha, config_.beta, n);
   }
 
  private:
   PartitionerInfo info_;
-  SimBaKind kind_;
+  BuiltinKind kind_;  ///< kBa, kBaStar or kBaHf
   PartitionerConfig config_;
 };
 
+/// A phf:* entry (kind kHf: PHF produces HF's partition) or a sim:* one.
 struct SimEntry {
   PartitionerInfo info;
-  bool is_phf;
-  FreeProcManager manager;
-  SimBaKind ba_kind;
+  BuiltinKind kind;
+  FreeProcManager manager;  ///< phf:* only
 };
 
 const SimEntry kSimEntries[] = {
     {{"phf:oracle", "PHF(oracle)",
       "parallel HF, idealized O(1) free-processor manager (Figure 2)"},
-     true,
-     FreeProcManager::kOracle,
-     SimBaKind::kBa},
+     BuiltinKind::kHf,
+     FreeProcManager::kOracle},
     {{"phf:ba_prime", "PHF(BA')",
       "parallel HF, BA'-based free-processor manager (Section 3.4)"},
-     true,
-     FreeProcManager::kBaPrime,
-     SimBaKind::kBa},
+     BuiltinKind::kHf,
+     FreeProcManager::kBaPrime},
     {{"phf:probe", "PHF(probe)",
       "parallel HF, randomized-probing (work-stealing) manager"},
-     true,
-     FreeProcManager::kRandomProbe,
-     SimBaKind::kBa},
+     BuiltinKind::kHf,
+     FreeProcManager::kRandomProbe},
     {{"sim:ba", "BA(sim)",
       "Algorithm BA on the simulated machine (time + communication metrics)"},
-     false,
-     FreeProcManager::kOracle,
-     SimBaKind::kBa},
+     BuiltinKind::kBa,
+     FreeProcManager::kOracle},
     {{"sim:ba_star", "BA*(sim)", "Algorithm BA' on the simulated machine"},
-     false,
-     FreeProcManager::kOracle,
-     SimBaKind::kBaStar},
+     BuiltinKind::kBaStar,
+     FreeProcManager::kOracle},
     {{"sim:ba_hf", "BA-HF(sim)",
       "Algorithm BA-HF on the simulated machine (sequential-HF second phase)"},
-     false,
-     FreeProcManager::kOracle,
-     SimBaKind::kBaHf},
+     BuiltinKind::kBaHf,
+     FreeProcManager::kOracle},
 };
 
 std::unique_ptr<Partitioner> make_from_entry(const SimEntry& entry,
                                              const PartitionerConfig& config) {
-  if (entry.is_phf) {
+  if (entry.kind == BuiltinKind::kHf) {
     return std::make_unique<PhfPartitioner>(entry.info, entry.manager, config);
   }
-  return std::make_unique<SimBaPartitioner>(entry.info, entry.ba_kind, config);
+  return std::make_unique<SimBaPartitioner>(entry.info, entry.kind, config);
 }
 
 }  // namespace

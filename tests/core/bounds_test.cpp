@@ -4,6 +4,8 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdint>
+#include <limits>
 
 namespace lbb::core {
 namespace {
@@ -165,6 +167,31 @@ TEST(Bounds, InvalidArguments) {
   EXPECT_THROW(ba_hf_ratio_bound(0.25, -1.0, 4), std::invalid_argument);
   EXPECT_THROW(ba_hf_switch_threshold(0.25, 0.0), std::invalid_argument);
   EXPECT_THROW(phase2_iteration_bound(0.0), std::invalid_argument);
+}
+
+// Every alpha in (0, 1/2] is valid, down to the smallest double, where
+// 1/alpha exceeds every integer type (and is +inf at the bottom): each
+// integer bound must stay defined and positive (the ubsan preset checks
+// the casts), each ratio bound a number >= 1.
+TEST(Bounds, DefinedForTinyAlpha) {
+  constexpr std::int32_t kN = std::int32_t{1} << 20;
+  constexpr double kSmallest = std::numeric_limits<double>::denorm_min();
+  for (const double a : {1e-9, 1e-12, 1e-20, 1e-300, kSmallest}) {
+    SCOPED_TRACE(a);
+    EXPECT_GE(floor_inverse(a), 1);
+    EXPECT_LE(floor_inverse(a), kFloorInverseCap);
+    EXPECT_GE(ba_hf_switch_threshold(a, 1.0), 1);
+    EXPECT_GE(phase1_depth_bound(a, kN), 1);
+    EXPECT_GE(phase2_iteration_bound(a), 1);
+    EXPECT_GE(ba_depth_bound(a, kN), 1);
+    for (const double r :
+         {hf_ratio_bound(a), ba_small_n_ratio_bound(a, kN),
+          ba_ratio_bound(a, kN), ba_star_ratio_bound(a, kN),
+          ba_hf_ratio_bound(a, 1.0, kN)}) {
+      EXPECT_FALSE(std::isnan(r));
+      EXPECT_GE(r, 1.0);
+    }
+  }
 }
 
 // Ordering sanity used throughout the paper: BA's bound is never better

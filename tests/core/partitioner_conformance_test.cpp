@@ -24,9 +24,12 @@
 #include <algorithm>
 #include <bit>
 #include <cmath>
+#include <cstdint>
 #include <functional>
 #include <memory>
+#include <span>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "core/ba.hpp"
@@ -337,6 +340,32 @@ TEST(PartitionerConformance, MaxSinkMatchesFullPartitionOnEveryProblemType) {
   }
 }
 
+using NamePairs = std::span<const std::pair<const char*, const char*>>;
+
+/// Each pair's partitioner must report the same ratio_bound(n), bit for
+/// bit, as the sequential family it names, over a grid of alpha, beta and
+/// n.
+void expect_same_ratio_bounds(NamePairs pairs) {
+  auto& reg = PartitionerRegistry::instance();
+  for (const auto& [name, family] : pairs) {
+    for (const double alpha : {0.01, 0.2}) {
+      for (const double beta : {0.5, 1.0, 3.0}) {
+        PartitionerConfig config;
+        config.alpha = alpha;
+        config.beta = beta;
+        const auto part = reg.create(name, config);
+        const auto seq = reg.create(family, config);
+        for (const std::int32_t n : {1, 7, 1024}) {
+          EXPECT_EQ(std::bit_cast<std::uint64_t>(part->ratio_bound(n)),
+                    std::bit_cast<std::uint64_t>(seq->ratio_bound(n)))
+              << name << " vs " << family << " alpha=" << alpha
+              << " beta=" << beta << " n=" << n;
+        }
+      }
+    }
+  }
+}
+
 // The tentpole acceptance check: for every registered problem type, the
 // par:* partitioners produce BYTE-identical output (pieces in order, with
 // exact weights, processors, depths, node links, and the full recorded
@@ -346,6 +375,7 @@ TEST(PartitionerConformance, ParPartitionersMatchSequentialCounterparts) {
   auto& reg = PartitionerRegistry::instance();
   const std::pair<const char*, const char*> pairs[] = {
       {"par:ba", "ba"}, {"par:ba_star", "ba_star"}, {"par:ba_hf", "ba_hf"}};
+  expect_same_ratio_bounds(pairs);
   const auto specs = problem_specs();
   for (const auto& spec : specs) {
     for (const auto& [par_name, seq_name] : pairs) {
@@ -388,6 +418,17 @@ TEST(PartitionerConformance, ParPartitionersMatchSequentialCounterparts) {
       }
     }
   }
+}
+
+// sim:* run the sequential BA family on the simulated machine and phf:*
+// produce HF's partition, so each reports that family's bound.
+TEST(PartitionerConformance, SimPartitionersShareSequentialRatioBounds) {
+  lbb::sim::register_sim_partitioners();
+  const std::pair<const char*, const char*> pairs[] = {
+      {"sim:ba", "ba"},       {"sim:ba_star", "ba_star"},
+      {"sim:ba_hf", "ba_hf"}, {"phf:oracle", "hf"},
+      {"phf:ba_prime", "hf"}, {"phf:probe", "hf"}};
+  expect_same_ratio_bounds(pairs);
 }
 
 // Regression: with beta/alpha below about 1e-12 the BA-HF switch threshold

@@ -21,8 +21,7 @@ RatioExperimentConfig small_config() {
 TEST(RatioExperiment, ProducesAllCells) {
   const auto result = run_ratio_experiment(small_config());
   EXPECT_EQ(result.cells.size(), 4u * 2u);
-  for (const auto algo :
-       {Algo::kBA, Algo::kBAStar, Algo::kBAHF, Algo::kHF}) {
+  for (const char* algo : {"ba", "ba_star", "ba_hf", "hf"}) {
     for (const int k : {5, 8}) {
       const auto& cell = result.cell(algo, k);
       EXPECT_EQ(cell.trials, 50);
@@ -31,19 +30,19 @@ TEST(RatioExperiment, ProducesAllCells) {
       EXPECT_GT(cell.upper_bound, 1.0);
     }
   }
-  EXPECT_THROW(static_cast<void>(result.cell(Algo::kHF, 9)), std::out_of_range);
+  EXPECT_THROW(static_cast<void>(result.cell("hf", 9)), std::out_of_range);
 }
 
 TEST(RatioExperiment, DeterministicInSeed) {
   const auto a = run_ratio_experiment(small_config());
   const auto b = run_ratio_experiment(small_config());
-  EXPECT_DOUBLE_EQ(a.cell(Algo::kHF, 8).ratio.mean(),
-                   b.cell(Algo::kHF, 8).ratio.mean());
+  EXPECT_DOUBLE_EQ(a.cell("hf", 8).ratio.mean(),
+                   b.cell("hf", 8).ratio.mean());
   auto other = small_config();
   other.seed = 4;
   const auto c = run_ratio_experiment(other);
-  EXPECT_NE(a.cell(Algo::kHF, 8).ratio.mean(),
-            c.cell(Algo::kHF, 8).ratio.mean());
+  EXPECT_NE(a.cell("hf", 8).ratio.mean(),
+            c.cell("hf", 8).ratio.mean());
 }
 
 TEST(RatioExperiment, ObservedAlwaysWithinUpperBound) {
@@ -61,9 +60,9 @@ TEST(RatioExperiment, PaperOrderingHfBest) {
   // worst for Algorithm BA in all experiments".
   const auto result = run_ratio_experiment(small_config());
   for (const int k : {5, 8}) {
-    const double hf = result.cell(Algo::kHF, k).ratio.mean();
-    const double ba_hf = result.cell(Algo::kBAHF, k).ratio.mean();
-    const double ba = result.cell(Algo::kBA, k).ratio.mean();
+    const double hf = result.cell("hf", k).ratio.mean();
+    const double ba_hf = result.cell("ba_hf", k).ratio.mean();
+    const double ba = result.cell("ba", k).ratio.mean();
     EXPECT_LE(hf, ba_hf);
     EXPECT_LE(ba_hf, ba);
   }
@@ -74,8 +73,8 @@ TEST(RatioExperiment, BudgetCapsTrials) {
   config.bisection_budget = 32 * 10;  // only 10 trials at N=32
   config.min_trials = 2;
   const auto result = run_ratio_experiment(config);
-  EXPECT_EQ(result.cell(Algo::kHF, 5).trials, 10);
-  EXPECT_EQ(result.cell(Algo::kHF, 8).trials, 2);  // clamped to min_trials
+  EXPECT_EQ(result.cell("hf", 5).trials, 10);
+  EXPECT_EQ(result.cell("hf", 8).trials, 2);  // clamped to min_trials
   // A budget above 2^31 * N caps nothing: the cap is compared with the
   // trial count in 64 bits, before it could wrap.
   config.bisection_budget = 100'000'000'000;
@@ -129,10 +128,12 @@ TEST(TimingExperiment, SequentialTimeFormula) {
 }
 
 TEST(AlgoNames, Strings) {
-  EXPECT_STREQ(algo_name(Algo::kBA), "BA");
-  EXPECT_STREQ(algo_name(Algo::kBAStar), "BA*");
-  EXPECT_STREQ(algo_name(Algo::kBAHF), "BA-HF");
-  EXPECT_STREQ(algo_name(Algo::kHF), "HF");
+  // The paper's table labels are the registry's display names.
+  const auto& registry = lbb::core::PartitionerRegistry::instance();
+  EXPECT_EQ(registry.create("ba")->info().display, "BA");
+  EXPECT_EQ(registry.create("ba_star")->info().display, "BA*");
+  EXPECT_EQ(registry.create("ba_hf")->info().display, "BA-HF");
+  EXPECT_EQ(registry.create("hf")->info().display, "HF");
   EXPECT_STREQ(par_algo_name(ParAlgo::kPHFOracle), "PHF(oracle)");
   EXPECT_STREQ(par_algo_name(ParAlgo::kSeqHF), "HF(seq)");
 }
@@ -230,8 +231,8 @@ TEST(RatioExperimentParallel, HardwareThreadsKnobAccepted) {
     c.trials = 40;
     return c;
   }());
-  EXPECT_EQ(result.cell(Algo::kHF, 5).ratio.mean(),
-            base.cell(Algo::kHF, 5).ratio.mean());
+  EXPECT_EQ(result.cell("hf", 5).ratio.mean(),
+            base.cell("hf", 5).ratio.mean());
   EXPECT_THROW(run_ratio_experiment(threaded_config(-2)),
                std::invalid_argument);
 }

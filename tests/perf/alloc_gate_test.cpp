@@ -13,7 +13,9 @@
 // allocs_per_bisection counters of `lbb_bench micro_core`).
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <cstdint>
+#include <latch>
 #include <utility>
 #include <vector>
 
@@ -154,22 +156,57 @@ TEST(AllocGate, InlineErasedBisectIsAllocationFree) {
 
 // ---------------------------------------------------------------------------
 // Parallel path: the warm par:* runtime must allocate nothing per
-// partition call -- the frontier, per-frame results and staging live in
+// partition call -- the frontier and the per-frame result slots live in
 // the caller's thread-local scratch, frame scratch in worker-thread-local
 // workspaces, pieces in the caller's TrialWorkspace, and the dispatch is
-// parallel_for_chunks' allocation-free fork-join.  Allocation attribution
-// is two-sided: the caller measures its own thread's delta; each frame
-// measures its worker's delta, which surfaces as ParStats::alloc_count.
+// parallel_for_chunks' allocation-free fork-join.  The gates count the
+// caller's thread and every pool worker: whatever a worker allocates
+// between two worker_allocs() reads counts, inside a frame or not.
 
-/// One warm parallel trial; returns caller-delta plus job-attributed
-/// worker allocations.
+/// Sum of `pool`'s workers' allocation counters.  Runs one chunk per
+/// worker and holds each at a latch until all have started, so no worker
+/// runs two of them and each reads its own thread's counter once.
+std::int64_t worker_allocs(runtime::ThreadPool& pool) {
+  const auto workers = static_cast<std::int64_t>(pool.size());
+  std::latch started(workers);
+  std::atomic<std::int64_t> total{0};
+  runtime::parallel_for_chunks(
+      pool, 0, workers, 1, [&](std::int64_t, std::int64_t, std::int64_t) {
+        started.arrive_and_wait();
+        total += lbb::stats::alloc_stats().count;
+      });
+  return total.load();
+}
+
+/// Allocations of one warm parallel call, on the caller and on every
+/// worker of `pool`.
 template <typename Run>
-std::int64_t par_trial_allocs(Run&& run) {
+std::int64_t par_trial_allocs(runtime::ThreadPool& pool, Run&& run) {
+  const std::int64_t workers_before = worker_allocs(pool);
   const auto before = lbb::stats::alloc_stats();
-  runtime::ParStats stats;
-  run(&stats);
+  run();
   const auto caller = lbb::stats::alloc_stats() - before;
-  return caller.count + stats.alloc_count;
+  return caller.count + worker_allocs(pool) - workers_before;
+}
+
+TEST(AllocGate, WorkerProbeCountsEveryWorker) {
+  // The par gates below would pass vacuously if worker_allocs() missed a
+  // worker: chunks that each allocate once must raise it by exactly the
+  // chunk count, whichever workers run them.
+  runtime::ThreadPool pool(4);
+  constexpr std::int64_t kChunks = 64;
+  const auto allocate_once = [](std::int64_t, std::int64_t, std::int64_t) {
+    void* p = ::operator new(64);
+    ::operator delete(p);
+  };
+  // Warm-up: both dispatches grow the pool's task ring once.
+  runtime::parallel_for_chunks(pool, 0, kChunks, 1, allocate_once);
+  (void)worker_allocs(pool);
+  for (int t = 0; t < kTrials; ++t) {
+    const std::int64_t before = worker_allocs(pool);
+    runtime::parallel_for_chunks(pool, 0, kChunks, 1, allocate_once);
+    EXPECT_EQ(worker_allocs(pool) - before, kChunks) << "trial " << t;
+  }
 }
 
 TEST(AllocGate, ParBaSteadyStateIsAllocationFree) {
@@ -178,50 +215,47 @@ TEST(AllocGate, ParBaSteadyStateIsAllocationFree) {
   // workspace exactly like the sequential gates above.
   runtime::ThreadPool pool(1);
   TrialWorkspace<SyntheticProblem> ws;
-  const auto run = [&](runtime::ParStats* stats) {
-    auto part =
-        runtime::par_ba_partition(pool, ws, make_problem(3), kN, {}, stats);
+  const auto run = [&] {
+    auto part = runtime::par_ba_partition(pool, ws, make_problem(3), kN);
     ASSERT_EQ(part.pieces.size(), static_cast<std::size_t>(kN));
     ws.recycle(std::move(part));
   };
-  for (int warm = 0; warm < 2; ++warm) run(nullptr);
+  for (int warm = 0; warm < 2; ++warm) run();
   for (int t = 0; t < kTrials; ++t) {
-    EXPECT_EQ(par_trial_allocs(run), 0) << "trial " << t;
+    EXPECT_EQ(par_trial_allocs(pool, run), 0) << "trial " << t;
   }
 }
 
 TEST(AllocGate, ParBaHfSteadyStateIsAllocationFree) {
   runtime::ThreadPool pool(1);
   const BaHfParams params{0.1, 1.0};
-  TrialWorkspace<SyntheticProblem> ws;
   std::vector<Piece<SyntheticProblem>> recycled;
-  const auto run = [&](runtime::ParStats* stats) {
-    auto part = runtime::par_ba_hf_partition(pool, make_problem(5), kN,
-                                             params, {}, stats);
+  const auto run = [&] {
+    auto part =
+        runtime::par_ba_hf_partition(pool, make_problem(5), kN, params);
     ASSERT_EQ(part.pieces.size(), static_cast<std::size_t>(kN));
     recycled = std::move(part.pieces);  // keep capacity live across trials
   };
-  for (int warm = 0; warm < 2; ++warm) run(nullptr);
+  for (int warm = 0; warm < 2; ++warm) run();
   // The workspace-free overload allocates the output pieces vector per
   // call by design; everything else must be silent.  Hold the previous
   // vector so the allocator sees a steady malloc/free pattern, and allow
   // exactly that one allocation.
   for (int t = 0; t < kTrials; ++t) {
-    EXPECT_LE(par_trial_allocs(run), 1) << "trial " << t;
+    EXPECT_LE(par_trial_allocs(pool, run), 1) << "trial " << t;
   }
 }
 
 TEST(AllocGate, ParBaMultiWorkerSteadyStateStabilizes) {
   // With two workers the warm-up is schedule-dependent (a worker sizes its
   // thread-local workspace the first time it executes a frame), so warm
-  // until the runtime reports consecutive allocation-free calls, then hold
-  // it to zero.  A per-call regression fails every attempt; a late worker
-  // wake-up only restarts the stabilization loop.
+  // until consecutive calls are allocation-free, then hold it to zero.  A
+  // per-call regression fails every attempt; a late worker wake-up only
+  // restarts the stabilization loop.
   runtime::ThreadPool pool(2);
   TrialWorkspace<SyntheticProblem> ws;
-  const auto run = [&](runtime::ParStats* stats) {
-    auto part =
-        runtime::par_ba_partition(pool, ws, make_problem(7), kN, {}, stats);
+  const auto run = [&] {
+    auto part = runtime::par_ba_partition(pool, ws, make_problem(7), kN);
     ASSERT_EQ(part.pieces.size(), static_cast<std::size_t>(kN));
     ws.recycle(std::move(part));
   };
@@ -229,7 +263,7 @@ TEST(AllocGate, ParBaMultiWorkerSteadyStateStabilizes) {
   int calls = 0;
   while (consecutive_clean < kTrials && calls < 400) {
     ++calls;
-    if (par_trial_allocs(run) == 0) {
+    if (par_trial_allocs(pool, run) == 0) {
       ++consecutive_clean;
     } else {
       consecutive_clean = 0;

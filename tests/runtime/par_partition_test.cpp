@@ -103,20 +103,29 @@ TEST(ParPartition, BaStarByteIdentical) {
   constexpr double kAlpha = 0.2;
   core::PartitionOptions record;
   record.record_tree = true;
-  ParOptions opt;
-  opt.partition = record;
-  opt.grain = 1;  // descend on the caller wherever the recursion goes
-  ThreadPool pool(4);
-  for (const std::uint64_t seed : {3ull, 99ull}) {
-    for (const std::int32_t n : {1, 2, 13, 64, 333}) {
-      core::TrialWorkspace<SyntheticProblem> seq_ws;
-      const auto seq = core::ba_star_partition(seq_ws, make_problem(seed), n,
-                                               kAlpha, record);
-      const auto par =
-          par_ba_star_partition(pool, make_problem(seed), n, kAlpha, opt);
-      expect_identical(par, seq,
-                       "seed=" + std::to_string(seed) +
-                           " n=" + std::to_string(n));
+  for (const unsigned threads : {1u, 4u}) {
+    ThreadPool pool(threads);
+    // Grain 1 descends on the caller wherever the recursion goes, so every
+    // frame is one piece; at grains 0 and 7 frames prune inside
+    // themselves, and a frame's run is shorter than its processor range.
+    for (const std::int32_t grain : {0, 1, 7}) {
+      ParOptions opt;
+      opt.partition = record;
+      opt.grain = grain;
+      for (const std::uint64_t seed : {3ull, 99ull}) {
+        for (const std::int32_t n : {1, 2, 13, 64, 333}) {
+          core::TrialWorkspace<SyntheticProblem> seq_ws;
+          const auto seq = core::ba_star_partition(
+              seq_ws, make_problem(seed), n, kAlpha, record);
+          const auto par =
+              par_ba_star_partition(pool, make_problem(seed), n, kAlpha, opt);
+          expect_identical(par, seq,
+                           "threads=" + std::to_string(threads) +
+                               " grain=" + std::to_string(grain) +
+                               " seed=" + std::to_string(seed) +
+                               " n=" + std::to_string(n));
+        }
+      }
     }
   }
 }
@@ -323,6 +332,15 @@ TEST(ParPartition, TaskExceptionPropagatesToCaller) {
   }();
   const auto par = par_ba_partition(pool, make_problem(9), 32);
   expect_identical(par, seq, "after failure");
+  // The grain-64 call left result slots half-filled; a sound call of the
+  // same shape reuses every one of them.
+  ParOptions opt;
+  opt.grain = 64;
+  opt.partition.record_tree = true;
+  const ThrowingProblem sound{1.0, /*trip=*/0.0};
+  expect_identical(par_ba_partition(pool, sound, 512, opt),
+                   core::ba_partition(sound, 512, opt.partition),
+                   "same shape after failure");
 }
 
 // ---------------------------------------------------------------------------

@@ -31,8 +31,9 @@
 #
 # (likewise asan / asan-sim and tsan / tsan-sim; the tsan-sim preset's
 # label filter also covers the `runtime` suites, so the thread pool's
-# queue, the parallel_for_chunks join and the par:* frame staging run
-# under ThreadSanitizer; ctest --preset tsan-runtime runs those alone).
+# queue, the parallel_for_chunks join and the par:* result slots, which
+# workers fill and the caller reads after the join, run under
+# ThreadSanitizer; ctest --preset tsan-runtime runs those alone).
 # The fault-injection tests (sim_fault_model_test) assert the same
 # thread-count determinism for degraded simulations that this script
 # asserts for the experiment engine.
