@@ -30,38 +30,12 @@ unsigned resolve_threads(std::int32_t threads) {
 
 }  // namespace detail
 
-namespace {
-
-std::string cell_key(std::string_view algo, std::int32_t log2_n) {
-  std::string key(algo);
-  key += ':';
-  key += std::to_string(log2_n);
-  return key;
-}
-
-}  // namespace
-
 const RatioCell& RatioExperimentResult::cell(std::string_view algo,
                                              std::int32_t log2_n) const {
-  if (!cell_index.empty()) {
-    const auto it = cell_index.find(cell_key(algo, log2_n));
-    if (it == cell_index.end()) {
-      throw std::out_of_range("RatioExperimentResult::cell: no such cell");
-    }
-    return cells[it->second];
-  }
   for (const RatioCell& c : cells) {
     if (c.algo == algo && c.log2_n == log2_n) return c;
   }
   throw std::out_of_range("RatioExperimentResult::cell: no such cell");
-}
-
-void RatioExperimentResult::rebuild_index() {
-  cell_index.clear();
-  cell_index.reserve(cells.size());
-  for (std::size_t i = 0; i < cells.size(); ++i) {
-    cell_index[cell_key(cells[i].algo, cells[i].log2_n)] = i;
-  }
 }
 
 void write_ratio_csv(const RatioExperimentResult& result,
@@ -137,7 +111,6 @@ RatioExperimentResult run_ratio_experiment(
       result.cells.push_back(std::move(cell));
     }
   }
-  result.rebuild_index();
   return result;
 }
 

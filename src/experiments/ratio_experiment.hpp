@@ -38,7 +38,6 @@
 #include <cstdint>
 #include <string>
 #include <string_view>
-#include <unordered_map>
 #include <vector>
 
 #include "core/run_context.hpp"
@@ -101,18 +100,11 @@ struct RatioCell {
 struct RatioExperimentResult {
   RatioExperimentConfig config;
   std::vector<RatioCell> cells;
-  /// "algo:log2_n" -> index into `cells`; kept by run_ratio_experiment so
-  /// cell() is O(1).  Call rebuild_index() after editing `cells` by hand.
-  std::unordered_map<std::string, std::size_t> cell_index;
 
-  /// The cell for (algo key, log2_n); throws std::out_of_range if absent.
-  /// O(1) via cell_index when it is populated; falls back to a linear scan
-  /// on hand-assembled results.
+  /// The cell for (algo key, log2_n), by linear scan (a grid holds a few
+  /// dozen cells); throws std::out_of_range if absent.
   [[nodiscard]] const RatioCell& cell(std::string_view algo,
                                       std::int32_t log2_n) const;
-
-  /// Rebuilds cell_index from `cells`.
-  void rebuild_index();
 };
 
 /// Runs the experiment.  Deterministic in `config.seed`: for any

@@ -35,11 +35,6 @@ const char* par_algo_name(ParAlgo algo) {
 
 namespace {
 
-constexpr std::uint64_t timing_cell_key(ParAlgo algo, std::int32_t log2_n) {
-  return (static_cast<std::uint64_t>(algo) << 32) |
-         static_cast<std::uint32_t>(log2_n);
-}
-
 /// One simulated execution of `algo` on `problem` (kSeqHF: the analytic
 /// model, no simulation).  PHF's probing manager draws from `seed`.
 lbb::sim::SimMetrics simulate(ParAlgo algo, SyntheticProblem problem,
@@ -85,25 +80,10 @@ struct ChunkStats {
 
 const TimingCell& TimingExperimentResult::cell(ParAlgo algo,
                                                std::int32_t log2_n) const {
-  if (!cell_index.empty()) {
-    const auto it = cell_index.find(timing_cell_key(algo, log2_n));
-    if (it == cell_index.end()) {
-      throw std::out_of_range("TimingExperimentResult::cell: no such cell");
-    }
-    return cells[it->second];
-  }
   for (const TimingCell& c : cells) {
     if (c.algo == algo && c.log2_n == log2_n) return c;
   }
   throw std::out_of_range("TimingExperimentResult::cell: no such cell");
-}
-
-void TimingExperimentResult::rebuild_index() {
-  cell_index.clear();
-  cell_index.reserve(cells.size());
-  for (std::size_t i = 0; i < cells.size(); ++i) {
-    cell_index[timing_cell_key(cells[i].algo, cells[i].log2_n)] = i;
-  }
 }
 
 double sequential_hf_time(std::int32_t n, const lbb::sim::CostModel& cost) {
@@ -160,7 +140,6 @@ TimingExperimentResult run_timing_experiment(
       result.cells.push_back(std::move(cell));
     }
   }
-  result.rebuild_index();
   return result;
 }
 

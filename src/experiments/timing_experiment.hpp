@@ -10,7 +10,6 @@
 #pragma once
 
 #include <cstdint>
-#include <unordered_map>
 #include <vector>
 
 #include "core/run_context.hpp"
@@ -73,16 +72,11 @@ struct TimingCell {
 struct TimingExperimentResult {
   TimingExperimentConfig config;
   std::vector<TimingCell> cells;
-  /// (algo, log2_n) -> index into `cells`; kept by run_timing_experiment so
-  /// cell() is O(1).  Call rebuild_index() after editing `cells` by hand.
-  std::unordered_map<std::uint64_t, std::size_t> cell_index;
 
-  /// O(1) via cell_index when populated; linear-scan fallback otherwise.
+  /// The cell for (algo, log2_n), by linear scan; throws
+  /// std::out_of_range if absent.
   [[nodiscard]] const TimingCell& cell(ParAlgo algo,
                                        std::int32_t log2_n) const;
-
-  /// Rebuilds cell_index from `cells`.
-  void rebuild_index();
 };
 
 /// Simulated time of sequential HF distributing N pieces from P_1: N-1

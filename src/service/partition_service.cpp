@@ -2,10 +2,13 @@
 
 #include <algorithm>
 #include <exception>
+#include <thread>
 #include <utility>
 
 #include "core/problem.hpp"
+#include "core/workspace.hpp"
 #include "problems/alpha_dist.hpp"
+#include "problems/synthetic.hpp"
 #include "runtime/par_partitioners.hpp"
 #include "stats/alloc_stats.hpp"
 
@@ -13,8 +16,21 @@ namespace lbb::service {
 
 namespace {
 
+/// Latency samples behind snapshot()'s percentiles (the most recent).
+constexpr std::size_t kLatencyWindow = std::size_t{1} << 14;
+
 constexpr std::uint8_t raw(ServiceStatus status) noexcept {
   return static_cast<std::uint8_t>(status);
+}
+
+/// `config` with its defaults resolved: workers 0 -> hardware threads.
+ServiceConfig resolved(ServiceConfig config) {
+  if (config.workers <= 0) {
+    const unsigned hw = std::thread::hardware_concurrency();
+    config.workers = static_cast<std::int32_t>(hw > 0 ? hw : 1u);
+  }
+  if (config.queue_capacity < 1) config.queue_capacity = 1;
+  return config;
 }
 
 /// Projects a Partition into the transport/cache record.
@@ -74,45 +90,22 @@ ServiceStatus PartitionRequest::wait() noexcept {
 }
 
 PartitionService::PartitionService(ServiceConfig config)
-    : config_(config) {
+    : config_(resolved(config)),
+      pool_(static_cast<unsigned>(config_.workers)) {
   // A service answers for every registered family, so make sure the
   // runtime's par:* hook has run (idempotent; the sim families register
   // from the experiments layer, which embedders pull in as needed).
   runtime::register_par_partitioners();
-  if (config_.workers <= 0) {
-    const unsigned hw = std::thread::hardware_concurrency();
-    config_.workers = static_cast<std::int32_t>(hw > 0 ? hw : 1u);
-  }
-  if (config_.queue_capacity < 1) config_.queue_capacity = 1;
-  if (config_.latency_window == 0) config_.latency_window = 1;
-
-  {
-    // Preallocate everything the warm serving path touches: the ring, the
-    // in-flight table (never deeper than the worker count), the latency
-    // window, and the cache's bucket array.
-    core::MutexLock lock(mu_);
-    ring_.resize(static_cast<std::size_t>(config_.queue_capacity), nullptr);
-    inflight_.reserve(static_cast<std::size_t>(config_.workers));
-    latency_ = stats::PercentileReservoir(config_.latency_window);
-    if (config_.cache_enabled) {
-      cache_.reserve(config_.cache_capacity);
-      clock_.reserve(config_.cache_capacity);
-    }
-    epoch_ = Clock::now();
-    counters_.workers = config_.workers;
-  }
-
-  workers_.reserve(static_cast<std::size_t>(config_.workers));
-  for (std::int32_t i = 0; i < config_.workers; ++i) {
-    workers_.push_back(std::make_unique<WorkerState>());
-  }
-  // Started only after every WorkerState exists: workers_ is immutable from
-  // here on, so worker threads may read it without mu_.
-  for (auto& worker : workers_) {
-    worker->thread = std::thread([this, state = worker.get()] {
-      worker_loop(*state);
-    });
-  }
+  // Preallocate everything the warm serving path touches: the in-flight
+  // table (never deeper than the worker count), the latency window, and
+  // the cache's bucket array.
+  core::MutexLock lock(mu_);
+  inflight_.reserve(static_cast<std::size_t>(config_.workers));
+  latency_ = stats::PercentileReservoir(kLatencyWindow);
+  cache_.reserve(config_.cache_capacity);
+  clock_.reserve(config_.cache_capacity);
+  epoch_ = Clock::now();
+  counters_.workers = config_.workers;
 }
 
 PartitionService::~PartitionService() { stop(); }
@@ -143,13 +136,23 @@ bool PartitionService::try_submit(PartitionRequest& req) {
     if (stop_) {
       refusal = ServiceStatus::kShutdown;
       ++counters_.shutdown_drained;
-    } else if (queue_size_ == ring_.size()) {
-      ++counters_.rejected;
+    } else if (queued_ < config_.queue_capacity) {
+      // Enqueued under mu_, so stop() cannot set stop_ between admission
+      // and enqueue: every accepted request reaches handle(), and stop()'s
+      // wait for the idle pool covers it.  Lock order: mu_, then the
+      // pool's mutex (the pool runs no task while holding it).
+      try {
+        pool_.submit([this, r = &req] { handle(r); });
+        ++queued_;
+        ++counters_.submitted;
+        refusal = ServiceStatus::kPending;
+      } catch (...) {
+        // The pool could not grow its queue: refuse the request rather
+        // than leave it pending.
+        ++counters_.rejected;
+      }
     } else {
-      ring_[(queue_head_ + queue_size_) % ring_.size()] = &req;
-      ++queue_size_;
-      ++counters_.submitted;
-      refusal = ServiceStatus::kPending;
+      ++counters_.rejected;
     }
   }
   if (refusal != ServiceStatus::kPending) {
@@ -157,7 +160,6 @@ bool PartitionService::try_submit(PartitionRequest& req) {
     req.state_.notify_all();
     return false;
   }
-  queue_cv_.notify_one();
   return true;
 }
 
@@ -191,54 +193,23 @@ std::shared_ptr<const PartitionResult> PartitionService::call(
 }
 
 void PartitionService::stop() {
-  std::vector<PartitionRequest*> drained;
   {
     core::MutexLock lock(mu_);
-    if (!stop_) {
-      stop_ = true;
-      drained.reserve(queue_size_);
-      while (queue_size_ > 0) drained.push_back(pop_locked());
-    }
+    stop_ = true;
   }
-  queue_cv_.notify_all();
-  for (PartitionRequest* req : drained) {
-    complete(req, ServiceStatus::kShutdown, nullptr, Outcome::kNone);
-  }
-  for (auto& worker : workers_) {
-    if (worker->thread.joinable()) worker->thread.join();
-  }
+  // Every accepted request's task is already on the pool; the ones that
+  // start from here on complete with kShutdown, so an idle pool means
+  // every accepted request is terminal.
+  pool_.wait_idle();
 }
 
-PartitionRequest* PartitionService::pop_locked() {
-  PartitionRequest* req = ring_[queue_head_];
-  ring_[queue_head_] = nullptr;
-  queue_head_ = (queue_head_ + 1) % ring_.size();
-  --queue_size_;
-  return req;
-}
-
-void PartitionService::worker_loop(WorkerState& self) {
-  for (;;) {
-    PartitionRequest* req = nullptr;
-    {
-      core::CvLock lock(mu_);
-      lock.wait(queue_cv_, [this]() LBB_REQUIRES(mu_) {
-        return stop_ || queue_size_ > 0;
-      });
-      if (queue_size_ == 0) return;  // stop_ set and queue drained
-      req = pop_locked();
-    }
-    handle(self, req);
-  }
-}
-
-void PartitionService::handle(WorkerState& self, PartitionRequest* req) {
+void PartitionService::handle(PartitionRequest* req) noexcept {
   // Attribute this worker's heap traffic to the request it served.  Warm
   // cache hits must contribute zero (the perf alloc gate pins this);
   // misses pay for the cached result and its cache node, which is the
   // cold path by definition.
   const stats::AllocStats before = stats::alloc_stats();
-  dispatch(self, req);
+  dispatch(req);
   const stats::AllocStats delta = stats::alloc_stats() - before;
   if (delta.count != 0) {
     alloc_count_ += delta.count;
@@ -246,36 +217,34 @@ void PartitionService::handle(WorkerState& self, PartitionRequest* req) {
   }
 }
 
-void PartitionService::dispatch(WorkerState& self, PartitionRequest* req) {
+void PartitionService::dispatch(PartitionRequest* req) {
   const auto now = Clock::now();
-  if ((req->cancel != nullptr && req->cancel->cancelled()) ||
-      (req->has_deadline_ && now > req->deadline_)) {
-    complete(req, ServiceStatus::kCancelled, nullptr, Outcome::kNone);
-    return;
-  }
-  // The batch this request leads if it computes: on this worker's stack,
-  // reachable by other workers only through inflight_ under mu_, and
+  // The batch this request leads if it computes: on this task's stack,
+  // reachable by other tasks only through inflight_ under mu_, and
   // unregistered by compute_batch before this frame unwinds.
   Batch batch{req->key_, req};
   req->batch_next_ = nullptr;
   const bool share = !req->bypass_cache;
-  if (share) {
-    std::shared_ptr<const PartitionResult> hit;
-    bool attached = false;
-    {
-      core::MutexLock lock(mu_);
-      if (config_.cache_enabled) {
-        auto it = cache_.find(req->key_);
-        if (it != cache_.end()) {
-          hit = it->second.result;
-          // Second chance: a hit entry survives the next sweep pass.
-          clock_[it->second.slot].referenced = true;
-        }
-      }
-      if (hit == nullptr) {
+  ServiceStatus early = ServiceStatus::kPending;  // terminal without compute
+  std::shared_ptr<const PartitionResult> hit;
+  bool attached = false;
+  {
+    core::MutexLock lock(mu_);
+    --queued_;  // the task has started
+    if (stop_) {
+      early = ServiceStatus::kShutdown;
+    } else if ((req->cancel != nullptr && req->cancel->cancelled()) ||
+               (req->has_deadline_ && now > req->deadline_)) {
+      early = ServiceStatus::kCancelled;
+    } else if (share) {
+      auto it = cache_.find(req->key_);
+      if (it != cache_.end()) {
+        hit = it->second.result;
+        // Second chance: a hit entry survives the next sweep pass.
+        clock_[it->second.slot].referenced = true;
+      } else {
         // Single-flight: a same-key compute already running absorbs this
-        // request; the computing worker completes it with the shared
-        // result.
+        // request; the computing task completes it with the shared result.
         for (Batch* running : inflight_) {
           if (running->key == req->key_) {
             req->batch_next_ = running->head;
@@ -287,30 +256,29 @@ void PartitionService::dispatch(WorkerState& self, PartitionRequest* req) {
             break;
           }
         }
-      }
-      if (hit == nullptr && !attached) {
         // Register in the critical section that found the miss, so a
-        // second worker missing the same key attaches here instead of
+        // second task missing the same key attaches here instead of
         // computing it again.
-        inflight_.push_back(&batch);
+        if (!attached) inflight_.push_back(&batch);
       }
     }
-    if (hit != nullptr) {
-      complete(req, ServiceStatus::kOk, std::move(hit), Outcome::kHit);
-      return;
-    }
-    if (attached) return;
   }
-  compute_batch(self, req, batch, share);
+  if (early != ServiceStatus::kPending) {
+    complete(req, early, nullptr, Outcome::kNone);
+  } else if (hit != nullptr) {
+    complete(req, ServiceStatus::kOk, std::move(hit), Outcome::kHit);
+  } else if (!attached) {
+    compute_batch(req, batch, share);
+  }
 }
 
-void PartitionService::compute_batch(WorkerState& self, PartitionRequest* root,
-                                     Batch& batch, bool share) {
+void PartitionService::compute_batch(PartitionRequest* root, Batch& batch,
+                                     bool share) {
   std::shared_ptr<const PartitionResult> result;
   ServiceStatus status = ServiceStatus::kOk;
   std::string error;
   try {
-    result = compute(self, batch.key);
+    result = compute(batch.key);
   } catch (const std::exception& e) {
     status = ServiceStatus::kError;
     error = e.what();
@@ -326,7 +294,7 @@ void PartitionService::compute_batch(WorkerState& self, PartitionRequest* root,
     }
     // After unregistration nothing new can attach; the head is final.
     head = batch.head;
-    if (share && status == ServiceStatus::kOk && config_.cache_enabled &&
+    if (share && status == ServiceStatus::kOk &&
         cache_.find(batch.key) == cache_.end()) {
       // (The find() is defensive: single-flight leaves no other shared
       // compute of this key that could have cached it meanwhile.)
@@ -378,7 +346,9 @@ void PartitionService::compute_batch(WorkerState& self, PartitionRequest* root,
 }
 
 std::shared_ptr<const PartitionResult> PartitionService::compute(
-    WorkerState& self, const core::PartitionCacheKey& key) {
+    const core::PartitionCacheKey& key) {
+  // One workspace per pool thread, recycled across the requests it serves.
+  thread_local core::TrialWorkspace<problems::SyntheticProblem> ws;
   const core::Partitioner& part = partitioner_for(key);
   // Everything below derives from the CANONICAL key -- dequantized band,
   // key-derived RunContext seed -- so every compute of a key is
@@ -389,11 +359,10 @@ std::shared_ptr<const PartitionResult> PartitionService::compute(
       key.problem_seed,
       problems::AlphaDistribution::uniform(key.alpha_lo(), key.alpha_hi()));
   auto result = std::make_shared<PartitionResult>();
-  auto typed = core::try_typed_partition(part, ctx, self.ws,
-                                         problem, key.n);
+  auto typed = core::try_typed_partition(part, ctx, ws, problem, key.n);
   if (typed.has_value()) {
     fill_result(*result, *typed);
-    self.ws.recycle(std::move(*typed));
+    ws.recycle(std::move(*typed));
   } else {
     auto erased = part.run(ctx, core::AnyProblem(problem), key.n);
     fill_result(*result, erased);
@@ -414,7 +383,9 @@ const core::Partitioner& PartitionService::partitioner_for(
   core::PartitionerConfig config;
   config.alpha = key.alpha();
   config.beta = key.beta();
-  config.threads = config_.partitioner_threads;
+  // A served par:* request runs on one thread; the pool's workers are the
+  // service's parallelism.
+  config.threads = 1;
   std::unique_ptr<core::Partitioner> created =
       core::PartitionerRegistry::instance().create(key.algo_name(), config);
   core::MutexLock lock(part_mu_);
@@ -502,7 +473,7 @@ void PartitionService::reset_stats() {
   core::MutexLock lock(mu_);
   const std::int64_t entries = counters_.cache_entries;
   counters_ = ServiceStats{};
-  counters_.workers = static_cast<std::int32_t>(workers_.size());
+  counters_.workers = config_.workers;
   counters_.cache_entries = entries;
   latency_.reset();
   epoch_ = Clock::now();

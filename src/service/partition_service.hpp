@@ -4,14 +4,15 @@
 //
 // Request lifecycle:
 //
-//   caller                 service worker threads
-//   ------                 ----------------------
-//   PartitionRequest req   pop from the bounded ring
-//   submit(req) ───────►   1. cancelled/expired?  -> kCancelled
-//     (kRejected when      2. memo-cache lookup   -> kOk (hit)
-//      the ring is full)   3. same key in flight? -> attach to that batch
-//   req.wait()             4. else compute once, fill the cache, complete
-//     ◄─────────────────      every request the batch coalesced
+//   caller                 one task per request on the service's ThreadPool
+//   ------                 ------------------------------------------------
+//   PartitionRequest req   1. stopped?            -> kShutdown
+//   submit(req) ───────►   2. cancelled/expired?  -> kCancelled
+//     (kRejected when      3. memo-cache lookup   -> kOk (hit)
+//      queue_capacity      4. same key in flight? -> attach to that batch
+//      tasks wait)         5. else compute once, fill the cache, complete
+//   req.wait()                every request the batch coalesced
+//     ◄─────────────────
 //
 // Determinism & memoization: requests are canonicalized into a
 // core::PartitionCacheKey (quantized alpha-band; see core/cache_key.hpp)
@@ -22,9 +23,10 @@
 // partitioner family.
 //
 // Allocation contract: warm serving (cache hits) is allocation-free on
-// both sides -- the ring, the batcher's in-flight table, the latency
-// reservoir and the completion protocol (C++20 atomic wait/notify) are all
-// preallocated, and a hit only copies a shared_ptr.  Worker-side
+// both sides -- the batcher's in-flight table, the latency reservoir and
+// the completion protocol (C++20 atomic wait/notify) are preallocated, the
+// pool's task ring stops growing once it has held the deepest backlog, and
+// a hit only copies a shared_ptr.  Worker-side
 // allocations are measured per request (stats/alloc_stats.hpp) and
 // surface as ServiceStats::alloc_count, which the perf alloc gate pins to
 // zero in the warm steady state.  Misses allocate (the cached result, the
@@ -38,14 +40,12 @@
 
 #include <atomic>
 #include <chrono>
-#include <condition_variable>
 #include <cstdint>
 #include <map>
 #include <memory>
 #include <stdexcept>
 #include <string>
 #include <string_view>
-#include <thread>
 #include <unordered_map>
 #include <vector>
 
@@ -53,8 +53,7 @@
 #include "core/partitioner.hpp"
 #include "core/run_context.hpp"
 #include "core/sync.hpp"
-#include "core/workspace.hpp"
-#include "problems/synthetic.hpp"
+#include "runtime/thread_pool.hpp"
 #include "stats/percentiles.hpp"
 
 namespace lbb::service {
@@ -135,7 +134,7 @@ class PartitionRequest {
   RequestSpec spec;
 
   /// Optional cooperative cancellation (not owned; may be nullptr).
-  /// Checked when the request is popped and again when its batch
+  /// Checked when the request's task starts and again when its batch
   /// completes: firing mid-batch yields kCancelled without poisoning the
   /// cache -- the computed value is still valid for the key.
   const core::CancelToken* cancel = nullptr;
@@ -197,29 +196,24 @@ class PartitionRequest {
 
 /// Construction-time knobs.
 struct ServiceConfig {
-  /// Worker threads (0 = hardware_concurrency, min 1).
+  /// Pool threads serving requests (0 = hardware_concurrency, min 1).
   std::int32_t workers = 0;
-  /// Bounded request-queue capacity; submissions beyond it are rejected
-  /// with a typed error (admission control), never queued unboundedly.
+  /// Admission bound: accepted requests whose task has not started yet.
+  /// Submissions beyond it are rejected with a typed error (admission
+  /// control), never queued unboundedly.
   std::int32_t queue_capacity = 1024;
-  /// Memoization cache on/off and entry bound.  At capacity, a new entry
-  /// evicts a cold one by second-chance (clock): a hit sets the entry's
-  /// referenced bit, the sweep hand clears bits until it finds an
+  /// Memoization cache entry bound (0 caches nothing).  At capacity, a new
+  /// entry evicts a cold one by second-chance (clock): a hit sets the
+  /// entry's referenced bit, the sweep hand clears bits until it finds an
   /// unreferenced victim (counted as cache_evictions).  Eviction is safe
   /// for byte-identity because every compute of a key is canonical -- a
   /// re-miss after eviction returns the same bytes the evicted entry held.
-  bool cache_enabled = true;
   std::size_t cache_capacity = 1 << 16;
-  /// Latency-reservoir window (most recent samples contributing to
-  /// percentiles).
-  std::size_t latency_window = 1 << 14;
-  /// PartitionerConfig::threads for par:* families served by this service.
-  std::int32_t partitioner_threads = 1;
 };
 
 /// Counter/percentile snapshot (see snapshot()).  Latency quantiles are in
-/// milliseconds over the retained window; partitions_per_sec counts kOk
-/// completions against the stats epoch.
+/// milliseconds over the most recent 2^14 kOk completions;
+/// partitions_per_sec counts kOk completions against the stats epoch.
 struct ServiceStats {
   std::int64_t submitted = 0;
   std::int64_t completed = 0;
@@ -246,9 +240,10 @@ struct ServiceStats {
 };
 
 /// The resident serving process.  Thread-safe: any number of caller
-/// threads may submit concurrently; `workers` service threads drain the
-/// queue.  Lifetime: stop() (or the destructor) drains queued requests
-/// with kShutdown and joins the workers; long-lived embedders should stop
+/// threads may submit concurrently; each accepted request runs as one task
+/// on a private ThreadPool of `workers` threads.  Lifetime: stop() (or the
+/// destructor) completes queued requests with kShutdown and waits until
+/// every accepted request is terminal; long-lived embedders should stop
 /// the service before tearing down process-wide state it serves from (the
 /// registry, shared par:* pools -- see runtime::shutdown_shared_pools()).
 class PartitionService {
@@ -275,12 +270,13 @@ class PartitionService {
   [[nodiscard]] std::shared_ptr<const PartitionResult> call(
       const RequestSpec& spec) LBB_EXCLUDES(mu_);
 
-  /// Drains the queue (kShutdown), joins the workers.  Idempotent; called
-  /// by the destructor.  In-flight batches complete normally first.
+  /// Refuses new work; queued requests complete with kShutdown and
+  /// in-flight batches complete normally; returns once every accepted
+  /// request is terminal.  Idempotent; called by the destructor.
   void stop() LBB_EXCLUDES(mu_);
 
   [[nodiscard]] std::int32_t workers() const noexcept {
-    return static_cast<std::int32_t>(workers_.size());
+    return static_cast<std::int32_t>(pool_.size());
   }
 
   /// Point-in-time counters and latency percentiles.
@@ -295,16 +291,11 @@ class PartitionService {
   using Clock = std::chrono::steady_clock;
 
   /// An in-flight compute: one leader request plus every same-key request
-  /// that arrived while it ran.  Lives on the computing worker's stack;
-  /// reachable from other workers only through inflight_ (under mu_).
+  /// that arrived while it ran.  Lives on the computing task's stack;
+  /// reachable from other tasks only through inflight_ (under mu_).
   struct Batch {
     core::PartitionCacheKey key;
     PartitionRequest* head = nullptr;
-  };
-
-  struct WorkerState {
-    core::TrialWorkspace<problems::SyntheticProblem> ws;
-    std::thread thread;
   };
 
   /// Identity of a cached Partitioner instance (creation knobs only;
@@ -325,31 +316,30 @@ class PartitionService {
   enum class Outcome : std::uint8_t { kHit, kMiss, kCoalesced, kBypass,
                                       kNone };
 
-  void worker_loop(WorkerState& self);
-  void handle(WorkerState& self, PartitionRequest* req);
-  void dispatch(WorkerState& self, PartitionRequest* req);
+  /// The pool task of one accepted request.  noexcept: an exception
+  /// would otherwise leave the request pending and resurface from stop().
+  void handle(PartitionRequest* req) noexcept;
+  void dispatch(PartitionRequest* req) LBB_EXCLUDES(mu_);
   /// Computes the key of `batch`, which `root` leads, and completes every
   /// request in it.  `share`: dispatch registered the batch in inflight_
-  /// (other workers may attach until it is unregistered) and the result
+  /// (other tasks may attach until it is unregistered) and the result
   /// goes to the cache.
-  void compute_batch(WorkerState& self, PartitionRequest* root, Batch& batch,
-                     bool share);
+  void compute_batch(PartitionRequest* root, Batch& batch, bool share)
+      LBB_EXCLUDES(mu_);
   [[nodiscard]] std::shared_ptr<const PartitionResult> compute(
-      WorkerState& self, const core::PartitionCacheKey& key);
+      const core::PartitionCacheKey& key);
   [[nodiscard]] const core::Partitioner& partitioner_for(
       const core::PartitionCacheKey& key) LBB_EXCLUDES(part_mu_);
   void complete(PartitionRequest* req, ServiceStatus status,
                 std::shared_ptr<const PartitionResult> result,
                 Outcome outcome) LBB_EXCLUDES(mu_);
-  [[nodiscard]] PartitionRequest* pop_locked() LBB_REQUIRES(mu_);
 
   ServiceConfig config_;
 
   mutable core::Mutex mu_;
-  std::condition_variable queue_cv_;  ///< paired with mu_
-  std::vector<PartitionRequest*> ring_ LBB_GUARDED_BY(mu_);  ///< fixed cap
-  std::size_t queue_head_ LBB_GUARDED_BY(mu_) = 0;
-  std::size_t queue_size_ LBB_GUARDED_BY(mu_) = 0;
+  /// Accepted requests whose task has not yet entered dispatch's critical
+  /// section; bounded by config_.queue_capacity.
+  std::int32_t queued_ LBB_GUARDED_BY(mu_) = 0;
   bool stop_ LBB_GUARDED_BY(mu_) = false;
 
   /// A memoized answer plus its position in the clock ring (so a hit can
@@ -386,7 +376,11 @@ class PartitionService {
   std::map<PartitionerId, std::unique_ptr<core::Partitioner>> partitioners_
       LBB_GUARDED_BY(part_mu_);
 
-  std::vector<std::unique_ptr<WorkerState>> workers_;
+  /// Runs one task per accepted request.  Private: a served par:* request
+  /// calls parallel_for_chunks on a shared pool, which refuses to run on
+  /// that pool's own workers.  The last member, so its threads are joined
+  /// before anything its tasks touch is destroyed.
+  runtime::ThreadPool pool_;
 };
 
 }  // namespace lbb::service

@@ -2,9 +2,6 @@
 #pragma once
 
 #include <cstdint>
-#include <ostream>
-#include <sstream>
-#include <string>
 
 namespace lbb::sim {
 
@@ -30,30 +27,8 @@ struct SimMetrics {
   std::int64_t lost_messages = 0;     ///< transfer attempts lost in flight
   std::int64_t delayed_messages = 0;  ///< transfers hit by extra latency
   double backoff_time = 0.0;  ///< total simulated timeout/backoff time
+
+  friend bool operator==(const SimMetrics&, const SimMetrics&) = default;
 };
-
-/// JSON for the metrics (tooling export; see core/io.hpp for partitions).
-inline void write_metrics_json(std::ostream& os, const SimMetrics& m) {
-  os << "{\"makespan\":" << m.makespan << ",\"messages\":" << m.messages
-     << ",\"collective_ops\":" << m.collective_ops
-     << ",\"bisections\":" << m.bisections
-     << ",\"phase1_end\":" << m.phase1_end
-     << ",\"phase1_bisections\":" << m.phase1_bisections
-     << ",\"phase2_bisections\":" << m.phase2_bisections
-     << ",\"phase2_iterations\":" << m.phase2_iterations
-     << ",\"mop_up_iterations\":" << m.mop_up_iterations
-     << ",\"failed_probes\":" << m.failed_probes
-     << ",\"retries\":" << m.retries
-     << ",\"lost_messages\":" << m.lost_messages
-     << ",\"delayed_messages\":" << m.delayed_messages
-     << ",\"backoff_time\":" << m.backoff_time << "}";
-}
-
-[[nodiscard]] inline std::string metrics_json(const SimMetrics& m) {
-  std::ostringstream os;
-  os.precision(17);
-  write_metrics_json(os, m);
-  return os.str();
-}
 
 }  // namespace lbb::sim

@@ -25,9 +25,9 @@ TEST(FloorInverse, NonReciprocals) {
 }
 
 TEST(FloorInverse, RejectsBadAlpha) {
-  EXPECT_THROW(floor_inverse(0.0), std::invalid_argument);
-  EXPECT_THROW(floor_inverse(-0.1), std::invalid_argument);
-  EXPECT_THROW(floor_inverse(0.51), std::invalid_argument);
+  EXPECT_THROW((void)floor_inverse(0.0), std::invalid_argument);
+  EXPECT_THROW((void)floor_inverse(-0.1), std::invalid_argument);
+  EXPECT_THROW((void)floor_inverse(0.51), std::invalid_argument);
 }
 
 TEST(HfRatioBound, TwoForLargeAlpha) {
@@ -162,11 +162,12 @@ TEST(Phase1Threshold, Scaling) {
 }
 
 TEST(Bounds, InvalidArguments) {
-  EXPECT_THROW(hf_ratio_bound(0.6), std::invalid_argument);
-  EXPECT_THROW(ba_ratio_bound(0.25, 0), std::invalid_argument);
-  EXPECT_THROW(ba_hf_ratio_bound(0.25, -1.0, 4), std::invalid_argument);
-  EXPECT_THROW(ba_hf_switch_threshold(0.25, 0.0), std::invalid_argument);
-  EXPECT_THROW(phase2_iteration_bound(0.0), std::invalid_argument);
+  EXPECT_THROW((void)hf_ratio_bound(0.6), std::invalid_argument);
+  EXPECT_THROW((void)ba_ratio_bound(0.25, 0), std::invalid_argument);
+  EXPECT_THROW((void)ba_hf_ratio_bound(0.25, -1.0, 4), std::invalid_argument);
+  EXPECT_THROW((void)ba_hf_switch_threshold(0.25, 0.0),
+               std::invalid_argument);
+  EXPECT_THROW((void)phase2_iteration_bound(0.0), std::invalid_argument);
 }
 
 // Every alpha in (0, 1/2] is valid, down to the smallest double, where

@@ -293,11 +293,12 @@ TEST(AllocGate, ParallelForChunksSteadyStateIsAllocationFree) {
 }
 
 // ---------------------------------------------------------------------------
-// Resident service (ISSUE 8): warm cache-hit serving must be end-to-end
-// allocation-free -- on the caller thread (submit + wait are a ring insert
-// and an atomic wait) and on the worker thread (dispatch + complete of a
-// hit touch only preallocated state), which the service attributes itself
-// by measuring alloc_stats() deltas around every request it handles.
+// Resident service: warm cache-hit serving must be end-to-end
+// allocation-free -- on the caller thread (submit + wait are an insert into
+// the pool's warm task ring and an atomic wait) and on the pool worker
+// (dispatch + complete of a hit touch only preallocated state), which the
+// service attributes itself by measuring alloc_stats() deltas around every
+// request it handles.
 
 TEST(AllocGate, ServiceWarmCacheHitsAreAllocationFree) {
   service::ServiceConfig cfg;

@@ -215,7 +215,7 @@ TEST(PartitionService, AlphaBandQuantizationSharesEntries) {
 
 TEST(PartitionService, CacheDisabledAlwaysComputes) {
   ServiceConfig cfg = small_config(1);
-  cfg.cache_enabled = false;
+  cfg.cache_capacity = 0;
   PartitionService svc(cfg);
   PartitionRequest a, b;
   a.spec = b.spec = spec_for("ba");
@@ -461,43 +461,120 @@ TEST(PartitionService, DeadlineExpiryCancelsQueuedRequest) {
 // Shutdown
 
 TEST(PartitionService, StopDrainsQueueAndRefusesNewWork) {
-  auto gate = install_gate();
-  PartitionService svc(small_config(1));
+  for (const std::int32_t workers : {1, 2}) {
+    SCOPED_TRACE("workers=" + std::to_string(workers));
+    auto gate = install_gate();
+    PartitionService svc(small_config(workers));
 
-  PartitionRequest inflight;
-  inflight.spec = spec_for("svc_test:gate");
-  svc.submit(inflight);
-  ASSERT_TRUE(eventually([&] { return gate->entered.load() == 1; }));
+    // One gated request per worker, with distinct keys so that none
+    // coalesces: every worker is busy and the next requests queue.
+    std::vector<PartitionRequest> inflight(static_cast<std::size_t>(workers));
+    for (std::size_t i = 0; i < inflight.size(); ++i) {
+      inflight[i].spec = spec_for("svc_test:gate", i + 1);
+      svc.submit(inflight[i]);
+    }
+    ASSERT_TRUE(eventually([&] { return gate->entered.load() == workers; }));
 
-  PartitionRequest queued;
-  queued.spec = spec_for("ba");
-  svc.submit(queued);
+    PartitionRequest queued[3];
+    for (std::uint64_t i = 0; i < 3; ++i) {
+      queued[i].spec = spec_for("ba", 10 + i);
+      svc.submit(queued[i]);
+    }
 
-  // stop() joins the worker, which is blocked on the gate: release it from
-  // a helper thread once the drain has begun.
-  std::thread opener([&] {
-    std::this_thread::sleep_for(std::chrono::milliseconds(20));
-    gate->open.store(true);
-  });
-  svc.stop();
-  opener.join();
+    // stop() waits for the workers, which are blocked on the gate: release
+    // them from a helper thread once the drain has begun.
+    std::thread opener([&] {
+      std::this_thread::sleep_for(std::chrono::milliseconds(20));
+      gate->open.store(true);
+    });
+    svc.stop();
+    opener.join();
 
-  // The in-flight batch completed normally; the queued request drained.
-  EXPECT_EQ(inflight.wait(), ServiceStatus::kOk);
-  EXPECT_EQ(queued.wait(), ServiceStatus::kShutdown);
-  EXPECT_EQ(queued.result(), nullptr);
+    // The in-flight batches completed normally; the queued requests
+    // drained, and stop() returned only after all of them were terminal.
+    for (PartitionRequest& req : inflight) {
+      EXPECT_EQ(req.status(), ServiceStatus::kOk);
+    }
+    for (PartitionRequest& req : queued) {
+      EXPECT_EQ(req.status(), ServiceStatus::kShutdown);
+      EXPECT_EQ(req.result(), nullptr);
+    }
 
-  PartitionRequest late;
-  late.spec = spec_for("ba");
-  EXPECT_FALSE(svc.try_submit(late));
-  EXPECT_EQ(late.status(), ServiceStatus::kShutdown);
-  try {
-    svc.submit(late);
-    FAIL() << "submit() after stop() must throw AdmissionError";
-  } catch (const AdmissionError& e) {
-    EXPECT_EQ(e.status(), ServiceStatus::kShutdown);
+    PartitionRequest late;
+    late.spec = spec_for("ba");
+    EXPECT_FALSE(svc.try_submit(late));
+    EXPECT_EQ(late.status(), ServiceStatus::kShutdown);
+    try {
+      svc.submit(late);
+      FAIL() << "submit() after stop() must throw AdmissionError";
+    } catch (const AdmissionError& e) {
+      EXPECT_EQ(e.status(), ServiceStatus::kShutdown);
+    }
+    // Three drained plus two refused.
+    EXPECT_EQ(svc.snapshot().shutdown_drained, 5);
+    svc.stop();  // idempotent
   }
-  svc.stop();  // idempotent
+}
+
+// stop() racing submitters: whatever the interleaving, an accepted request
+// is served or drained and a refused one is final at once, so nothing is
+// left pending once stop() has returned and the submitters are done.
+TEST(PartitionService, StopRacingSubmittersLeavesNothingPending) {
+  constexpr int kSubmitters = 4;
+  constexpr int kPerSubmitter = 16;
+  for (int round = 0; round < 20; ++round) {
+    SCOPED_TRACE("round=" + std::to_string(round));
+    ServiceConfig cfg = small_config(2);
+    cfg.queue_capacity = 8;  // small enough that some requests are rejected
+    PartitionService svc(cfg);
+    std::vector<std::vector<PartitionRequest>> reqs(kSubmitters);
+    std::vector<std::vector<char>> accepted(kSubmitters);
+    std::atomic<bool> go{false};
+    std::vector<std::thread> submitters;
+    submitters.reserve(kSubmitters);
+    for (int t = 0; t < kSubmitters; ++t) {
+      reqs[t] = std::vector<PartitionRequest>(kPerSubmitter);
+      accepted[t].assign(kPerSubmitter, 0);
+      submitters.emplace_back([&, t] {
+        while (!go.load()) std::this_thread::yield();
+        std::this_thread::sleep_for(
+            std::chrono::microseconds((t * 37 + round * 53) % 300));
+        for (int i = 0; i < kPerSubmitter; ++i) {
+          reqs[t][i].spec =
+              spec_for("ba", static_cast<std::uint64_t>(t * 100 + i), 32);
+          accepted[t][i] = svc.try_submit(reqs[t][i]) ? 1 : 0;
+        }
+      });
+    }
+    go.store(true);
+    std::this_thread::sleep_for(std::chrono::microseconds((round * 29) % 300));
+    svc.stop();
+    for (std::thread& t : submitters) t.join();
+
+    std::int64_t ok = 0, shutdown = 0, rejected = 0;
+    for (int t = 0; t < kSubmitters; ++t) {
+      for (int i = 0; i < kPerSubmitter; ++i) {
+        const ServiceStatus status = reqs[t][i].status();
+        if (accepted[t][i] != 0) {
+          EXPECT_TRUE(status == ServiceStatus::kOk ||
+                      status == ServiceStatus::kShutdown)
+              << "accepted request ended " << to_string(status);
+        } else {
+          EXPECT_TRUE(status == ServiceStatus::kRejected ||
+                      status == ServiceStatus::kShutdown)
+              << "refused request ended " << to_string(status);
+        }
+        ok += status == ServiceStatus::kOk ? 1 : 0;
+        shutdown += status == ServiceStatus::kShutdown ? 1 : 0;
+        rejected += status == ServiceStatus::kRejected ? 1 : 0;
+      }
+    }
+    const ServiceStats stats = svc.snapshot();
+    EXPECT_EQ(stats.completed, stats.submitted);
+    EXPECT_EQ(stats.served_ok, ok);
+    EXPECT_EQ(stats.shutdown_drained, shutdown);
+    EXPECT_EQ(stats.rejected, rejected);
+  }
 }
 
 // ---------------------------------------------------------------------------

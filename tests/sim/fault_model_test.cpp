@@ -10,7 +10,6 @@
 #include <gtest/gtest.h>
 
 #include <future>
-#include <string>
 #include <vector>
 
 #include "core/hf.hpp"
@@ -113,7 +112,7 @@ TEST(FaultModel, ZeroRatesAreExactlyTheIdealMachine) {
   zero.faults.seed = 999;  // seed alone must not enable anything
   auto a = phf_simulate(p, 64, 0.2, {}, ideal);
   auto b = phf_simulate(p, 64, 0.2, {}, zero);
-  EXPECT_EQ(metrics_json(a.metrics), metrics_json(b.metrics));
+  EXPECT_TRUE(a.metrics == b.metrics);
   EXPECT_EQ(b.metrics.retries, 0);
   EXPECT_EQ(b.metrics.lost_messages, 0);
   EXPECT_EQ(b.metrics.backoff_time, 0.0);
@@ -126,7 +125,7 @@ TEST(FaultModel, DeterministicAcrossRepeats) {
   opt.faults = heavy_faults();
   auto a = phf_simulate(p, 96, 0.15, {}, opt);
   auto b = phf_simulate(p, 96, 0.15, {}, opt);
-  EXPECT_EQ(metrics_json(a.metrics), metrics_json(b.metrics));
+  EXPECT_TRUE(a.metrics == b.metrics);
 }
 
 TEST(FaultModel, DeterministicAcrossThreadCounts) {
@@ -136,7 +135,7 @@ TEST(FaultModel, DeterministicAcrossThreadCounts) {
   const int kTrials = 12;
   auto run_all = [&](unsigned threads) {
     lbb::runtime::ThreadPool pool(threads);
-    std::vector<std::future<std::string>> futures;
+    std::vector<std::future<SimMetrics>> futures;
     futures.reserve(kTrials);
     for (int t = 0; t < kTrials; ++t) {
       futures.push_back(pool.submit_task([t] {
@@ -146,17 +145,17 @@ TEST(FaultModel, DeterministicAcrossThreadCounts) {
         opt.faults = heavy_faults();
         opt.faults.seed = static_cast<std::uint64_t>(t + 1);
         auto r = phf_simulate(p, 64, 0.15, {}, opt);
-        return metrics_json(r.metrics);
+        return r.metrics;
       }));
     }
-    std::vector<std::string> out;
+    std::vector<SimMetrics> out;
     out.reserve(kTrials);
     for (auto& f : futures) out.push_back(f.get());
     return out;
   };
   const auto one = run_all(1);
-  EXPECT_EQ(one, run_all(2));
-  EXPECT_EQ(one, run_all(8));
+  EXPECT_TRUE(one == run_all(2));
+  EXPECT_TRUE(one == run_all(8));
 }
 
 TEST(FaultModel, RetryLoopsBoundedAtRateOne) {
