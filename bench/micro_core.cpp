@@ -72,6 +72,21 @@ void set_alloc_counters(benchmark::State& state,
       n > 1 ? per_iter / static_cast<double>(n - 1) : 0.0;
 }
 
+/// BM_HfPartitionWorkspace's distributions, by its second argument: the
+/// two wide uniform classes and the two that tie on every level.
+AlphaDistribution hf_distribution(std::int64_t which) {
+  switch (which) {
+    case 1:
+      return AlphaDistribution::uniform(0.01, 0.5);
+    case 2:
+      return AlphaDistribution::point(0.5);
+    case 3:
+      return AlphaDistribution::two_point(0.1, 0.5);
+    default:
+      return AlphaDistribution::uniform(0.1, 0.5);
+  }
+}
+
 // Workspace variants of the partition benchmarks: the steady-state hot
 // path of the experiment engine (warm TrialWorkspace, pieces recycled).
 // The allocs_per_op counter reads 0 here -- the `perf` ctest gate asserts
@@ -79,7 +94,9 @@ void set_alloc_counters(benchmark::State& state,
 // per-call scratch allocations.
 void BM_HfPartitionWorkspace(benchmark::State& state) {
   const auto n = static_cast<std::int32_t>(state.range(0));
-  const SyntheticProblem p(1, AlphaDistribution::uniform(0.1, 0.5));
+  const AlphaDistribution dist = hf_distribution(state.range(1));
+  state.SetLabel(dist.describe());
+  const SyntheticProblem p(1, dist);
   lbb::core::TrialWorkspace<SyntheticProblem> ws;
   ws.recycle(lbb::core::hf_partition(ws, p, n));  // warm-up
   const auto before = lbb::stats::alloc_stats();
@@ -89,6 +106,46 @@ void BM_HfPartitionWorkspace(benchmark::State& state) {
     ws.recycle(std::move(part));
   }
   set_alloc_counters(state, lbb::stats::alloc_stats() - before, n);
+  state.SetItemsProcessed(state.iterations() * (n - 1));
+}
+
+/// One path of HF's full partitions, by the third argument, at any n: 0
+/// the band queue (the walk flag cleared before each call), 1 the
+/// threshold path (detail::hf_threshold_run, called directly, so it runs
+/// below kHfThresholdMinPieces too).  Run with --benchmark_repetitions and
+/// --benchmark_enable_random_interleaving=true, so both paths alternate
+/// in one process: the ratio of their medians per (n, distribution) is
+/// the cut-over table of DESIGN.md section 7.7.
+void BM_HfFullPath(benchmark::State& state) {
+  namespace core = lbb::core;
+  const auto n = static_cast<std::int32_t>(state.range(0));
+  const AlphaDistribution dist = hf_distribution(state.range(1));
+  const bool threshold = state.range(2) != 0;
+  state.SetLabel(dist.describe() + (threshold ? " threshold" : " queue"));
+  const SyntheticProblem p(1, dist);
+  core::TrialWorkspace<SyntheticProblem> ws;
+  const auto run = [&] {
+    if (!threshold) {
+      ws.hf_walk = false;
+      return core::hf_partition(ws, p, n);
+    }
+    core::Partition<SyntheticProblem> out;
+    out.processors = n;
+    out.total_weight = p.weight();
+    out.pieces = ws.take_pieces(static_cast<std::size_t>(n));
+    core::detail::BuildContext<SyntheticProblem> ctx(out, false);
+    if (!core::detail::hf_threshold_run(ctx, ws, p, n,
+                                        {0, 0, core::kNoNode})) {
+      state.SkipWithError("the walk gave up");
+    }
+    return out;
+  };
+  ws.recycle(run());  // warm-up
+  for (auto _ : state) {
+    auto part = run();
+    benchmark::DoNotOptimize(part.pieces.data());
+    ws.recycle(std::move(part));
+  }
   state.SetItemsProcessed(state.iterations() * (n - 1));
 }
 
@@ -354,10 +411,30 @@ void register_micro_core_benchmarks() {
   benchmark::RegisterBenchmark("BM_BaHfPartition", BM_BaHfPartition)
       ->RangeMultiplier(8)
       ->Range(64, 1 << 15);
+  // (n, distribution): U[0.1,0.5] from 64 to 2^20, and all four at
+  // 2^12-2^16, for parent/change runs across HF's threshold path.
   benchmark::RegisterBenchmark("BM_HfPartitionWorkspace",
                                BM_HfPartitionWorkspace)
-      ->RangeMultiplier(8)
-      ->Range(64, 1 << 15);
+      ->Apply([](benchmark::internal::Benchmark* b) {
+        for (const std::int64_t n : {64, 512, 1 << 12, 1 << 13, 1 << 14,
+                                     1 << 15, 1 << 16, 1 << 18, 1 << 20}) {
+          b->Args({n, 0});
+        }
+        for (std::int64_t dist = 1; dist < 4; ++dist) {
+          for (std::int64_t n = 1 << 12; n <= (1 << 16); n *= 2) {
+            b->Args({n, dist});
+          }
+        }
+      });
+  benchmark::RegisterBenchmark("BM_HfFullPath", BM_HfFullPath)
+      ->Apply([](benchmark::internal::Benchmark* b) {
+        for (std::int64_t dist = 0; dist < 4; ++dist) {
+          for (std::int64_t n = 1 << 12; n <= (1 << 17); n *= 2) {
+            b->Args({n, dist, 0});
+            b->Args({n, dist, 1});
+          }
+        }
+      });
   benchmark::RegisterBenchmark("BM_BaPartitionWorkspace",
                                BM_BaPartitionWorkspace)
       ->RangeMultiplier(8)

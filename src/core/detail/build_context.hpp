@@ -3,9 +3,12 @@
 // heaviest piece's weight and the bisection count.  What a sink keeps per
 // subproblem rides in the kernels' frames and slots as its FrameTag or
 // SlotTag.  Both sinks see the same bisections, in the same order, with
-// the same weights, except that under the max sink BA skips the frames that
-// can neither raise the maximum nor change the count (DESIGN.md section
-// 10).  Internal; not public API.
+// the same weights, except where a kernel accounts them in bulk: under the
+// max sink BA skips the frames that can neither raise the maximum nor
+// change the count (DESIGN.md section 10) and HF's walk reports only the
+// heaviest piece (add_run); without a recorded tree, HF's threshold path
+// counts its bisections at once (add_bisections, section 7.7).  Internal;
+// not public API.
 #pragma once
 
 #include <algorithm>
@@ -69,9 +72,21 @@ class BuildContext {
     return out_.tree.add_bisection(parent, left_weight, right_weight);
   }
 
-  /// Emits one final piece.
-  LBB_HOT void piece(P problem, double weight, ProcessorId processor,
-                     std::int32_t depth, NodeId node) {
+  /// True when the bisection tree is recorded.
+  [[nodiscard]] bool records_tree() const noexcept { return record_; }
+
+  /// Accounts `count` bisections at once (HF's threshold path, which runs
+  /// only with recording off and makes no split() calls).
+  void add_bisections(std::int64_t count) noexcept {
+    out_.bisections += count;
+  }
+
+  /// Emits one final piece.  Always inlined: with HF's threshold path as a
+  /// third caller, GCC 12 outlined it, and hf_select then paid a call per
+  /// piece (BA-HF's HF phases +2.5% on large_n).
+  [[gnu::always_inline]] LBB_HOT void piece(P problem, double weight,
+                                            ProcessorId processor,
+                                            std::int32_t depth, NodeId node) {
     out_.max_depth = std::max(out_.max_depth, depth);
     // lbb-lint: allow(hot-alloc): within the capacity of the recycled
     // pieces buffer (ws.take_pieces reserves n up front).

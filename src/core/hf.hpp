@@ -29,9 +29,23 @@
 // tests/property/hf_heap_test.cpp): partitions, recorded trees and goldens
 // do not depend on which structure ran.
 //
-// Output: hf_run writes through a sink (core/detail/build_context.hpp).
-// Under the max sink, for problem types that opt in, it finds the heaviest
-// piece from the cut-over on with a tree walk (hf_tree_walk).
+// Threshold paths: HF's k-th bisection takes the k-th heaviest node of the
+// bisection tree, so for problem types that opt in (detail::TreeWalkable)
+// hf_run can skip the queue and walk the nodes above a weight threshold
+// (detail::hf_walk), as the paper's PHF does in its phase 1.  hf_run
+// writes through a sink (core/detail/build_context.hpp):
+//   * under the max sink, from the band queue's cut-over on, the heaviest
+//     piece is the n-th heaviest node of the walk (hf_tree_walk; DESIGN.md
+//     section 7.6);
+//   * under BuildContext with no tree recorded, from
+//     detail::kHfThresholdMinPieces on, the walk's n-1 heaviest nodes,
+//     sorted into pop order, give every piece's slot from its parent's pop
+//     rank (hf_threshold_run; section 7.7).
+// A walk that overflows its budget or meets a child it cannot order hands
+// the run to the queue, and both paths write the same bits.
+//
+// Hostile input: a bisection whose children are not both finite and > 0
+// throws std::invalid_argument, as BA does.
 //
 // Memory: every overload routes through a TrialWorkspace.  The
 // workspace-taking entry points reuse the slot array, per-slot weights,
@@ -46,6 +60,7 @@
 #include <cstddef>
 #include <cstdint>
 #include <functional>
+#include <limits>
 #include <stdexcept>
 #include <type_traits>
 #include <utility>
@@ -118,34 +133,62 @@ LBB_HOT double hf_walk_select(TrialWorkspace<P>& ws, const P* node, double w,
   return *nth;
 }
 
-/// HF's heaviest piece on `root` with n pieces, into `nth`.  HF always
-/// bisects the heaviest live subproblem and no child outweighs its parent,
-/// so after n-1 bisections its heaviest piece is the n-th heaviest node of
-/// the tree.  The nodes of weight >= t form a subtree around the root, and
-/// a walk that bisects every node it visits and keeps only children >= t
-/// visits exactly that subtree.  The pieces sum to w, so the answer is at
-/// least w/n: the walk starts just below it (the margin absorbs rounding)
-/// and halves t if fewer than n nodes come back.
+/// What a finished walk hands back: its nodes (node[0] is the root, and
+/// each node's kept children follow it breadth-first), how many it visited
+/// (0 when it gave up) and the threshold its children were kept above.
+template <typename P>
+struct HfWalk {
+  const P* node;
+  std::size_t count;
+  double t;
+};
+
+/// A full-partition walk's record of one node's bisection: which of its
+/// children it kept, in bisect() order, and whether the second outweighs
+/// the first, which makes the second HF's heavier child.
+inline constexpr unsigned kKeptFirst = 1;
+inline constexpr unsigned kKeptSecond = 2;
+inline constexpr unsigned kSecondHeavier = 4;
+
+/// The tree walk behind both threshold paths.  HF always bisects the
+/// heaviest live subproblem and no child outweighs its parent, so its k-th
+/// bisection takes the k-th heaviest node of the bisection tree.  The nodes
+/// of weight >= t form a subtree around the root, and a walk that bisects
+/// every node it visits and keeps only children >= t visits exactly that
+/// subtree.  The pieces sum to w, so HF's heaviest piece is at least w/n:
+/// the walk starts just below it (the margin absorbs rounding) and halves
+/// t until at least n nodes come back.
 ///
 /// Breadth-first over ws.hf_slots' storage, at once the queue and the
-/// visited list, so consecutive bisections overlap in the core; children are
-/// appended branch-free, and without HF's heavier-first swap, which
-/// changes no weight it selects from.  Returns false, leaving `nth` unset,
-/// on a child heavier than its parent, a non-positive or NaN weight, or
-/// more than hf_walk_budget(n) nodes; HF's selection queue handles those.
-template <TreeWalkable P>
-LBB_HOT bool hf_tree_walk(TrialWorkspace<P>& ws, const P& root,
-                          std::int32_t n, double& nth) {
+/// visited list, so consecutive bisections overlap in the core; children
+/// are appended branch-free, and without HF's heavier-first swap.  Gives
+/// up (count 0) on a root weight that is not finite and > 0, a child
+/// heavier than its parent, a child that is not > 0, or more than
+/// hf_walk_budget(n) nodes; HF's selection queue handles those.
+///
+/// `Full` (the threshold path of full partitions) also writes each visited
+/// node's weight to `weight` and its kKept* bits to `kept`, both in walk
+/// order, and gives up on a child as heavy as its parent too: with every
+/// child strictly lighter, the parents of equal-weight nodes are all
+/// heavier than them (hf_threshold_run's tie rule needs that).
+template <bool Full, TreeWalkable P>
+LBB_HOT HfWalk<P> hf_walk(TrialWorkspace<P>& ws, const P& root,
+                          std::int32_t n, double* weight,
+                          std::uint8_t* kept) {
   const std::size_t budget = hf_walk_budget(n);
   RawBuffer& node_buf = ws.hf_slots;
   P* node = node_buf.reserve<P>(budget + 2);
   const double w = root.weight();
+  if (!(w > 0.0 && w <= std::numeric_limits<double>::max())) {
+    return {node, 0, 0.0};
+  }
   double t = w / static_cast<double>(n) * (1.0 - 0x1p-20);
   for (;;) {
     node[0] = root;
+    if constexpr (Full) weight[0] = w;
     std::size_t end = 1;
     for (std::size_t i = 0; i < end; ++i) {
-      if (end > budget) return false;
+      if (end > budget) return {node, 0, t};
       P x = node[i];
       const double xw = x.weight();
       // A non-const pair: GCC 12 then copies the children into the array
@@ -155,18 +198,36 @@ LBB_HOT bool hf_tree_walk(TrialWorkspace<P>& ws, const P& root,
       std::pair<P, P> kids = x.bisect();
       const double aw = kids.first.weight();
       const double bw = kids.second.weight();
-      if (!(aw <= xw && bw <= xw && aw > 0.0 && bw > 0.0)) return false;
+      const bool lighter = Full ? aw < xw && bw < xw : aw <= xw && bw <= xw;
+      if (!(lighter && aw > 0.0 && bw > 0.0)) return {node, 0, t};
       node[end] = kids.first;
+      if constexpr (Full) weight[end] = aw;
       end += static_cast<std::size_t>(aw >= t);
       node[end] = kids.second;
+      if constexpr (Full) weight[end] = bw;
       end += static_cast<std::size_t>(bw >= t);
+      if constexpr (Full) {
+        kept[i] = static_cast<std::uint8_t>(
+            static_cast<unsigned>(aw >= t) * kKeptFirst |
+            static_cast<unsigned>(bw >= t) * kKeptSecond |
+            static_cast<unsigned>(aw < bw) * kSecondHeavier);
+      }
     }
-    if (end >= static_cast<std::size_t>(n)) {
-      nth = hf_walk_select(ws, node, w, t, end, n);
-      return true;
-    }
+    if (end >= static_cast<std::size_t>(n)) return {node, end, t};
     t *= 0.5;
   }
+}
+
+/// HF's heaviest piece on `root` with n pieces, into `nth`: the n-th
+/// heaviest node of the bisection tree (hf_walk).  Returns false, leaving
+/// `nth` unset, when the walk gives up.
+template <TreeWalkable P>
+LBB_HOT bool hf_tree_walk(TrialWorkspace<P>& ws, const P& root,
+                          std::int32_t n, double& nth) {
+  const HfWalk<P> walk = hf_walk<false>(ws, root, n, nullptr, nullptr);
+  if (walk.count == 0) return false;
+  nth = hf_walk_select(ws, walk.node, root.weight(), walk.t, walk.count, n);
+  return true;
 }
 
 /// True when hf_run under `Sink` may walk the bisection tree instead of
@@ -175,9 +236,313 @@ template <typename Sink, typename P>
 inline constexpr bool kHfWalks =
     std::is_same_v<Sink, MaxSink> && TreeWalkable<P>;
 
+/// True when hf_run under `Sink` may build a full partition by threshold
+/// selection (hf_threshold_run) instead of with its queue.
+template <typename Sink, typename P>
+inline constexpr bool kHfSelectsByThreshold =
+    std::is_same_v<Sink, BuildContext<P>> && TreeWalkable<P>;
+
+/// hf_run under BuildContext selects by threshold from this many pieces on
+/// and with the band queue below it: the queue's cache misses outweigh the
+/// threshold path's fixed costs (a histogram of n/4 buckets, four passes
+/// over the walk) only once the slot arrays outgrow the caches.  On the
+/// uniform classes the two paths break even at 2^14 to 2^15 and the
+/// threshold path wins from 2^16 on (DESIGN.md section 7.7 has the table;
+/// bench BM_HfFullPath reproduces it).
+inline constexpr std::int32_t kHfThresholdMinPieces = std::int32_t{1} << 16;
+
+/// The largest n the threshold path takes: its walk indices carry two tag
+/// bits in a 32-bit HfPieceRef::code.
+inline constexpr std::int32_t kHfThresholdMaxPieces =
+    static_cast<std::int32_t>((std::int64_t{1} << 30) / kHfWalkPerPiece - 1);
+
+/// One node of the threshold path's sort: its weight and walk index.
+struct HfRankedNode {
+  double weight;
+  std::uint32_t node;
+};
+
+/// Where a slot's piece comes from: walk node `code >> 2` itself (code & 2
+/// clear), or its first (code & 3 == 2) or second (3) child, which the
+/// walk did not keep; and the piece's depth below the run's root.
+struct HfPieceRef {
+  std::uint32_t code;
+  std::int32_t depth;
+};
+
+/// The threshold path's scratch, carved from ws.hf_order.  Per walk node
+/// (up to the walk's budget): its kKept* bits, its pop rank, its slot and
+/// its parent link (filled only when a bucket holds ties).  Then the sorted
+/// nodes, and per slot the HfPieceRef.
+struct HfOrderScratch {
+  std::uint8_t* kept;
+  std::int32_t* rank;
+  std::int32_t* slot;
+  std::int32_t* parent;
+  HfRankedNode* sorted;
+  HfPieceRef* ref;
+};
+
+/// Sizes, growth-only, and carves the threshold path's scratch for n pieces.
+template <Bisectable P>
+HfOrderScratch hf_order_scratch(TrialWorkspace<P>& ws, std::int32_t n) {
+  const std::size_t nodes = hf_walk_budget(n) + 2;
+  const auto pieces = static_cast<std::size_t>(n);
+  const auto span = [](std::size_t bytes) {
+    constexpr std::size_t kLine = 64;
+    return (bytes + kLine - 1) / kLine * kLine;
+  };
+  const std::size_t kept = span(nodes);
+  const std::size_t column = span(nodes * sizeof(std::int32_t));
+  const std::size_t sorted = kept + 3 * column;
+  const std::size_t ref = sorted + span(nodes * sizeof(HfRankedNode));
+  RawBuffer& buf = ws.hf_order;
+  std::byte* const base =
+      buf.reserve<std::byte>(ref + pieces * sizeof(HfPieceRef));
+  const auto at = [base](std::size_t offset) {
+    return static_cast<void*>(base + offset);
+  };
+  return {static_cast<std::uint8_t*>(at(0)),
+          static_cast<std::int32_t*>(at(kept)),
+          static_cast<std::int32_t*>(at(kept + column)),
+          static_cast<std::int32_t*>(at(kept + 2 * column)),
+          static_cast<HfRankedNode*>(at(sorted)),
+          static_cast<HfPieceRef*>(at(ref))};
+}
+
+/// Breadth-first bookkeeping over a walk's kKept* bits: visit nodes 0, 1,
+/// ... in walk order to learn each one's first kept child and depth.
+struct HfWalkCursor {
+  std::size_t next = 1;       ///< the visited node's first kept child
+  std::size_t level_end = 1;  ///< first node of the next level
+  std::int32_t depth = 0;     ///< the visited node's depth
+
+  /// Visits node i, with kept bits m; returns its first kept child.
+  std::size_t visit(std::size_t i, unsigned m) noexcept {
+    if (i == level_end) {
+      ++depth;
+      level_end = next;
+    }
+    const std::size_t first = next;
+    next += (m & kKeptFirst) + (m & kKeptSecond) / kKeptSecond;
+    return first;
+  }
+};
+
+/// Sorts [first, last) heaviest first: insertion sort for the few nodes of
+/// a typical bucket, std::sort for the large ones of ties (point(0.5)).
+/// Returns true when two of them weigh the same.
+inline bool hf_sort_heaviest_first(HfRankedNode* first, HfRankedNode* last) {
+  constexpr std::ptrdiff_t kInsertion = 32;
+  if (last - first > kInsertion) {
+    std::sort(first, last, [](const HfRankedNode& a, const HfRankedNode& b) {
+      return a.weight > b.weight;
+    });
+    for (HfRankedNode* i = first + 1; i < last; ++i) {
+      if (i->weight == (i - 1)->weight) return true;
+    }
+    return false;
+  }
+  bool tie = false;
+  for (HfRankedNode* i = first + 1; i < last; ++i) {
+    const HfRankedNode v = *i;
+    HfRankedNode* j = i;
+    for (; j > first && (j - 1)->weight < v.weight; --j) *j = *(j - 1);
+    *j = v;
+    // An equal weight stops the shift right before v.
+    tie |= j > first && (j - 1)->weight == v.weight;
+  }
+  return tie;
+}
+
+/// Writes each kept node's parent link, (walk index of its parent) << 1 |
+/// (1 when it is the lighter child), to parent[node].
+inline void hf_link_parents(const std::uint8_t* kept, std::size_t count,
+                            std::int32_t* parent) {
+  HfWalkCursor cursor;
+  for (std::size_t i = 0; i < count; ++i) {
+    const unsigned m = kept[i];
+    std::size_t c = cursor.visit(i, m);
+    const auto link = static_cast<std::int32_t>(i << 1);
+    const auto light_first = static_cast<std::int32_t>(m / kSecondHeavier);
+    if ((m & kKeptFirst) != 0) parent[c++] = link | light_first;
+    if ((m & kKeptSecond) != 0) parent[c] = link | (light_first ^ 1);
+  }
+}
+
+/// Ranks a sorted bucket [first, last) that holds equal weights, from
+/// `next` on, into rank[node]; returns the next rank.  Equal weights go in
+/// HF's pop order: by the parent's pop rank, then heavier child first --
+/// hf_select's seq order, since the k-th pop's children get seq 2k+1
+/// (heavier) and 2k+2.  Every parent outweighs its children, so it is
+/// ranked before its children's run is ordered.
+inline std::int32_t hf_rank_ties(HfRankedNode* first, HfRankedNode* last,
+                                 std::int32_t next, std::int32_t* rank,
+                                 const std::int32_t* parent) {
+  while (first < last) {
+    HfRankedNode* tie = first + 1;
+    while (tie < last && tie->weight == first->weight) ++tie;
+    if (tie - first > 1) {
+      // The run's weights are all equal: replace each by its seq, which
+      // then sorts as a double (both are below 2^53).
+      for (HfRankedNode* x = first; x < tie; ++x) {
+        const std::int32_t link = parent[x->node];
+        x->weight = 2.0 * rank[link >> 1] + (link & 1);
+      }
+      std::sort(first, tie, [](const HfRankedNode& a, const HfRankedNode& b) {
+        return a.weight < b.weight;
+      });
+    }
+    for (; first < tie; ++first) rank[first->node] = next++;
+  }
+  return next;
+}
+
+/// HF on `root` with n pieces under BuildContext, without a priority
+/// queue: the walk (hf_walk<true>) visits the nodes of weight >= t, the n-1
+/// heaviest of them are HF's bisections, and every piece's slot follows
+/// from its parent's pop rank.  Writes what hf_select would (pieces,
+/// processors, depths; the tree is not recorded) and returns true; or
+/// returns false, having written nothing, when the walk gives up.
+///
+/// Pop order: weight descending, a tie by (the parent's pop rank, heavier
+/// child first) (hf_rank_ties).  Three steps (DESIGN.md section 7.7):
+///  1. Rank.  The visited weights go to B+1 buckets, B = n/4, by
+///     floor(t*B/x): about c*w/x nodes weigh x or more, so the buckets
+///     hold nearly equal counts, and the key is monotone because IEEE
+///     division rounds correctly.  Only the buckets up to the one holding
+///     the (n-1)-th heaviest node are filled, (weight, index) pairs in
+///     walk order, sorted, and ranked in order; every other node is not
+///     popped.
+///  2. Slots, in walk order, where parents come first.  A popped node's
+///     heavier child keeps its slot, and its lighter child takes slot
+///     rank + 1, which is where hf_select puts the lighter child of its
+///     rank-th pop.  A node that is not popped while its parent is, and a
+///     child the walk did not keep of a popped node, is its slot's piece.
+///     Depths follow the breadth-first levels.
+///  3. Pieces, in slot order: gathered from the walk's nodes with
+///     prefetch, a child the walk did not keep bisected from its parent
+///     again (pure_bisect_v allows it).
+/// Kept out of line, so that it does not change how GCC inlines the
+/// selection loop into hf_run's other callers.
+template <TreeWalkable P>
+[[gnu::noinline]] LBB_HOT bool hf_threshold_run(
+    BuildContext<P>& sink, TrialWorkspace<P>& ws, const P& root,
+    std::int32_t n, const typename BuildContext<P>::FrameTag& at) {
+  using SlotTag = typename BuildContext<P>::SlotTag;
+  constexpr std::int32_t kUnranked = std::numeric_limits<std::int32_t>::max();
+  const HfOrderScratch o = hf_order_scratch(ws, n);
+  RawBuffer& weight_buf = ws.slot_weight;
+  double* const weight = weight_buf.reserve<double>(hf_walk_budget(n) + 2);
+  const HfWalk<P> walk = hf_walk<true>(ws, root, n, weight, o.kept);
+  if (walk.count == 0) return false;
+  const std::size_t count = walk.count;
+  const P* const node = walk.node;
+  const std::int32_t pops = n - 1;
+
+  // 1. Rank.  end[b] counts bucket b, then is its write cursor, then its
+  // end.
+  const std::size_t buckets = static_cast<std::size_t>(n) / 4 + 1;
+  const double scale = walk.t * static_cast<double>(buckets - 1);
+  const auto bucket_of = [scale](double x) noexcept {
+    return static_cast<std::size_t>(scale / x);
+  };
+  RawBuffer& hist_buf = ws.walk_hist;
+  std::int32_t* const end = hist_buf.reserve<std::int32_t>(buckets);
+  std::fill_n(end, buckets, 0);
+  for (std::size_t i = 0; i < count; ++i) ++end[bucket_of(weight[i])];
+  std::size_t last = 0;  // the bucket that holds the (n-1)-th heaviest
+  for (std::int32_t heavier = 0; heavier + end[last] < pops; ++last) {
+    heavier += end[last];
+  }
+  for (std::int32_t b = 0, filled = 0; b <= static_cast<std::int32_t>(last);
+       ++b) {
+    const std::int32_t size = end[b];
+    end[b] = filled;
+    filled += size;
+  }
+  for (std::size_t i = 0; i < count; ++i) {
+    const double x = weight[i];
+    const std::size_t b = bucket_of(x);
+    if (b <= last) {
+      o.sorted[end[b]++] = HfRankedNode{x, static_cast<std::uint32_t>(i)};
+    } else {
+      o.rank[i] = kUnranked;
+    }
+  }
+  bool linked = false;  // o.parent holds the parent links
+  std::int32_t rank = 0;
+  HfRankedNode* run = o.sorted;
+  for (std::size_t b = 0; b <= last; ++b) {
+    HfRankedNode* const stop = o.sorted + end[b];
+    if (hf_sort_heaviest_first(run, stop)) [[unlikely]] {
+      if (!linked) hf_link_parents(o.kept, count, o.parent);
+      linked = true;
+      rank = hf_rank_ties(run, stop, rank, o.rank, o.parent);
+      run = stop;
+    }
+    for (; run < stop; ++run) o.rank[run->node] = rank++;
+  }
+
+  // 2. Slots.  A node whose parent is not popped gets slot -1 and is no
+  // piece.  Each node writes its first child's slot at c and its second
+  // child's right after the first if that one was kept; a write for a
+  // child the walk did not keep lands where a later node's children (or
+  // nothing) go, and that later node overwrites it.
+  HfPieceRef* const ref = o.ref;
+  o.slot[0] = 0;
+  HfWalkCursor cursor;
+  for (std::size_t i = 0; i < count; ++i) {
+    const unsigned m = o.kept[i];
+    const std::size_t c = cursor.visit(i, m);
+    const std::int32_t s = o.slot[i];
+    const std::int32_t r = o.rank[i];
+    const auto code = static_cast<std::uint32_t>(i << 2);
+    std::int32_t first = -1;
+    std::int32_t second = -1;
+    if (s >= 0) {
+      if (r < pops) {
+        const bool swapped = (m & kSecondHeavier) != 0;
+        first = swapped ? r + 1 : s;
+        second = swapped ? s : r + 1;
+        if ((m & kKeptFirst) == 0) ref[first] = {code | 2, cursor.depth + 1};
+        if ((m & kKeptSecond) == 0) {
+          ref[second] = {code | 3, cursor.depth + 1};
+        }
+      } else {
+        ref[s] = {code, cursor.depth};
+      }
+    }
+    o.slot[c] = first;
+    o.slot[c + (m & kKeptFirst)] = second;
+  }
+
+  // 3. Pieces.
+  sink.add_bisections(pops);
+  constexpr std::int32_t kAhead = 16;
+  for (std::int32_t s = 0; s < n; ++s) {
+    if (s + kAhead < n) {
+      const P* ahead = node + (ref[s + kAhead].code >> 2);
+      LBB_PREFETCH(ahead);
+      LBB_PREFETCH(reinterpret_cast<const char*>(ahead + 1) - 1);
+    }
+    const HfPieceRef r = ref[s];
+    P piece = node[r.code >> 2];
+    if ((r.code & 2) != 0) {
+      std::pair<P, P> kids = piece.bisect();
+      piece = (r.code & 1) != 0 ? kids.second : kids.first;
+    }
+    const double pw = piece.weight();
+    sink.piece(std::move(piece), pw, at, s,
+               SlotTag{at.depth + r.depth, kNoNode});
+  }
+  return true;
+}
+
 /// Sizes ws's HF scratch, growth-only, so that no run of up to `n` pieces
-/// under `Sink` allocates.  hf_run sizes what it uses itself; this is for
-/// callers whose runs vary in size, such as BA-HF's HF phases.
+/// under `Sink` allocates (full partitions: below kHfThresholdMinPieces).
+/// hf_run sizes what it uses itself; this is for callers whose runs vary
+/// in size, such as BA-HF's HF phases under the max sink.
 template <typename Sink, Bisectable P>
 void hf_reserve(TrialWorkspace<P>& ws, std::int32_t n) {
   const auto size = static_cast<std::size_t>(n);
@@ -196,6 +561,13 @@ void hf_reserve(TrialWorkspace<P>& ws, std::int32_t n) {
     (void)weights.reserve<double>(hf_walk_budget(n));
     (void)hist.reserve<std::int32_t>(size);
   }
+}
+
+/// Throws HF's answer to a bisection whose children are not both finite
+/// and > 0, the error BA's ba_split_processors raises on them.
+[[noreturn, gnu::cold, gnu::noinline]] inline void hf_reject_children() {
+  throw std::invalid_argument(
+      "HF: a bisection's children must be finite and > 0");
 }
 
 /// HF's selection loop on `problem` with `n` >= 2 processors: n-1 times,
@@ -238,6 +610,10 @@ LBB_HOT void hf_select(Sink& sink, TrialWorkspace<P>& ws, Queue& queue,
     if (wl < wr) {
       std::swap(left, right);
       std::swap(wl, wr);
+    }
+    // NaN fails both tests; a child heavier than its parent passes.
+    if (!(wr > 0.0 && wl <= std::numeric_limits<double>::max())) [[unlikely]] {
+      hf_reject_children();
     }
     const auto [tag_l, tag_r] = sink.split(s.tag, wl, wr);
     // Reuse the parent's slot for the left child.
@@ -291,6 +667,11 @@ LBB_HOT void hf_run(Sink& sink, TrialWorkspace<P>& ws, P problem,
     hf_select(sink, ws, heap, std::move(problem), n, at);
     return;
   }
+  // Set when a walk gave up and the queue takes the run.  The walk is then
+  // not tried again on this workspace (sticky: a distribution whose walk
+  // overflowed once would do so again on most seeds), unless the queue
+  // throws on the input, which leaves the flag as it was.
+  bool gave_up = false;
   if constexpr (kHfWalks<Sink, P>) {
     // The walk loses to the heap below the cut-over (1.5x at n = 16) and
     // breaks even at 24, so the band queue's cut-over serves it too.
@@ -300,14 +681,21 @@ LBB_HOT void hf_run(Sink& sink, TrialWorkspace<P>& ws, P problem,
         sink.add_run(heaviest, n - 1);
         return;
       }
-      // Sticky: a distribution whose walk overflowed once would do so
-      // again on most seeds.
-      ws.hf_walk = false;
+      gave_up = true;
+    }
+  }
+  if constexpr (kHfSelectsByThreshold<Sink, P>) {
+    // The queue records the tree, if asked to, with its split() calls.
+    if (n >= kHfThresholdMinPieces && n <= kHfThresholdMaxPieces &&
+        ws.hf_walk && !sink.records_tree()) {
+      if (hf_threshold_run(sink, ws, problem, n, at)) return;
+      gave_up = true;
     }
   }
   ws.hf_queue.reserve(static_cast<std::size_t>(n));
   ws.hf_queue.clear();
   hf_select(sink, ws, ws.hf_queue, std::move(problem), n, at);
+  if (gave_up) ws.hf_walk = false;
 }
 
 }  // namespace detail

@@ -37,7 +37,7 @@ concept Bisectable =
       { p.bisect() } -> std::convertible_to<std::pair<P, P>>;
     };
 
-/// Opt-in for HF's tree walk (detail::hf_tree_walk): specialize to true
+/// Opt-in for HF's tree walk (detail::hf_walk): specialize to true
 /// next to a problem class whose bisect() is pure -- bisecting the problem,
 /// or a copy, again yields the same children.  Not inferred from a const
 /// bisect(), which may still read or change mutable state.

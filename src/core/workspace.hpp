@@ -5,7 +5,8 @@
 //   * the scratch buffers of the algorithm kernels (HF's slot array,
 //     per-slot weights and selection structures -- the heap below
 //     detail::kHfBandMinPieces pieces, the weight-band queue from there
-//     on; HF's tree walk under the max sink; the BA-family frame stack),
+//     on; HF's tree walk and its threshold selection; the BA-family frame
+//     stack),
 //   * a piece pool that recycles the Partition::pieces storage of finished
 //     trials back into the next partition call.
 //
@@ -74,16 +75,24 @@ class TrialWorkspace {
   // sink, so each kernel sizes what it uses on entry and views it as its
   // own record type.  Contents are dead between runs.
   /// HF's live subproblems (HfSlot), or the nodes its tree walk visits
-  /// (detail::hf_tree_walk), which runs instead of the selection loop.
+  /// (detail::hf_walk), which runs instead of the selection loop.
   detail::RawBuffer hf_slots;
-  detail::RawBuffer slot_weight;  ///< HF: weight per slot, or walk bucket
+  /// HF: weight per slot, the max-sink walk's bucket, or the weights of
+  /// the nodes the threshold path's walk visits.
+  detail::RawBuffer slot_weight;
   detail::HfHeap heap;            ///< HF's selection below the cut-over
   detail::HfBandQueue hf_queue;   ///< HF's selection from the cut-over on
   detail::RawBuffer frames;       ///< BA-family stack (BaFrame, BaHfFrame)
   detail::RawBuffer walk_hist;    ///< HF's tree walk: bucket histogram
-  /// True while HF under the max sink tries the walk; the first walk that
-  /// gives up clears it (experiments::BatchTrialRunner sets it again when
-  /// the distribution changes).  Both paths return the same bits.
+  /// HF's threshold path for full partitions (detail::hf_threshold_run):
+  /// per walk node its kept children, pop rank and slot; the sorted nodes;
+  /// per slot the node its piece comes from.
+  detail::RawBuffer hf_order;
+  /// True while HF tries the tree walk, under either sink; the first walk
+  /// that gives up clears it once the queue has built the run, and an input
+  /// the queue rejects leaves it set (experiments::BatchTrialRunner sets it
+  /// again when the distribution changes).  Both paths return the same
+  /// bits.
   bool hf_walk = true;
 
  private:

@@ -6,12 +6,14 @@
 #include <algorithm>
 #include <bit>
 #include <cmath>
+#include <limits>
 #include <queue>
 #include <string>
 #include <tuple>
 #include <utility>
 #include <vector>
 
+#include "core/ba.hpp"
 #include "core/bounds.hpp"
 #include "core/detail/scratch.hpp"
 #include "core/workspace.hpp"
@@ -206,20 +208,34 @@ void expect_same_partition(const Partition<SyntheticProblem>& got,
 }
 
 TEST(Hf, MatchesPriorityQueueReferenceAcrossSelectionCutOver) {
-  const std::pair<const char*, AlphaDistribution> dists[] = {
-      {"U[0.01,0.5]", AlphaDistribution::uniform(0.01, 0.5)},
-      {"U[0.1,0.5]", AlphaDistribution::uniform(0.1, 0.5)},
-      {"point(0.5)", AlphaDistribution::point(0.5)},
-      {"point(0.1)", AlphaDistribution::point(0.1)},
-      {"two_point(0.1,0.5)", AlphaDistribution::two_point(0.1, 0.5)},
+  struct Dist {
+    const char* name;
+    AlphaDistribution dist;
+    bool walks;  ///< its walk fits the budget at every n tested
   };
+  // point(0.5) and two_point(0.1,0.5) tie on every level, also at the
+  // (n-1)-th weight; point(0.1)'s walk overflows its budget at some n
+  // (2^17) and not at others.
+  const Dist dists[] = {
+      {"U[0.01,0.5]", AlphaDistribution::uniform(0.01, 0.5), true},
+      {"U[0.1,0.5]", AlphaDistribution::uniform(0.1, 0.5), true},
+      {"point(0.5)", AlphaDistribution::point(0.5), true},
+      {"point(0.1)", AlphaDistribution::point(0.1), false},
+      {"two_point(0.1,0.5)", AlphaDistribution::two_point(0.1, 0.5), true},
+  };
+  constexpr std::int32_t kCutOver = detail::kHfThresholdMinPieces;
   // One warm workspace for every case, so each run also checks that the
-  // selection structures forget the previous run on clear.
+  // selection structures forget the previous run on clear.  Its sticky
+  // walk flag is set again before each case, so that a distribution that
+  // gave the walk up cannot hide the threshold path from the next one.
   TrialWorkspace<SyntheticProblem> ws;
+  std::int32_t thresholded = 0;
+  std::int32_t fell_back = 0;
   for (const std::int32_t n :
        {detail::kHfBandMinPieces - 1, detail::kHfBandMinPieces,
-        std::int32_t{1} << 12, std::int32_t{1} << 16}) {
-    for (const auto& [name, dist] : dists) {
+        std::int32_t{1} << 12, kCutOver - 1, kCutOver, kCutOver + 1,
+        std::int32_t{1} << 17}) {
+    for (const auto& [name, dist, walks] : dists) {
       for (const std::uint64_t seed : {1ULL, 2ULL}) {
         for (const bool record : {false, true}) {
           const SyntheticProblem problem(seed, dist);
@@ -229,12 +245,86 @@ TEST(Hf, MatchesPriorityQueueReferenceAcrossSelectionCutOver) {
                                    (record ? " tree" : "");
           PartitionOptions opt;
           opt.record_tree = record;
+          ws.hf_walk = true;
           auto got = hf_partition(ws, problem, n, opt);
+          // Below the cut-over, and with the tree recorded, the queue runs
+          // and the flag is untouched; otherwise it stays set only when
+          // the threshold path built the partition.
+          const bool queue = n < kCutOver || record;
+          if (queue || walks) {
+            EXPECT_TRUE(ws.hf_walk) << what;
+          }
+          thresholded += !queue && ws.hf_walk ? 1 : 0;
+          fell_back += !queue && !ws.hf_walk ? 1 : 0;
           expect_same_partition(got, reference_hf(problem, n, record), what);
           if (HasFatalFailure()) return;
           ws.recycle(std::move(got));
         }
       }
+    }
+  }
+  EXPECT_GT(thresholded, 0);
+  EXPECT_GT(fell_back, 0);
+}
+
+// --- Hostile children: HF rejects what BA rejects -------------------------
+
+/// A U[0.1,0.5] problem whose depth-2 heavier children weigh `bad`; every
+/// other bisection is a valid alpha-bisection.  Trivially copyable and
+/// pure, so from the cut-over on HF's threshold path walks it first.
+struct HostileChildProblem {
+  std::uint64_t hash;
+  double w;
+  std::int32_t depth;
+  double bad;
+  [[nodiscard]] double weight() const noexcept { return w; }
+  [[nodiscard]] std::pair<HostileChildProblem, HostileChildProblem> bisect()
+      const noexcept {
+    const double alpha =
+        0.1 + 0.4 * stats::hash_to_unit(stats::splitmix64(hash));
+    const double heavy = depth == 1 ? bad : (1.0 - alpha) * w;
+    return {{stats::mix64(hash, 1), heavy, depth + 1, bad},
+            {stats::mix64(hash, 2), alpha * w, depth + 1, bad}};
+  }
+};
+
+}  // namespace
+}  // namespace lbb::core
+
+template <>
+inline constexpr bool
+    lbb::core::pure_bisect_v<lbb::core::HostileChildProblem> = true;
+
+namespace lbb::core {
+namespace {
+
+static_assert(detail::TreeWalkable<HostileChildProblem>);
+
+TEST(Hf, RejectsChildrenThatBaRejects) {
+  // NaN, +-inf, 0 and a negative weight, on the heap, the band queue,
+  // and the threshold path's walk, which gives up and hands the run to
+  // the queue.
+  constexpr double kInf = std::numeric_limits<double>::infinity();
+  for (const double bad :
+       {std::numeric_limits<double>::quiet_NaN(), kInf, -kInf, 0.0, -1.0}) {
+    for (const std::int32_t n :
+         {16, 64, static_cast<std::int32_t>(detail::kHfThresholdMinPieces)}) {
+      const HostileChildProblem root{7, 1.0, 0, bad};
+      const std::string what =
+          "child=" + std::to_string(bad) + " n=" + std::to_string(n);
+      TrialWorkspace<HostileChildProblem> ws;
+      EXPECT_THROW((void)hf_partition(ws, root, n), std::invalid_argument)
+          << what;
+      EXPECT_THROW((void)ba_partition(root, n), std::invalid_argument)
+          << what;
+      // The rejected input leaves the walk on: the next, valid run on the
+      // workspace (a root at depth 2 never reaches the hostile level) takes
+      // the threshold path from the cut-over on.
+      EXPECT_TRUE(ws.hf_walk) << what;
+      const auto part =
+          hf_partition(ws, HostileChildProblem{7, 1.0, 2, bad}, n);
+      EXPECT_EQ(part.pieces.size(), static_cast<std::size_t>(n)) << what;
+      EXPECT_TRUE(ws.hf_walk) << what;
     }
   }
 }

@@ -88,17 +88,41 @@ TEST(AllocGate, HfPartitionSteadyStateIsAllocationFree) {
 }
 
 TEST(AllocGate, HfPartitionLargeNSteadyStateIsAllocationFree) {
-  // At 2^16 pieces HF selects with the weight-band queue, whose chunk pool
-  // must be sized by n alone: thousands of bands are in use, and the seeds
+  // At 2^16 pieces HF builds the partition by threshold selection, whose
+  // walk, sort and slot buffers must be sized by n alone: the seeds
   // measured here differ from the warm-up seeds.
   constexpr std::int32_t kLargeN = std::int32_t{1} << 16;
+  static_assert(kLargeN >= detail::kHfThresholdMinPieces);
   const auto delta = steady_state_allocs(
       [](TrialWorkspace<SyntheticProblem>& ws, std::uint64_t seed) {
         auto part = hf_partition(ws, make_problem(seed), kLargeN);
         EXPECT_EQ(part.pieces.size(), static_cast<std::size_t>(kLargeN));
+        EXPECT_TRUE(ws.hf_walk) << "the threshold path gave up";
         ws.recycle(std::move(part));
       });
   EXPECT_EQ(delta.count, 0) << "hf_partition at n=2^16 allocated "
+                            << delta.bytes << " bytes across " << kTrials
+                            << " warm trials";
+}
+
+TEST(AllocGate, HfPartitionFallbackSteadyStateIsAllocationFree) {
+  // U[0.02, 0.04] overflows the walk's budget at 2^16.  With the walk
+  // flag set again before every call, each call walks, gives up and builds
+  // the partition with the weight-band queue, whose chunk pool must be
+  // sized by n alone (thousands of bands are in use); neither path may
+  // allocate once warm.
+  constexpr std::int32_t kLargeN = std::int32_t{1} << 16;
+  const auto delta = steady_state_allocs(
+      [](TrialWorkspace<SyntheticProblem>& ws, std::uint64_t seed) {
+        ws.hf_walk = true;
+        auto part = hf_partition(
+            ws, SyntheticProblem(seed, AlphaDistribution::uniform(0.02, 0.04)),
+            kLargeN);
+        EXPECT_EQ(part.pieces.size(), static_cast<std::size_t>(kLargeN));
+        EXPECT_FALSE(ws.hf_walk) << "the walk did not give up";
+        ws.recycle(std::move(part));
+      });
+  EXPECT_EQ(delta.count, 0) << "hf_partition's fallback at n=2^16 allocated "
                             << delta.bytes << " bytes across " << kTrials
                             << " warm trials";
 }

@@ -8,7 +8,8 @@
 //     heaviest node of the bisection tree) and not (the selection loop).
 //   * HF on two toy problem types that opt into the walk and break its
 //     assumptions -- a heavier child that sometimes outweighs its parent,
-//     and children that sum to 3/4 of the parent.
+//     and children that sum to 3/4 of the parent -- under the max sink,
+//     and as full partitions on the threshold path against the queue.
 //   * BaLaneProperty: BA, BA' and BA-HF, instance by instance; and BA's
 //     skip of frames that cannot raise the maximum, counted by bisect()
 //     calls: it fires for a type that declares core::monotone_bisect_v,
@@ -18,6 +19,7 @@
 #include <bit>
 #include <cstdint>
 #include <cstdio>
+#include <limits>
 #include <string>
 #include <utility>
 
@@ -68,6 +70,23 @@ struct ShrinkingProblem {
   }
 };
 
+/// A problem whose root weighs +inf while every child is finite: no
+/// threshold of at most +inf/n keeps a child, so a walk that only halved its
+/// threshold would never end.  Both walks give up on the root instead.
+struct InfiniteRootProblem {
+  std::uint64_t hash;
+  double w;
+  [[nodiscard]] double weight() const noexcept { return w; }
+  [[nodiscard]] std::pair<InfiniteRootProblem, InfiniteRootProblem> bisect()
+      const noexcept {
+    const double alpha =
+        0.1 + 0.4 * stats::hash_to_unit(stats::splitmix64(hash));
+    const double base = w > 1.0 ? 1.0 : w;
+    return {{stats::mix64(hash, 1), (1.0 - alpha) * base},
+            {stats::mix64(hash, 2), alpha * base}};
+  }
+};
+
 /// A SyntheticProblem that counts its bisect() calls in `*calls`.  Only
 /// CountingProblem<true> declares core::monotone_bisect_v.
 template <bool Monotone>
@@ -93,6 +112,9 @@ inline constexpr bool
 template <>
 inline constexpr bool
     lbb::core::pure_bisect_v<lbb::core::detail::ShrinkingProblem> = true;
+template <>
+inline constexpr bool
+    lbb::core::pure_bisect_v<lbb::core::detail::InfiniteRootProblem> = true;
 template <>
 inline constexpr bool
     lbb::core::monotone_bisect_v<lbb::core::detail::CountingProblem<true>> =
@@ -161,7 +183,10 @@ TEST(HfLaneProperty, MatchesScalarHfOnWalkAndFallback) {
                                 kMaxPieces};
   TrialWorkspace<SyntheticProblem> ws;
   hf_reserve<MaxSink>(ws, kMaxPieces);
+  // The reference builds its partitions with the selection queue, which
+  // shares no code with the walk.
   TrialWorkspace<SyntheticProblem> full_ws;
+  full_ws.hf_walk = false;
   std::int64_t walked = 0;
   std::int64_t fell_back = 0;
   for (const AlphaDistribution& dist : dists) {
@@ -200,6 +225,7 @@ void expect_matches_full_hf(std::int64_t& walked, std::int64_t& fell_back,
                             std::int64_t& below_first_threshold) {
   TrialWorkspace<P> ws;
   TrialWorkspace<P> full_ws;
+  full_ws.hf_walk = false;  // the queue, as above
   for (const std::int32_t n : {kCutOver, 64, 100, 1024, kMaxPieces}) {
     for (std::uint64_t seed = 0; seed < kSeeds; ++seed) {
       const P root{stats::mix64(0x70e, seed), 1.0 + static_cast<double>(seed)};
@@ -234,6 +260,67 @@ TEST(HfLaneProperty, ShortWalkLowersTheThresholdAndRetries) {
   // Walks whose answer lies below the first threshold found fewer than n
   // nodes there and succeeded on a later, lower one.
   EXPECT_GT(below, 0);
+}
+
+/// Full partitions of a toy type from the threshold path's cut-over on,
+/// against the selection queue, piece for piece; counts the runs the
+/// threshold path built and those it gave up.
+template <typename P>
+void expect_threshold_path_matches_queue(std::int64_t& selected,
+                                         std::int64_t& fell_back) {
+  TrialWorkspace<P> ws;
+  TrialWorkspace<P> queue_ws;
+  queue_ws.hf_walk = false;
+  for (const std::int32_t n :
+       {kHfThresholdMinPieces, kHfThresholdMinPieces + 1}) {
+    for (std::uint64_t seed = 0; seed < 4; ++seed) {
+      const P root{stats::mix64(0x7e5, seed), 1.0 + static_cast<double>(seed)};
+      const std::string what =
+          "n=" + std::to_string(n) + " seed=" + std::to_string(seed);
+      ws.hf_walk = true;
+      const Partition<P> got = hf_partition(ws, root, n);
+      (ws.hf_walk ? selected : fell_back) += 1;
+      const Partition<P> want = hf_partition(queue_ws, root, n);
+      ASSERT_EQ(got.pieces.size(), want.pieces.size()) << what;
+      ASSERT_EQ(got.bisections, want.bisections) << what;
+      ASSERT_EQ(got.max_depth, want.max_depth) << what;
+      for (std::size_t i = 0; i < want.pieces.size(); ++i) {
+        const auto& g = got.pieces[i];
+        const auto& w = want.pieces[i];
+        ASSERT_EQ(bits(g.weight), bits(w.weight)) << what << " piece " << i;
+        ASSERT_EQ(g.problem.hash, w.problem.hash) << what << " piece " << i;
+        ASSERT_EQ(g.processor, w.processor) << what << " piece " << i;
+        ASSERT_EQ(g.depth, w.depth) << what << " piece " << i;
+      }
+    }
+  }
+}
+
+TEST(HfLaneProperty, ThresholdPathMatchesTheQueueOnToyProblems) {
+  std::int64_t selected = 0;
+  std::int64_t fell_back = 0;
+  // A heavier child somewhere in the walk sends the run to the queue.
+  expect_threshold_path_matches_queue<HeavierChildProblem>(selected,
+                                                           fell_back);
+  EXPECT_GT(fell_back, 0);
+  // Children that sum to 3/4 make the walk lower its threshold and retry.
+  const std::int64_t before = selected;
+  expect_threshold_path_matches_queue<ShrinkingProblem>(selected, fell_back);
+  EXPECT_GT(selected, before);
+}
+
+TEST(HfLaneProperty, InfiniteRootGivesUpTheWalk) {
+  const InfiniteRootProblem root{7, std::numeric_limits<double>::infinity()};
+  for (const std::int32_t n : {kCutOver, kHfThresholdMinPieces}) {
+    TrialWorkspace<InfiniteRootProblem> ws;
+    const MaxResult got = run_max_hf(ws, root, n, true);
+    EXPECT_FALSE(got.walked) << "n=" << n;
+    EXPECT_EQ(got.bisections, n - 1) << "n=" << n;
+    TrialWorkspace<InfiniteRootProblem> full_ws;
+    const Partition<InfiniteRootProblem> part = hf_partition(full_ws, root, n);
+    EXPECT_EQ(full_ws.hf_walk, n < kHfThresholdMinPieces) << "n=" << n;
+    EXPECT_EQ(part.bisections, n - 1) << "n=" << n;
+  }
 }
 
 TEST(BaLaneProperty, MatchesScalarBaFamilyLaneByLane) {
