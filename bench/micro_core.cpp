@@ -5,15 +5,20 @@
 
 #include "bench/experiment_registry.hpp"
 
+#include <algorithm>
 #include <atomic>
 #include <cstdint>
 #include <future>
 #include <memory>
+#include <string>
+#include <utility>
 #include <vector>
 
 #include "core/hf.hpp"
 #include "core/lbb.hpp"
+#include "core/partitioner.hpp"
 #include "core/workspace.hpp"
+#include "experiments/batch_trials.hpp"
 #include "problems/alpha_dist.hpp"
 #include "problems/fe_tree.hpp"
 #include "problems/grid_domain.hpp"
@@ -147,6 +152,44 @@ void BM_HfFullPath(benchmark::State& state) {
     ws.recycle(std::move(part));
   }
   state.SetItemsProcessed(state.iterations() * (n - 1));
+}
+
+/// One mc_paper cell under the max sink: 250 trials of `algo` at 2^log2_n
+/// through experiments::BatchTrialRunner::run, in calls of 8 trials (as
+/// the experiment engine's chunks make them), on Table 1's or Fig. 5's
+/// distribution with beta = 1.  Items are the reported bisections, so
+/// items/s counts the bisections a cell accounts, made or not.  Run with
+/// --benchmark_enable_random_interleaving=true under taskset for the
+/// per-cell tables of DESIGN.md section 10.1.
+void BM_MaxSinkTrials(benchmark::State& state, const char* algo,
+                      std::int32_t log2_n, const AlphaDistribution& dist) {
+  namespace experiments = lbb::experiments;
+  constexpr std::int64_t kTrials = 250;
+  constexpr std::int64_t kCall = 8;
+  const std::int32_t n = std::int32_t{1} << log2_n;
+  state.SetLabel(dist.describe());
+  const lbb::core::BuiltinAlgo builtin =
+      lbb::core::PartitionerRegistry::instance()
+          .create(algo, lbb::core::PartitionerConfig{dist.lower_bound(), 1.0,
+                                                     0, {}})
+          ->builtin();
+  experiments::BatchTrialRunner runner;
+  experiments::BatchTrialOutcome out[kCall];
+  std::int64_t bisections = 0;
+  const auto cell = [&] {
+    for (std::int64_t lo = 0; lo < kTrials; lo += kCall) {
+      const std::int64_t hi = std::min(lo + kCall, kTrials);
+      runner.run(builtin, dist, /*base_seed=*/1, lo, hi, n,
+                 static_cast<std::int32_t>(kCall), out);
+      for (std::int64_t t = 0; t < hi - lo; ++t) {
+        bisections += out[t].bisections;
+      }
+    }
+  };
+  cell();  // warm-up
+  bisections = 0;
+  for (auto _ : state) cell();
+  state.SetItemsProcessed(bisections);
 }
 
 void BM_BaPartitionWorkspace(benchmark::State& state) {
@@ -435,6 +478,20 @@ void register_micro_core_benchmarks() {
           }
         }
       });
+  // BM_MaxSinkTrials/<algo>/<log2 n>/<dist>: mc_paper's max-sink cells.
+  for (const char* algo : {"hf", "ba", "ba_hf"}) {
+    for (const std::int32_t log2_n : {6, 10, 14}) {
+      for (const auto& [name, dist] :
+           {std::pair{"table1", AlphaDistribution::uniform(0.01, 0.5)},
+            std::pair{"fig5", AlphaDistribution::uniform(0.1, 0.5)}}) {
+        const std::string id = std::string("BM_MaxSinkTrials/") + algo +
+                               "/" + std::to_string(log2_n) + "/" + name;
+        benchmark::RegisterBenchmark(id.c_str(), BM_MaxSinkTrials, algo,
+                                     log2_n, dist)
+            ->Unit(benchmark::kMillisecond);
+      }
+    }
+  }
   benchmark::RegisterBenchmark("BM_BaPartitionWorkspace",
                                BM_BaPartitionWorkspace)
       ->RangeMultiplier(8)

@@ -12,9 +12,10 @@
 //   lbb_bench tail_study --threads=8           same output bytes
 //   lbb_bench tail_study --csv=tail.csv
 //   lbb_bench tail_study --smoke               max sink vs full partitions
-//                                              (U[0.01,0.5] and
-//                                              U[0.02,0.04], threads 1/2);
-//                                              exit 1 on any divergence
+//                                              (U[0.01,0.5], U[0.1,0.5]
+//                                              and U[0.02,0.04], threads
+//                                              1/2); exit 1 on any
+//                                              divergence
 #include <cstdint>
 #include <iostream>
 #include <string>
@@ -86,13 +87,16 @@ bool cells_identical(const TailStudyResult& a, const TailStudyResult& b) {
 /// same study built from full partitions: par:ba, par:ba_star and par:ba_hf
 /// (on a thread pool, byte-identical to BA, BA' and BA-HF) and phf:oracle
 /// (PHF, whose pieces equal HF's as a multiset), which the engine runs
-/// through the erased interface.  Two distributions: the default
-/// U[0.01, 0.5], whose HF runs take the tree walk, and the narrow
-/// U[0.02, 0.04], whose HF runs give it up and fall back to the selection
-/// queue.
+/// through the erased interface.  Three distributions: the default
+/// U[0.01, 0.5], whose HF runs take the tree walk; U[0.1, 0.5], whose
+/// BA-HF runs HF phases of at most 10 pieces, which walk below the heap's
+/// cut-over once the heaviest piece so far floors them; and the narrow
+/// U[0.02, 0.04], whose HF runs give the walk up and fall back to the
+/// selection queue.
 int run_smoke() {
   const lbb::problems::AlphaDistribution dists[] = {
       lbb::problems::AlphaDistribution::uniform(0.01, 0.5),
+      lbb::problems::AlphaDistribution::uniform(0.1, 0.5),
       lbb::problems::AlphaDistribution::uniform(0.02, 0.04)};
   int failures = 0;
   for (const auto& dist : dists) {

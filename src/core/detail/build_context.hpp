@@ -6,7 +6,8 @@
 // the same weights, except where a kernel accounts them in bulk: under the
 // max sink BA skips the frames that can neither raise the maximum nor
 // change the count (DESIGN.md section 10) and HF's walk reports only the
-// heaviest piece (add_run); without a recorded tree, HF's threshold path
+// heaviest piece, or only the count of a run that cannot raise the
+// maximum (add_run); without a recorded tree, HF's threshold path
 // counts its bisections at once (add_bisections, section 7.7).  Internal;
 // not public API.
 #pragma once
@@ -83,7 +84,9 @@ class BuildContext {
 
   /// Emits one final piece.  Always inlined: with HF's threshold path as a
   /// third caller, GCC 12 outlined it, and hf_select then paid a call per
-  /// piece (BA-HF's HF phases +2.5% on large_n).
+  /// piece (BA-HF's HF phases +2.5% on large_n).  The two overloads below
+  /// are not forced inline: that moved GCC to outline vector::push_back
+  /// from hf_select and hf_threshold_run instead (DESIGN.md section 7.7).
   [[gnu::always_inline]] LBB_HOT void piece(P problem, double weight,
                                             ProcessorId processor,
                                             std::int32_t depth, NodeId node) {
@@ -159,7 +162,9 @@ struct MaxSink {
   }
 
   /// Folds in a run known only by its heaviest piece and bisection count
-  /// (HF's tree walk, or a frame BA skips).
+  /// (HF's tree walk, or a frame BA skips); a heaviest piece of 0.0 leaves
+  /// the maximum alone (an HF run whose floored walk shows it cannot raise
+  /// it).
   LBB_HOT void add_run(double heaviest,
                        std::int64_t run_bisections) noexcept {
     if (max < heaviest) max = heaviest;

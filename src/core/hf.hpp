@@ -36,7 +36,8 @@
 // writes through a sink (core/detail/build_context.hpp):
 //   * under the max sink, from the band queue's cut-over on, the heaviest
 //     piece is the n-th heaviest node of the walk (hf_tree_walk; DESIGN.md
-//     section 7.6);
+//     section 7.6); at any n, a run that cannot raise the heaviest piece
+//     so far walks only the nodes at or above it (section 10.1);
 //   * under BuildContext with no tree recorded, from
 //     detail::kHfThresholdMinPieces on, the walk's n-1 heaviest nodes,
 //     sorted into pop order, give every piece's slot from its parent's pop
@@ -93,6 +94,14 @@ inline constexpr std::int64_t kHfWalkPerPiece = 3;
 /// Most nodes an n-piece walk may visit (see kHfWalkPerPiece).
 [[nodiscard]] constexpr std::size_t hf_walk_budget(std::int32_t n) noexcept {
   return static_cast<std::size_t>(kHfWalkPerPiece * n);
+}
+
+/// The walk's first threshold on a root of weight w with n pieces: just
+/// below w/n, the least HF's heaviest piece can weigh (the margin absorbs
+/// the rounding of the children's sums).
+[[nodiscard]] constexpr double hf_walk_threshold(double w,
+                                                 std::int32_t n) noexcept {
+  return w / static_cast<double>(n) * (1.0 - 0x1p-20);
 }
 
 /// The n-th largest weight among the `count` nodes of a finished walk,
@@ -156,8 +165,14 @@ inline constexpr unsigned kSecondHeavier = 4;
 /// of weight >= t form a subtree around the root, and a walk that bisects
 /// every node it visits and keeps only children >= t visits exactly that
 /// subtree.  The pieces sum to w, so HF's heaviest piece is at least w/n:
-/// the walk starts just below it (the margin absorbs rounding) and halves
-/// t until at least n nodes come back.
+/// the walk starts just below it (hf_walk_threshold) and halves t until at
+/// least n nodes come back.
+///
+/// A positive `floor`, which hf_run passes only when it is at least that
+/// first threshold (the max sink's heaviest piece so far), is the walk's
+/// only threshold: it visits the nodes >= floor once and returns them even
+/// when fewer than n come back (the root counts as one, and a root below
+/// the floor is not bisected).  A full-partition walk takes no floor (0).
 ///
 /// Breadth-first over ws.hf_slots' storage, at once the queue and the
 /// visited list, so consecutive bisections overlap in the core; children
@@ -174,7 +189,7 @@ inline constexpr unsigned kSecondHeavier = 4;
 template <bool Full, TreeWalkable P>
 LBB_HOT HfWalk<P> hf_walk(TrialWorkspace<P>& ws, const P& root,
                           std::int32_t n, double* weight,
-                          std::uint8_t* kept) {
+                          std::uint8_t* kept, double floor) {
   const std::size_t budget = hf_walk_budget(n);
   RawBuffer& node_buf = ws.hf_slots;
   P* node = node_buf.reserve<P>(budget + 2);
@@ -182,7 +197,10 @@ LBB_HOT HfWalk<P> hf_walk(TrialWorkspace<P>& ws, const P& root,
   if (!(w > 0.0 && w <= std::numeric_limits<double>::max())) {
     return {node, 0, 0.0};
   }
-  double t = w / static_cast<double>(n) * (1.0 - 0x1p-20);
+  const bool floored = !Full && floor > 0.0;
+  double t = floored ? floor : hf_walk_threshold(w, n);
+  // A root below the floor is the only node the walk could return.
+  if (floored && w < t) return {node, 1, t};
   for (;;) {
     node[0] = root;
     if constexpr (Full) weight[0] = w;
@@ -213,21 +231,36 @@ LBB_HOT HfWalk<P> hf_walk(TrialWorkspace<P>& ws, const P& root,
             static_cast<unsigned>(aw < bw) * kSecondHeavier);
       }
     }
-    if (end >= static_cast<std::size_t>(n)) return {node, end, t};
+    if (end >= static_cast<std::size_t>(n) || floored) return {node, end, t};
     t *= 0.5;
   }
 }
 
 /// HF's heaviest piece on `root` with n pieces, into `nth`: the n-th
-/// heaviest node of the bisection tree (hf_walk).  Returns false, leaving
+/// heaviest node of the bisection tree (hf_walk), or 0.0 when a floor at or
+/// above the walk's first threshold leaves fewer than n nodes, because then
+/// HF's heaviest piece is below the floor (hf_run).  Returns false, leaving
 /// `nth` unset, when the walk gives up.
 template <TreeWalkable P>
 LBB_HOT bool hf_tree_walk(TrialWorkspace<P>& ws, const P& root,
-                          std::int32_t n, double& nth) {
-  const HfWalk<P> walk = hf_walk<false>(ws, root, n, nullptr, nullptr);
+                          std::int32_t n, double floor, double& nth) {
+  const HfWalk<P> walk = hf_walk<false>(ws, root, n, nullptr, nullptr, floor);
   if (walk.count == 0) return false;
-  nth = hf_walk_select(ws, walk.node, root.weight(), walk.t, walk.count, n);
+  nth = walk.count < static_cast<std::size_t>(n)
+            ? 0.0
+            : hf_walk_select(ws, walk.node, root.weight(), walk.t,
+                             walk.count, n);
   return true;
+}
+
+/// The full-partition walk (hf_walk<true>, no floor), out of line: with
+/// the floor as a sixth argument GCC 12 inlined it into hf_threshold_run,
+/// which moved large_n's kernels in the binary (DESIGN.md section 10.1).
+template <TreeWalkable P>
+[[gnu::noinline]] HfWalk<P> hf_full_walk(TrialWorkspace<P>& ws,
+                                         const P& root, std::int32_t n,
+                                         double* weight, std::uint8_t* kept) {
+  return hf_walk<true>(ws, root, n, weight, kept, 0.0);
 }
 
 /// True when hf_run under `Sink` may walk the bisection tree instead of
@@ -399,7 +432,7 @@ inline std::int32_t hf_rank_ties(HfRankedNode* first, HfRankedNode* last,
 }
 
 /// HF on `root` with n pieces under BuildContext, without a priority
-/// queue: the walk (hf_walk<true>) visits the nodes of weight >= t, the n-1
+/// queue: the walk (hf_full_walk) visits the nodes of weight >= t, the n-1
 /// heaviest of them are HF's bisections, and every piece's slot follows
 /// from its parent's pop rank.  Writes what hf_select would (pieces,
 /// processors, depths; the tree is not recorded) and returns true; or
@@ -434,7 +467,7 @@ template <TreeWalkable P>
   const HfOrderScratch o = hf_order_scratch(ws, n);
   RawBuffer& weight_buf = ws.slot_weight;
   double* const weight = weight_buf.reserve<double>(hf_walk_budget(n) + 2);
-  const HfWalk<P> walk = hf_walk<true>(ws, root, n, weight, o.kept);
+  const HfWalk<P> walk = hf_full_walk(ws, root, n, weight, o.kept);
   if (walk.count == 0) return false;
   const std::size_t count = walk.count;
   const P* const node = walk.node;
@@ -551,16 +584,17 @@ void hf_reserve(TrialWorkspace<P>& ws, std::int32_t n) {
   (void)slots.reserve<HfSlot<P, Sink>>(size);
   (void)weights.reserve<double>(size);
   ws.heap.reserve(std::min<std::size_t>(size, kHfBandMinPieces - 1));
-  if (n < kHfBandMinPieces) return;
-  ws.hf_queue.reserve(size);
   if constexpr (kHfWalks<Sink, P>) {
     // The walk's nodes (a walk within budget appends at most two past it
-    // before it checks), bucket weights and bucket histogram.
+    // before it checks), bucket weights and bucket histogram; at every n,
+    // since a floored walk runs below the cut-over too (hf_run).
     RawBuffer& hist = ws.walk_hist;
     (void)slots.reserve<P>(hf_walk_budget(n) + 2);
     (void)weights.reserve<double>(hf_walk_budget(n));
     (void)hist.reserve<std::int32_t>(size);
   }
+  if (n < kHfBandMinPieces) return;
+  ws.hf_queue.reserve(size);
 }
 
 /// Throws HF's answer to a bisection whose children are not both finite
@@ -653,6 +687,14 @@ LBB_HOT void hf_select(Sink& sink, TrialWorkspace<P>& ws, Queue& queue,
 /// hf_partition and as the second phase of BA-HF.  Scratch (slots,
 /// weights, selection structure, walk) comes from `ws`, so one warm
 /// workspace serves any number of consecutive runs.
+///
+/// Under the max sink, on a problem type that declares
+/// core::monotone_bisect_v, a run whose first walk threshold is at most
+/// the heaviest piece so far, M, walks only the nodes >= M, at any n.  If
+/// fewer than n come back, HF pops all of them (every other live node is
+/// lighter than M) and every piece lies below one of their children that
+/// the walk did not keep, so below M: the run cannot raise the maximum,
+/// and only its n - 1 bisections are counted (DESIGN.md section 10.1).
 template <typename Sink, Bisectable P>
 LBB_HOT void hf_run(Sink& sink, TrialWorkspace<P>& ws, P problem,
                     std::int32_t n, const typename Sink::FrameTag& at) {
@@ -661,28 +703,36 @@ LBB_HOT void hf_run(Sink& sink, TrialWorkspace<P>& ws, P problem,
     sink.piece(std::move(problem), w, at);
     return;
   }
-  if (n < kHfBandMinPieces) {
-    ws.heap.reserve(static_cast<std::size_t>(n));
-    HfHeap::Local heap = ws.heap.local();
-    hf_select(sink, ws, heap, std::move(problem), n, at);
-    return;
-  }
-  // Set when a walk gave up and the queue takes the run.  The walk is then
-  // not tried again on this workspace (sticky: a distribution whose walk
-  // overflowed once would do so again on most seeds), unless the queue
-  // throws on the input, which leaves the flag as it was.
+  // Set when a walk gave up and the heap or the queue takes the run.  The
+  // walk is then not tried again on this workspace (sticky: a distribution
+  // whose walk overflowed once would do so again on most seeds), unless
+  // the selection throws on the input, which leaves the flag as it was.
   bool gave_up = false;
   if constexpr (kHfWalks<Sink, P>) {
-    // The walk loses to the heap below the cut-over (1.5x at n = 16) and
-    // breaks even at 24, so the band queue's cut-over serves it too.
-    if (ws.hf_walk) {
+    // Without a floor the walk loses to the heap below the cut-over (1.5x
+    // at n = 16) and breaks even at 24, so the band queue's cut-over
+    // serves it too.
+    double floor = 0.0;
+    if constexpr (monotone_bisect_v<P>) {
+      if (sink.max >= hf_walk_threshold(problem.weight(), n)) {
+        floor = sink.max;
+      }
+    }
+    if (ws.hf_walk && (n >= kHfBandMinPieces || floor > 0.0)) {
       double heaviest;
-      if (hf_tree_walk(ws, problem, n, heaviest)) {
+      if (hf_tree_walk(ws, problem, n, floor, heaviest)) {
         sink.add_run(heaviest, n - 1);
         return;
       }
       gave_up = true;
     }
+  }
+  if (n < kHfBandMinPieces) {
+    ws.heap.reserve(static_cast<std::size_t>(n));
+    HfHeap::Local heap = ws.heap.local();
+    hf_select(sink, ws, heap, std::move(problem), n, at);
+    if (gave_up) ws.hf_walk = false;
+    return;
   }
   if constexpr (kHfSelectsByThreshold<Sink, P>) {
     // The queue records the tree, if asked to, with its split() calls.

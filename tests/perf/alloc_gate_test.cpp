@@ -486,6 +486,42 @@ TEST(AllocGate, BatchedBaHfQueuePoolDoesNotDependOnHfPhaseSizes) {
   for (const auto& outcome : outcomes) EXPECT_GE(outcome.ratio, 1.0);
 }
 
+TEST(AllocGate, BatchedBaHfSmallPhasesSteadyStateIsAllocationFree) {
+  // Under the max sink an HF phase that cannot raise the heaviest piece so
+  // far walks only the nodes above it, below the heap's cut-over too.  On
+  // U[0.1, 0.5], warm up with beta = 0.4 (HF phases of at most 4 pieces),
+  // then measure with beta = 1 (at most 10): the walk's buffers, sized
+  // from the trial's n, must already be large enough for the bigger
+  // phases, at a trial n below the cut-over as well as above it.
+  const AlphaDistribution dist = AlphaDistribution::uniform(0.1, 0.5);
+  constexpr std::int32_t kWidth = 4;
+  for (const std::int32_t n : {16, kN}) {
+    BuiltinAlgo algo = PartitionerRegistry::instance()
+                           .create("ba_hf", PartitionerConfig{0.1, 1.0, 0, {}})
+                           ->builtin();
+    lbb::experiments::BatchTrialRunner runner;
+    lbb::experiments::BatchTrialOutcome outcomes[kWidth];
+    algo.beta = 0.4;
+    ASSERT_EQ(ba_hf_switch_threshold(algo.alpha, algo.beta), 5);
+    for (std::int64_t warm = 0; warm < 2; ++warm) {
+      runner.run(algo, dist, /*base_seed=*/11, warm * kWidth,
+                 (warm + 1) * kWidth, n, kWidth, outcomes);
+    }
+    algo.beta = 1.0;
+    ASSERT_EQ(ba_hf_switch_threshold(algo.alpha, algo.beta), 11);
+    const auto before = lbb::stats::alloc_stats();
+    for (std::int64_t t = 100; t < 100 + kTrials; ++t) {
+      runner.run(algo, dist, /*base_seed=*/11, t * kWidth, (t + 1) * kWidth,
+                 n, kWidth, outcomes);
+    }
+    const auto delta = lbb::stats::alloc_stats() - before;
+    EXPECT_EQ(delta.count, 0) << "batched ba_hf at n=" << n << " allocated "
+                              << delta.bytes << " bytes across " << kTrials
+                              << " warm batches";
+    for (const auto& outcome : outcomes) EXPECT_GE(outcome.ratio, 1.0);
+  }
+}
+
 TEST(AllocGate, TailAccumulatorSteadyStateIsAllocationFree) {
   // The tail_study hot loop adds every trial's ratio to a preallocated
   // accumulator and merges worker scratch per chunk: both must be free of

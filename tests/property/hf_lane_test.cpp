@@ -11,9 +11,10 @@
 //     and children that sum to 3/4 of the parent -- under the max sink,
 //     and as full partitions on the threshold path against the queue.
 //   * BaLaneProperty: BA, BA' and BA-HF, instance by instance; and BA's
-//     skip of frames that cannot raise the maximum, counted by bisect()
-//     calls: it fires for a type that declares core::monotone_bisect_v,
-//     and nowhere else.
+//     skip of frames and BA-HF's floored HF phases, which cannot raise the
+//     maximum, counted by bisect() calls: they fire for a type that
+//     declares core::monotone_bisect_v (and, for BA-HF's walk,
+//     core::pure_bisect_v), and nowhere else.
 #include <gtest/gtest.h>
 
 #include <bit>
@@ -87,9 +88,10 @@ struct InfiniteRootProblem {
   }
 };
 
-/// A SyntheticProblem that counts its bisect() calls in `*calls`.  Only
-/// CountingProblem<true> declares core::monotone_bisect_v.
-template <bool Monotone>
+/// A SyntheticProblem that counts its bisect() calls in `*calls`.  It
+/// declares core::monotone_bisect_v when `Monotone`, and core::pure_bisect_v,
+/// which lets HF walk it, when `Pure`.
+template <bool Monotone, bool Pure = false>
 struct CountingProblem {
   problems::SyntheticProblem inner;
   std::int64_t* calls;
@@ -115,10 +117,12 @@ inline constexpr bool
 template <>
 inline constexpr bool
     lbb::core::pure_bisect_v<lbb::core::detail::InfiniteRootProblem> = true;
-template <>
-inline constexpr bool
-    lbb::core::monotone_bisect_v<lbb::core::detail::CountingProblem<true>> =
-        true;
+template <bool Pure>
+inline constexpr bool lbb::core::monotone_bisect_v<
+    lbb::core::detail::CountingProblem<true, Pure>> = true;
+template <bool Monotone>
+inline constexpr bool lbb::core::pure_bisect_v<
+    lbb::core::detail::CountingProblem<Monotone, true>> = true;
 
 namespace lbb::core::detail {
 namespace {
@@ -235,7 +239,7 @@ void expect_matches_full_hf(std::int64_t& walked, std::int64_t& fell_back,
           << "n=" << n << " seed=" << seed;
       ASSERT_EQ(got.bisections, want.bisections);
       (got.walked ? walked : fell_back) += 1;
-      if (got.walked && want.max_weight() < root.w / n * (1.0 - 0x1p-20)) {
+      if (got.walked && want.max_weight() < hf_walk_threshold(root.w, n)) {
         ++below_first_threshold;
       }
       full_ws.recycle(std::move(want));
@@ -335,7 +339,6 @@ TEST(BaLaneProperty, MatchesScalarBaFamilyLaneByLane) {
   constexpr std::int32_t kInstances = 8;
   for (const AlphaDistribution& dist : dists) {
     const double alpha = dist.lower_bound();
-    const BaHfParams params{alpha, 1.0};
     for (const std::int32_t n : {1, 2, 3, 31, 100, 1000, 4097, 16384}) {
       std::uint64_t instance[kInstances];
       for (std::int32_t i = 0; i < kInstances; ++i) {
@@ -379,16 +382,23 @@ TEST(BaLaneProperty, MatchesScalarBaFamilyLaneByLane) {
           [n, alpha](const SyntheticProblem& root) {
             return ba_star_partition(root, n, alpha);
           });
-      expect_same(
-          "ba_hf",
-          [n, params](MaxSink& sink, TrialWorkspace<SyntheticProblem>& ws,
-                      const SyntheticProblem& root) {
-            ba_hf_run(sink, ws, root, n, {},
-                      ba_hf_switch_threshold(params.alpha, params.beta));
-          },
-          [n, params](const SyntheticProblem& root) {
-            return ba_hf_partition(root, n, params);
-          });
+      // BA-HF's switch threshold puts its HF phases below and above the
+      // walk's cut-over, and from its second phase on the max sink floors
+      // their walks at the heaviest piece so far, which point(0.5) ties.
+      for (const double beta : {0.25, 1.0, 4.0}) {
+        const BaHfParams params{alpha, beta};
+        const std::string algo = "ba_hf beta=" + std::to_string(beta);
+        expect_same(
+            algo.c_str(),
+            [n, params](MaxSink& sink, TrialWorkspace<SyntheticProblem>& ws,
+                        const SyntheticProblem& root) {
+              ba_hf_run(sink, ws, root, n, {},
+                        ba_hf_switch_threshold(params.alpha, params.beta));
+            },
+            [n, params](const SyntheticProblem& root) {
+              return ba_hf_partition(root, n, params);
+            });
+      }
     }
   }
 }
@@ -456,6 +466,111 @@ TEST(BaLaneProperty, MaxSinkBaSkipsOnlyWhereAllowed) {
                   dist.describe().c_str(), n,
                   static_cast<double>(kept) /
                       (static_cast<double>(kInstances) * (n - 1)));
+    }
+  }
+}
+
+/// BA-HF under the max sink against its full partition, on root `root` of
+/// a type that ba_hf_partition accepts: the same maximum bits and count.
+template <typename P>
+void expect_ba_hf_matches_full(const P& root, std::int32_t n,
+                               const BaHfParams& params,
+                               TrialWorkspace<P>& ws, const std::string& what) {
+  const auto want = ba_hf_partition(root, n, params);
+  MaxSink sink;
+  ba_hf_run(sink, ws, root, n, {},
+            ba_hf_switch_threshold(params.alpha, params.beta));
+  ASSERT_EQ(bits(sink.max), bits(want.max_weight())) << what;
+  ASSERT_EQ(sink.bisections, want.bisections) << what;
+}
+
+TEST(BaLaneProperty, MaxSinkBaHfBoundsOnlyWhereAllowed) {
+  const AlphaDistribution dists[] = {
+      AlphaDistribution::uniform(0.01, 0.5),
+      AlphaDistribution::uniform(0.1, 0.5),
+  };
+  constexpr std::int32_t kInstances = 32;
+  using Bounded = CountingProblem<true, true>;
+  using PureOnly = CountingProblem<false, true>;
+  static_assert(TreeWalkable<Bounded> && monotone_bisect_v<Bounded>);
+  static_assert(TreeWalkable<PureOnly> && !monotone_bisect_v<PureOnly>);
+  TrialWorkspace<Bounded> ws;
+  TrialWorkspace<PureOnly> pure_ws;
+  for (const AlphaDistribution& dist : dists) {
+    const BaHfParams params{dist.lower_bound(), 1.0};
+    const std::int32_t threshold =
+        ba_hf_switch_threshold(params.alpha, params.beta);
+    // Fig. 5's HF phases have at most 10 pieces, below the walk's cut-over:
+    // without the floor they run on the heap.
+    const bool small_phases = threshold <= kCutOver;
+    for (const std::int32_t n : {64, 1024, 16384}) {
+      std::int64_t kept = 0;
+      for (std::int32_t i = 0; i < kInstances; ++i) {
+        const std::uint64_t instance =
+            stats::mix64(0xba4f, static_cast<std::uint64_t>(n) * kInstances +
+                                     static_cast<std::uint64_t>(i));
+        const SyntheticProblem root(instance, dist);
+        const std::string what = describe(dist, n, instance);
+        const auto want = ba_hf_partition(root, n, params);
+        ASSERT_EQ(want.bisections, n - 1) << what;
+
+        // The opted-in type: same answer; once the maximum passes w/n,
+        // HF phases that cannot raise it bisect only the nodes above it.
+        std::int64_t calls = 0;
+        MaxSink sink;
+        ba_hf_run(sink, ws, Bounded{root, &calls}, n, {}, threshold);
+        ASSERT_EQ(bits(sink.max), bits(want.max_weight())) << what;
+        ASSERT_EQ(sink.bisections, n - 1) << what;
+        kept += calls;
+
+        // Pure but not monotone: no floor, so small phases take the heap
+        // and bisect exactly as the full partition does.
+        if (small_phases) {
+          std::int64_t pure_calls = 0;
+          MaxSink pure;
+          ba_hf_run(pure, pure_ws, PureOnly{root, &pure_calls}, n, {},
+                    threshold);
+          ASSERT_EQ(bits(pure.max), bits(want.max_weight())) << what;
+          ASSERT_EQ(pure.bisections, n - 1) << what;
+          ASSERT_EQ(pure_calls, n - 1) << what;
+        }
+      }
+      // The share of BA-HF's bisections the max sink still makes (DESIGN.md
+      // section 10.1 records these).  Unfloored walks (the first phase, and
+      // phases heavier per processor than the maximum so far) bisect about
+      // two nodes per piece, so a single trial on U[0.01,0.5] at 1024 may make
+      // more than n - 1 calls; the cell's total may not.
+      const std::int64_t all = std::int64_t{kInstances} * (n - 1);
+      std::printf("[   kept   ] BA-HF %s n=%d: %.3f of n-1 bisections\n",
+                  dist.describe().c_str(), n,
+                  static_cast<double>(kept) / static_cast<double>(all));
+      if (n >= 1024) {
+        EXPECT_LT(kept, all) << dist.describe() << " n=" << n;
+      }
+    }
+  }
+
+  // Types that are pure but not monotone get no floor: the walk from 32
+  // pieces and the heap below check every bisection they make, here a
+  // heavier child that sometimes outweighs its parent and children that
+  // shrink.
+  for (const BaHfParams params : {BaHfParams{0.01, 1.0}, BaHfParams{0.1, 1.0},
+                                  BaHfParams{0.1, 4.0}}) {
+    TrialWorkspace<HeavierChildProblem> heavier_ws;
+    TrialWorkspace<ShrinkingProblem> shrinking_ws;
+    for (const std::int32_t n : {64, 1024, 4096}) {
+      for (std::uint64_t seed = 0; seed < kSeeds; ++seed) {
+        const std::string what = "n=" + std::to_string(n) +
+                                 " alpha=" + std::to_string(params.alpha) +
+                                 " beta=" + std::to_string(params.beta) +
+                                 " seed=" + std::to_string(seed);
+        const std::uint64_t hash = stats::mix64(0xba4e, seed);
+        const double w = 1.0 + static_cast<double>(seed);
+        expect_ba_hf_matches_full(HeavierChildProblem{hash, w}, n, params,
+                                  heavier_ws, "heavier child " + what);
+        expect_ba_hf_matches_full(ShrinkingProblem{hash, w}, n, params,
+                                  shrinking_ws, "shrinking " + what);
+      }
     }
   }
 }

@@ -4,8 +4,9 @@
 # Runs lbb-lint, then `lbb_bench table1` on a small grid at --threads=1, 2
 # and 8 and requires the CSVs to be byte-identical, then runs `lbb_bench
 # tail_study --smoke` so the max-sink trials of the builtin families --
-# including both paths of HF, the tree walk and the queue fallback -- are
-# byte-compared against full partitions at one and two threads.  Pure
+# including both paths of HF, the tree walk and the queue fallback, and
+# BA-HF's floored walks on small HF phases -- are byte-compared against
+# full partitions at one and two threads.  Pure
 # output comparison -- no wall-clock assertions, so it is safe on loaded
 # or single-core CI runners.
 #
@@ -89,9 +90,11 @@ done
 echo "== max-sink byte-identity: lbb_bench tail_study --smoke =="
 # The kernels under the max sink must reproduce full partitions exactly --
 # RunningStats, bisection counts and every histogram bin -- at one and two
-# threads, on U[0.01,0.5] (HF takes the tree walk) and U[0.02,0.04] (it
-# falls back to the selection queue).  The reference study runs par:ba,
-# par:ba_star, par:ba_hf and phf:oracle, which build every piece.
+# threads, on U[0.01,0.5] (HF takes the tree walk), U[0.1,0.5] (BA-HF's HF
+# phases of at most 10 pieces walk below the heap's cut-over once the
+# heaviest piece so far floors them) and U[0.02,0.04] (HF falls back to the
+# selection queue).  The reference study runs par:ba, par:ba_star,
+# par:ba_hf and phf:oracle, which build every piece.
 "$LBB" tail_study --smoke
 echo "ok: max-sink trials byte-identical to full partitions"
 
