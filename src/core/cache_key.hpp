@@ -118,7 +118,8 @@ enum class ProblemClass : std::uint64_t {
 /// Canonical key for partitioning SyntheticProblem(problem_seed,
 /// U[alpha_lo, alpha_hi]) into n pieces with `algo`(alpha, beta).  Throws
 /// std::invalid_argument for malformed inputs (algo too long, n < 1,
-/// inverted band, out-of-range parameters).
+/// inverted band, a band whose lower end rounds to 0, out-of-range
+/// parameters).
 [[nodiscard]] inline PartitionCacheKey make_synthetic_cache_key(
     std::string_view algo, std::uint64_t problem_seed, std::int32_t n,
     double alpha_lo, double alpha_hi, double alpha = 0.25,
@@ -136,9 +137,13 @@ enum class ProblemClass : std::uint64_t {
   key.n = n;
   key.alpha_lo_q = quantize_param(alpha_lo);
   key.alpha_hi_q = quantize_param(alpha_hi);
-  if (key.alpha_lo_q > key.alpha_hi_q || key.alpha_hi_q == 0) {
+  // The canonical band must itself be valid (AlphaDistribution needs
+  // lo > 0), so an alpha_lo below half a quantum is refused here rather
+  // than failing in every compute of its key.
+  if (key.alpha_lo_q == 0 || key.alpha_lo_q > key.alpha_hi_q) {
     throw std::invalid_argument(
-        "PartitionCacheKey: alpha band empty or inverted");
+        "PartitionCacheKey: alpha band empty, inverted or below one "
+        "quantum");
   }
   key.alpha_q = quantize_param(alpha);
   key.beta_q = quantize_param(beta);

@@ -23,6 +23,13 @@ constexpr std::uint8_t raw(ServiceStatus status) noexcept {
   return static_cast<std::uint8_t>(status);
 }
 
+/// Nanoseconds from `start` to now.
+double ns_since(std::chrono::steady_clock::time_point start) {
+  return std::chrono::duration<double, std::nano>(
+             std::chrono::steady_clock::now() - start)
+      .count();
+}
+
 /// `config` with its defaults resolved: workers 0 -> hardware threads.
 ServiceConfig resolved(ServiceConfig config) {
   if (config.workers <= 0) {
@@ -112,8 +119,9 @@ PartitionService::~PartitionService() { stop(); }
 
 bool PartitionService::try_submit(PartitionRequest& req) {
   // Canonicalize first: malformed specs throw before anything is queued.
-  // The band bound mirrors AlphaDistribution::uniform (0 < lo <= hi <= 1/2)
-  // so a queued request can only fail for server-side reasons.
+  // The band bound mirrors AlphaDistribution::uniform (0 < lo <= hi <= 1/2),
+  // and the key refuses a band whose canonical lower end rounds to 0, so a
+  // queued request can only fail for server-side reasons.
   if (!(req.spec.alpha_lo > 0.0) || !(req.spec.alpha_lo <= req.spec.alpha_hi) ||
       !(req.spec.alpha_hi <= 0.5)) {
     throw std::invalid_argument(
@@ -131,9 +139,21 @@ bool PartitionService::try_submit(PartitionRequest& req) {
   req.state_.store(raw(ServiceStatus::kPending));
 
   ServiceStatus refusal = ServiceStatus::kRejected;
+  std::shared_ptr<const PartitionResult> hit;
+  double hit_latency_ns = 0.0;
   {
     core::MutexLock lock(mu_);
-    if (stop_) {
+    if (!stop_ && !req.bypass_cache && !req.cancelled_at(req.enqueue_)) {
+      hit = cache_lookup(req.key_);
+    }
+    if (hit != nullptr) {
+      // Answered at admission: no task, no queued_ slot, no worker
+      // wake-up.  dispatch() looks keys up again, for those cached while
+      // their request waited in the queue.
+      ++counters_.submitted;
+      hit_latency_ns = ns_since(req.enqueue_);
+      account(ServiceStatus::kOk, Outcome::kHit, hit_latency_ns);
+    } else if (stop_) {
       refusal = ServiceStatus::kShutdown;
       ++counters_.shutdown_drained;
     } else if (queued_ < config_.queue_capacity) {
@@ -154,6 +174,11 @@ bool PartitionService::try_submit(PartitionRequest& req) {
     } else {
       ++counters_.rejected;
     }
+  }
+  if (hit != nullptr) {
+    publish(&req, ServiceStatus::kOk, std::move(hit), Outcome::kHit,
+            hit_latency_ns);
+    return true;
   }
   if (refusal != ServiceStatus::kPending) {
     req.state_.store(raw(refusal));
@@ -197,17 +222,18 @@ void PartitionService::stop() {
     core::MutexLock lock(mu_);
     stop_ = true;
   }
-  // Every accepted request's task is already on the pool; the ones that
-  // start from here on complete with kShutdown, so an idle pool means
-  // every accepted request is terminal.
+  // Every accepted request is terminal already (a hit answered at
+  // admission) or has its task on the pool; the tasks that start from here
+  // on complete with kShutdown, so an idle pool means every accepted
+  // request is terminal.
   pool_.wait_idle();
 }
 
 void PartitionService::handle(PartitionRequest* req) noexcept {
-  // Attribute this worker's heap traffic to the request it served.  Warm
-  // cache hits must contribute zero (the perf alloc gate pins this);
-  // misses pay for the cached result and its cache node, which is the
-  // cold path by definition.
+  // Attribute this worker's heap traffic to the request it served.  A hit
+  // found here (its key was cached while the request waited) must
+  // contribute zero; misses pay for the cached result and its cache node,
+  // which is the cold path by definition.
   const stats::AllocStats before = stats::alloc_stats();
   dispatch(req);
   const stats::AllocStats delta = stats::alloc_stats() - before;
@@ -233,16 +259,11 @@ void PartitionService::dispatch(PartitionRequest* req) {
     --queued_;  // the task has started
     if (stop_) {
       early = ServiceStatus::kShutdown;
-    } else if ((req->cancel != nullptr && req->cancel->cancelled()) ||
-               (req->has_deadline_ && now > req->deadline_)) {
+    } else if (req->cancelled_at(now)) {
       early = ServiceStatus::kCancelled;
     } else if (share) {
-      auto it = cache_.find(req->key_);
-      if (it != cache_.end()) {
-        hit = it->second.result;
-        // Second chance: a hit entry survives the next sweep pass.
-        clock_[it->second.slot].referenced = true;
-      } else {
+      hit = cache_lookup(req->key_);
+      if (hit == nullptr) {
         // Single-flight: a same-key compute already running absorbs this
         // request; the computing task completes it with the shared result.
         for (Batch* running : inflight_) {
@@ -332,8 +353,7 @@ void PartitionService::compute_batch(PartitionRequest* root, Batch& batch,
     if (status != ServiceStatus::kOk) {
       req->error_ = error;
       complete(req, ServiceStatus::kError, nullptr, outcome);
-    } else if ((req->cancel != nullptr && req->cancel->cancelled()) ||
-               (req->has_deadline_ && now > req->deadline_)) {
+    } else if (req->cancelled_at(now)) {
       // Cancelled while the batch computed: the requester gets kCancelled,
       // but the computed value is still correct for the key and stays
       // cached -- cancellation never poisons the cache.
@@ -395,48 +415,66 @@ const core::Partitioner& PartitionService::partitioner_for(
   return *it->second;
 }
 
+std::shared_ptr<const PartitionResult> PartitionService::cache_lookup(
+    const core::PartitionCacheKey& key) {
+  auto it = cache_.find(key);
+  if (it == cache_.end()) return nullptr;
+  // Second chance: a hit entry survives the next sweep pass.
+  clock_[it->second.slot].referenced = true;
+  return it->second.result;
+}
+
 void PartitionService::complete(PartitionRequest* req, ServiceStatus status,
                                 std::shared_ptr<const PartitionResult> result,
                                 Outcome outcome) {
-  const double latency_ns = std::chrono::duration<double, std::nano>(
-                                Clock::now() - req->enqueue_)
-                                .count();
+  const double latency_ns = ns_since(req->enqueue_);
   {
     core::MutexLock lock(mu_);
-    ++counters_.completed;
-    switch (status) {
-      case ServiceStatus::kOk:
-        ++counters_.served_ok;
-        latency_.record(latency_ns);
-        break;
-      case ServiceStatus::kCancelled:
-        ++counters_.cancelled;
-        break;
-      case ServiceStatus::kShutdown:
-        ++counters_.shutdown_drained;
-        break;
-      case ServiceStatus::kError:
-        ++counters_.errors;
-        break;
-      default:
-        break;
-    }
-    switch (outcome) {
-      case Outcome::kHit:
-        ++counters_.cache_hits;
-        break;
-      case Outcome::kMiss:
-        ++counters_.cache_misses;
-        break;
-      case Outcome::kCoalesced:
-        break;  // counted when the request attached to the batch
-      case Outcome::kBypass:
-        ++counters_.bypassed;
-        break;
-      case Outcome::kNone:
-        break;
-    }
+    account(status, outcome, latency_ns);
   }
+  publish(req, status, std::move(result), outcome, latency_ns);
+}
+
+void PartitionService::account(ServiceStatus status, Outcome outcome,
+                               double latency_ns) {
+  ++counters_.completed;
+  switch (status) {
+    case ServiceStatus::kOk:
+      ++counters_.served_ok;
+      latency_.record(latency_ns);
+      break;
+    case ServiceStatus::kCancelled:
+      ++counters_.cancelled;
+      break;
+    case ServiceStatus::kShutdown:
+      ++counters_.shutdown_drained;
+      break;
+    case ServiceStatus::kError:
+      ++counters_.errors;
+      break;
+    default:
+      break;
+  }
+  switch (outcome) {
+    case Outcome::kHit:
+      ++counters_.cache_hits;
+      break;
+    case Outcome::kMiss:
+      ++counters_.cache_misses;
+      break;
+    case Outcome::kCoalesced:
+      break;  // counted when the request attached to the batch
+    case Outcome::kBypass:
+      ++counters_.bypassed;
+      break;
+    case Outcome::kNone:
+      break;
+  }
+}
+
+void PartitionService::publish(PartitionRequest* req, ServiceStatus status,
+                               std::shared_ptr<const PartitionResult> result,
+                               Outcome outcome, double latency_ns) noexcept {
   req->latency_ns_ = latency_ns;
   req->from_cache_ =
       outcome == Outcome::kHit || outcome == Outcome::kCoalesced;

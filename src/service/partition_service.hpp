@@ -4,15 +4,28 @@
 //
 // Request lifecycle:
 //
-//   caller                 one task per request on the service's ThreadPool
-//   ------                 ------------------------------------------------
-//   PartitionRequest req   1. stopped?            -> kShutdown
-//   submit(req) ───────►   2. cancelled/expired?  -> kCancelled
-//     (kRejected when      3. memo-cache lookup   -> kOk (hit)
-//      queue_capacity      4. same key in flight? -> attach to that batch
-//      tasks wait)         5. else compute once, fill the cache, complete
-//   req.wait()                every request the batch coalesced
-//     ◄─────────────────
+//   caller: try_submit(req), one critical section  a task on the pool
+//   ---------------------------------------------  ------------------
+//   a. stopped?                  -> kShutdown (false)
+//   b. cached key, not bypass_cache, not cancelled/expired?
+//                                -> kOk (hit) on the caller's thread,
+//                                   before try_submit returns; no task
+//   c. queue_capacity tasks wait -> kRejected (false)
+//   d. else enqueue one task ───────────────────►  1. stopped? -> kShutdown
+//                                                  2. cancelled/expired?
+//                                                     -> kCancelled
+//                                                  3. memo-cache lookup
+//                                                     -> kOk (hit)
+//                                                  4. same key in flight?
+//                                                     -> attach to its batch
+//                                                  5. else compute once,
+//                                                     fill the cache, and
+//   req.wait()  ◄───────────────────────────────      complete every
+//                                                     request the batch
+//                                                     coalesced
+//
+// Steps 3 and 4 catch a key that was cached, or put in flight, while the
+// request waited in the queue.
 //
 // Determinism & memoization: requests are canonicalized into a
 // core::PartitionCacheKey (quantized alpha-band; see core/cache_key.hpp)
@@ -22,17 +35,18 @@
 // The `service` ctest suite asserts this for every deterministic
 // partitioner family.
 //
-// Allocation contract: warm serving (cache hits) is allocation-free on
-// both sides -- the batcher's in-flight table, the latency reservoir and
-// the completion protocol (C++20 atomic wait/notify) are preallocated, the
-// pool's task ring stops growing once it has held the deepest backlog, and
-// a hit only copies a shared_ptr.  Worker-side
+// Allocation contract: warm serving (cache hits) is allocation-free -- a
+// hit found at admission touches only the caller's thread, the latency
+// reservoir and the completion protocol (C++20 atomic wait/notify) are
+// preallocated, and a hit only copies a shared_ptr.  On the task path the
+// batcher's in-flight table is preallocated and the pool's task ring
+// stops growing once it has held the deepest backlog.  Worker-side
 // allocations are measured per request (stats/alloc_stats.hpp) and
 // surface as ServiceStats::alloc_count, which the perf alloc gate pins to
 // zero in the warm steady state.  Misses allocate (the cached result, the
 // cache node): that is the cold path by definition.
 //
-// Tail latency: every served request records enqueue-to-completion time in
+// Tail latency: every served request records submit-to-completion time in
 // a stats::PercentileReservoir; snapshot() exposes p50/p95/p99 and
 // partitions/sec.  The repository benchmark times the service from
 // outside (benchmark/serve.cpp).
@@ -134,9 +148,10 @@ class PartitionRequest {
   RequestSpec spec;
 
   /// Optional cooperative cancellation (not owned; may be nullptr).
-  /// Checked when the request's task starts and again when its batch
-  /// completes: firing mid-batch yields kCancelled without poisoning the
-  /// cache -- the computed value is still valid for the key.
+  /// Checked at admission (a cancelled request is not answered there, even
+  /// from the cache), when the request's task starts and again when its
+  /// batch completes: firing mid-batch yields kCancelled without poisoning
+  /// the cache -- the computed value is still valid for the key.
   const core::CancelToken* cancel = nullptr;
 
   /// Skip the memo cache and the batcher entirely: always compute, never
@@ -164,7 +179,7 @@ class PartitionRequest {
   [[nodiscard]] bool served_from_cache() const noexcept {
     return from_cache_;
   }
-  /// Enqueue-to-completion latency of the last run (milliseconds).
+  /// Submit-to-completion latency of the last run (milliseconds).
   [[nodiscard]] double latency_ms() const noexcept {
     return latency_ns_ / 1e6;
   }
@@ -180,6 +195,12 @@ class PartitionRequest {
  private:
   friend class PartitionService;
   using Clock = std::chrono::steady_clock;
+
+  /// The token has fired or the deadline had passed at `now`.
+  [[nodiscard]] bool cancelled_at(Clock::time_point now) const noexcept {
+    return (cancel != nullptr && cancel->cancelled()) ||
+           (has_deadline_ && now > deadline_);
+  }
 
   core::PartitionCacheKey key_;
   Clock::time_point enqueue_{};
@@ -200,7 +221,8 @@ struct ServiceConfig {
   std::int32_t workers = 0;
   /// Admission bound: accepted requests whose task has not started yet.
   /// Submissions beyond it are rejected with a typed error (admission
-  /// control), never queued unboundedly.
+  /// control), never queued unboundedly.  A request answered from the
+  /// cache at admission takes no slot, so a full queue still serves hits.
   std::int32_t queue_capacity = 1024;
   /// Memoization cache entry bound (0 caches nothing).  At capacity, a new
   /// entry evicts a cold one by second-chance (clock): a hit sets the
@@ -254,11 +276,15 @@ class PartitionService {
   PartitionService(const PartitionService&) = delete;
   PartitionService& operator=(const PartitionService&) = delete;
 
-  /// Enqueues `req`.  Returns false -- with req.status() kRejected or
+  /// Admits `req`.  Returns false -- with req.status() kRejected or
   /// kShutdown already final -- when admission control refuses; true means
-  /// the caller must req.wait() before reusing or destroying the block.
+  /// the caller must req.wait() before reusing or destroying the block.  A
+  /// cached key (not bypass_cache, not cancelled or expired) is answered
+  /// here, on the calling thread: true with req.status() already kOk and
+  /// no task enqueued.  Every other accepted request becomes one pool task.
   /// Throws std::invalid_argument for malformed specs (unknown-size algo
-  /// name, n < 1, empty alpha band) before the request is queued.
+  /// name, n < 1, an alpha band that is empty or rounds to 0) before the
+  /// request is admitted.
   [[nodiscard]] bool try_submit(PartitionRequest& req) LBB_EXCLUDES(mu_);
 
   /// Like try_submit, but refusal throws AdmissionError (typed, carries
@@ -330,6 +356,20 @@ class PartitionService {
       const core::PartitionCacheKey& key);
   [[nodiscard]] const core::Partitioner& partitioner_for(
       const core::PartitionCacheKey& key) LBB_EXCLUDES(part_mu_);
+  /// The cached answer for `key` (nullptr on a miss); a hit sets the
+  /// entry's second-chance bit.
+  [[nodiscard]] std::shared_ptr<const PartitionResult> cache_lookup(
+      const core::PartitionCacheKey& key) LBB_REQUIRES(mu_);
+  /// The accounting half of a completion: counters and, for kOk, the
+  /// latency sample.
+  void account(ServiceStatus status, Outcome outcome, double latency_ns)
+      LBB_REQUIRES(mu_);
+  /// The publishing half: the request's fields, then the terminal-state
+  /// store that releases wait().  Runs without mu_.
+  static void publish(PartitionRequest* req, ServiceStatus status,
+                      std::shared_ptr<const PartitionResult> result,
+                      Outcome outcome, double latency_ns) noexcept;
+  /// account() under mu_, then publish(): the task path's completion.
   void complete(PartitionRequest* req, ServiceStatus status,
                 std::shared_ptr<const PartitionResult> result,
                 Outcome outcome) LBB_EXCLUDES(mu_);
@@ -338,7 +378,8 @@ class PartitionService {
 
   mutable core::Mutex mu_;
   /// Accepted requests whose task has not yet entered dispatch's critical
-  /// section; bounded by config_.queue_capacity.
+  /// section; bounded by config_.queue_capacity.  Hits answered at
+  /// admission never count here.
   std::int32_t queued_ LBB_GUARDED_BY(mu_) = 0;
   bool stop_ LBB_GUARDED_BY(mu_) = false;
 
@@ -362,7 +403,7 @@ class PartitionService {
   std::size_t clock_hand_ LBB_GUARDED_BY(mu_) = 0;
   std::vector<Batch*> inflight_ LBB_GUARDED_BY(mu_);  ///< <= workers deep
 
-  // Counters (under mu_; complete() folds latency in the same critical
+  // Counters (under mu_; account() folds latency in the same critical
   // section so percentiles and counts never disagree).
   stats::PercentileReservoir latency_ LBB_GUARDED_BY(mu_);
   ServiceStats counters_ LBB_GUARDED_BY(mu_);

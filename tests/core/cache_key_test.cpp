@@ -94,6 +94,11 @@ TEST(CacheKey, ValidatesInputs) {
                std::invalid_argument);
   EXPECT_THROW((void)make_synthetic_cache_key("ba", 1, 64, 0.0, 0.0),
                std::invalid_argument);
+  // A band whose lower end rounds to 0 (below 2^-21, half a quantum);
+  // 1e-6, about 1.05 quanta, rounds to one quantum and is accepted.
+  EXPECT_THROW((void)make_synthetic_cache_key("ba", 1, 64, 4e-7, 0.5),
+               std::invalid_argument);
+  EXPECT_EQ(make_synthetic_cache_key("ba", 1, 64, 1e-6, 0.5).alpha_lo_q, 1u);
   // Out-of-range parameters (negative, NaN, too large).
   EXPECT_THROW((void)quantize_param(-0.1), std::invalid_argument);
   EXPECT_THROW((void)quantize_param(2048.0), std::invalid_argument);

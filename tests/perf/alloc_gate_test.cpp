@@ -318,11 +318,12 @@ TEST(AllocGate, ParallelForChunksSteadyStateIsAllocationFree) {
 
 // ---------------------------------------------------------------------------
 // Resident service: warm cache-hit serving must be end-to-end
-// allocation-free -- on the caller thread (submit + wait are an insert into
-// the pool's warm task ring and an atomic wait) and on the pool worker
-// (dispatch + complete of a hit touch only preallocated state), which the
-// service attributes itself by measuring alloc_stats() deltas around every
-// request it handles.
+// allocation-free.  A hit is answered inside try_submit, on the caller's
+// thread: the key, the cache lookup, the latency sample and the completion
+// touch only preallocated state, and wait() returns at once.  No pool task
+// runs, so the worker side -- which the service attributes itself by
+// measuring alloc_stats() deltas around every task it handles -- must stay
+// at zero too.
 
 TEST(AllocGate, ServiceWarmCacheHitsAreAllocationFree) {
   service::ServiceConfig cfg;
@@ -333,7 +334,7 @@ TEST(AllocGate, ServiceWarmCacheHitsAreAllocationFree) {
   spec.n = 256;
   service::PartitionRequest req;
   // Warm: the first call computes and caches; a few hits exercise every
-  // lazily-sized structure on both sides of the queue.
+  // lazily-sized structure on the hit path.
   for (int warm = 0; warm < 5; ++warm) {
     req.spec = spec;
     svc.submit(req);

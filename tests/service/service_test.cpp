@@ -1,9 +1,10 @@
 // Tests for the resident PartitionService (src/service/): cache-hit /
 // cache-miss byte identity across every registered partitioner family,
-// single-flight batching, admission control, cancellation under load
-// (queued and mid-batch, without cache poisoning), shutdown draining, and
-// stats/reporting.  The `service` ctest label groups these; the
-// determinism harness runs them when given a build directory.
+// single-flight batching, hits answered at admission, admission control,
+// cancellation under load (queued and mid-batch, without cache poisoning),
+// failed computes (never cached), shutdown draining, and stats/reporting.
+// The `service` ctest label groups these; the determinism harness runs
+// them when given a build directory.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -60,10 +61,12 @@ bool eventually(Pred pred) {
 // ---------------------------------------------------------------------------
 // A registry-registered partitioner that blocks inside run() until a gate
 // opens, so tests can hold a batch in its computing phase deterministically.
+// With `fail` set it throws once the gate opens, so a compute fails.
 
 struct GateState {
   std::atomic<int> entered{0};
   std::atomic<bool> open{false};
+  std::atomic<bool> fail{false};
 };
 
 class GatePartitioner final : public core::Partitioner {
@@ -84,6 +87,9 @@ class GatePartitioner final : public core::Partitioner {
     ctx.checkpoint();
     state_->entered.fetch_add(1);
     while (!state_->open.load()) std::this_thread::yield();
+    if (state_->fail.load()) {
+      throw std::runtime_error("svc_test:gate: injected failure");
+    }
     core::TrialWorkspace<core::AnyProblem> ws;
     return core::ba_partition(ws, std::move(problem), n, {});
   }
@@ -133,8 +139,20 @@ TEST(PartitionService, RejectsMalformedSpecsBeforeQueueing) {
   req.spec = spec_for("ba");
   req.spec.alpha_hi = 0.6;  // and hi <= 1/2
   EXPECT_THROW((void)svc.try_submit(req), std::invalid_argument);
+  // A positive lo below half a key quantum (2^-21) would compute from a
+  // canonical band [0, hi], which AlphaDistribution refuses: it must throw
+  // here, not complete kError from its task.
+  req.spec = spec_for("ba");
+  req.spec.alpha_lo = 4e-7;
+  bool accepted = false;
+  EXPECT_THROW(accepted = svc.try_submit(req), std::invalid_argument);
+  if (accepted) (void)req.wait();  // the block must not be re-armed pending
   const ServiceStats stats = svc.snapshot();
   EXPECT_EQ(stats.submitted, 0);
+  // One quantum is the smallest band that is served.
+  req.spec.alpha_lo = 1e-6;
+  svc.submit(req);
+  EXPECT_EQ(req.wait(), ServiceStatus::kOk) << req.error_message();
 }
 
 TEST(PartitionService, UnknownAlgoCompletesWithTypedError) {
@@ -149,6 +167,60 @@ TEST(PartitionService, UnknownAlgoCompletesWithTypedError) {
   const ServiceStats stats = svc.snapshot();
   EXPECT_EQ(stats.errors, 1);
   EXPECT_EQ(stats.cache_entries, 0);  // failures are never cached
+}
+
+// A failed compute never reaches the cache, so neither lookup -- at
+// admission or at task start -- can answer its key: a repeat computes
+// again, a follower coalesced onto the failing batch shares its error, and
+// once the partitioner recovers the key is computed, not hit.
+TEST(PartitionService, FailedComputeNeverReachesTheCache) {
+  PartitionRequest first, again, leader, follower, later;
+  auto gate = install_gate();
+  gate->fail.store(true);
+  gate->open.store(true);
+  PartitionService svc(small_config(2));
+
+  first.spec = again.spec = spec_for("svc_test:gate");
+  svc.submit(first);
+  ASSERT_EQ(first.wait(), ServiceStatus::kError);
+  EXPECT_NE(first.error_message().find("injected failure"),
+            std::string::npos);
+  svc.submit(again);
+  ASSERT_EQ(again.wait(), ServiceStatus::kError);
+  EXPECT_FALSE(again.served_from_cache());
+  ServiceStats stats = svc.snapshot();
+  EXPECT_EQ(stats.errors, 2);
+  EXPECT_EQ(stats.cache_misses, 2);
+  EXPECT_EQ(stats.cache_hits, 0);
+  EXPECT_EQ(stats.cache_entries, 0);
+  EXPECT_EQ(gate->entered.load(), 2);
+
+  gate->open.store(false);
+  leader.spec = follower.spec = spec_for("svc_test:gate");
+  svc.submit(leader);
+  ASSERT_TRUE(eventually([&] { return gate->entered.load() == 3; }));
+  svc.submit(follower);
+  ASSERT_TRUE(eventually([&] { return svc.snapshot().coalesced == 1; }));
+  gate->open.store(true);
+  EXPECT_EQ(leader.wait(), ServiceStatus::kError);
+  EXPECT_EQ(follower.wait(), ServiceStatus::kError);
+  EXPECT_EQ(follower.result(), nullptr);
+  EXPECT_EQ(follower.error_message(), leader.error_message());
+  EXPECT_EQ(gate->entered.load(), 3);  // the follower did not compute
+  stats = svc.snapshot();
+  EXPECT_EQ(stats.errors, 4);
+  EXPECT_EQ(stats.cache_hits, 0);
+  EXPECT_EQ(stats.cache_entries, 0);
+
+  gate->fail.store(false);
+  later.spec = spec_for("svc_test:gate");
+  svc.submit(later);
+  ASSERT_EQ(later.wait(), ServiceStatus::kOk);
+  EXPECT_FALSE(later.served_from_cache());
+  EXPECT_EQ(gate->entered.load(), 4);
+  stats = svc.snapshot();
+  EXPECT_EQ(stats.cache_hits, 0);
+  EXPECT_EQ(stats.cache_entries, 1);
 }
 
 // ---------------------------------------------------------------------------
@@ -318,6 +390,145 @@ TEST(PartitionService, CoalescesSameKeyRequestsIntoOneCompute) {
   EXPECT_TRUE(follower.served_from_cache());
   EXPECT_EQ(follower.result().get(), leader.result().get());
   EXPECT_EQ(gate->entered.load(), 1);  // one compute served both
+}
+
+// ---------------------------------------------------------------------------
+// Hits answered at admission: a cached key completes inside try_submit, on
+// the caller's thread, with no pool task.  These tests hold the single
+// worker in the gate, so only an answer given at admission can complete
+// before the gate opens.
+
+/// A one-worker service with spec_for("ba") cached and its worker held in
+/// the gate by `blocker`.  Declare requests before it: its destructor opens
+/// the gate, and the service's stop() then drains whatever is still
+/// queued, so requests must outlive it.
+struct HeldWorker {
+  explicit HeldWorker(ServiceConfig cfg) : svc(cfg) {
+    cached = svc.call(spec_for("ba"));
+    blocker.spec = spec_for("svc_test:gate");
+    svc.submit(blocker);
+  }
+  ~HeldWorker() {
+    gate->open.store(true);
+    (void)blocker.wait();
+  }
+  HeldWorker(const HeldWorker&) = delete;
+  HeldWorker& operator=(const HeldWorker&) = delete;
+
+  /// The blocker's compute has entered the gate.
+  [[nodiscard]] bool held() const {
+    return eventually([&] { return gate->entered.load() == 1; });
+  }
+
+  std::shared_ptr<GateState> gate = install_gate();
+  PartitionRequest blocker;
+  PartitionService svc;
+  std::shared_ptr<const PartitionResult> cached;
+};
+
+TEST(PartitionService, CachedKeyIsAnsweredAtAdmission) {
+  PartitionRequest req;
+  HeldWorker held(small_config(1));
+  ASSERT_TRUE(held.held());
+  req.spec = spec_for("ba");
+  ASSERT_TRUE(held.svc.try_submit(req));
+  // Terminal before try_submit returned, although the only worker is held.
+  ASSERT_EQ(req.status(), ServiceStatus::kOk);
+  EXPECT_TRUE(req.served_from_cache());
+  EXPECT_EQ(req.result().get(), held.cached.get());
+  EXPECT_EQ(req.wait(), ServiceStatus::kOk);
+  const ServiceStats stats = held.svc.snapshot();
+  EXPECT_EQ(stats.submitted, 3);  // the miss, the blocker, the hit
+  EXPECT_EQ(stats.served_ok, 2);
+  EXPECT_EQ(stats.cache_hits, 1);
+  EXPECT_EQ(stats.latency_samples, 2);
+  EXPECT_EQ(held.gate->entered.load(), 1);
+}
+
+TEST(PartitionService, FullQueueStillServesCachedKeys) {
+  PartitionRequest queued[2], uncached, hit;
+  ServiceConfig cfg = small_config(1);
+  cfg.queue_capacity = 2;
+  HeldWorker held(cfg);
+  ASSERT_TRUE(held.held());
+  for (std::uint64_t i = 0; i < 2; ++i) {
+    queued[i].spec = spec_for("ba", 20 + i);
+    ASSERT_TRUE(held.svc.try_submit(queued[i]));
+  }
+  uncached.spec = spec_for("ba", 30);
+  EXPECT_FALSE(held.svc.try_submit(uncached));
+  EXPECT_EQ(uncached.status(), ServiceStatus::kRejected);
+  hit.spec = spec_for("ba");
+  ASSERT_TRUE(held.svc.try_submit(hit));
+  EXPECT_EQ(hit.status(), ServiceStatus::kOk);
+  EXPECT_EQ(hit.result().get(), held.cached.get());
+  const ServiceStats stats = held.svc.snapshot();
+  EXPECT_EQ(stats.rejected, 1);
+  EXPECT_EQ(stats.cache_hits, 1);
+
+  held.gate->open.store(true);
+  for (PartitionRequest& req : queued) {
+    EXPECT_EQ(req.wait(), ServiceStatus::kOk);
+  }
+}
+
+TEST(PartitionService, BypassCacheRequestWaitsForAWorker) {
+  PartitionRequest fresh;
+  HeldWorker held(small_config(1));
+  ASSERT_TRUE(held.held());
+  fresh.spec = spec_for("ba");
+  fresh.bypass_cache = true;
+  ASSERT_TRUE(held.svc.try_submit(fresh));
+  EXPECT_EQ(fresh.status(), ServiceStatus::kPending);
+
+  held.gate->open.store(true);
+  ASSERT_EQ(fresh.wait(), ServiceStatus::kOk);
+  EXPECT_FALSE(fresh.served_from_cache());
+  EXPECT_NE(fresh.result().get(), held.cached.get());
+  EXPECT_TRUE(*fresh.result() == *held.cached);
+  const ServiceStats stats = held.svc.snapshot();
+  EXPECT_EQ(stats.bypassed, 1);
+  EXPECT_EQ(stats.cache_hits, 0);
+}
+
+TEST(PartitionService, StoppedServiceRefusesCachedKeys) {
+  PartitionService svc(small_config(1));
+  (void)svc.call(spec_for("ba"));
+  svc.stop();
+  PartitionRequest req;
+  req.spec = spec_for("ba");
+  EXPECT_FALSE(svc.try_submit(req));
+  EXPECT_EQ(req.status(), ServiceStatus::kShutdown);
+  EXPECT_EQ(req.result(), nullptr);
+  const ServiceStats stats = svc.snapshot();
+  EXPECT_EQ(stats.cache_hits, 0);
+  EXPECT_EQ(stats.shutdown_drained, 1);
+}
+
+TEST(PartitionService, CancelledCachedKeyCompletesThroughItsTask) {
+  core::CancelToken token;
+  token.cancel();
+  PartitionRequest cancelled, expired;
+  HeldWorker held(small_config(1));
+  ASSERT_TRUE(held.held());
+  cancelled.spec = expired.spec = spec_for("ba");
+  cancelled.cancel = &token;
+  ASSERT_TRUE(held.svc.try_submit(cancelled));
+  EXPECT_EQ(cancelled.status(), ServiceStatus::kPending);
+  expired.set_deadline_after(1e-6);
+  std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  ASSERT_TRUE(held.svc.try_submit(expired));
+  EXPECT_EQ(expired.status(), ServiceStatus::kPending);
+
+  held.gate->open.store(true);
+  for (PartitionRequest* req : {&cancelled, &expired}) {
+    EXPECT_EQ(req->wait(), ServiceStatus::kCancelled);
+    EXPECT_EQ(req->result(), nullptr);
+    EXPECT_FALSE(req->served_from_cache());
+  }
+  const ServiceStats stats = held.svc.snapshot();
+  EXPECT_EQ(stats.cancelled, 2);
+  EXPECT_EQ(stats.cache_hits, 0);
 }
 
 // ---------------------------------------------------------------------------
