@@ -117,7 +117,8 @@ void BM_HfPartitionWorkspace(benchmark::State& state) {
 /// One path of HF's full partitions, by the third argument, at any n: 0
 /// the band queue (the walk flag cleared before each call), 1 the
 /// threshold path (detail::hf_threshold_run, called directly, so it runs
-/// below kHfThresholdMinPieces too).  Run with --benchmark_repetitions and
+/// below kHfThresholdMinPieces too; a run that gives it up is skipped).
+/// Run with --benchmark_repetitions and
 /// --benchmark_enable_random_interleaving=true, so both paths alternate
 /// in one process: the ratio of their medians per (n, distribution) is
 /// the cut-over table of DESIGN.md section 7.7.
@@ -141,7 +142,7 @@ void BM_HfFullPath(benchmark::State& state) {
     core::detail::BuildContext<SyntheticProblem> ctx(out, false);
     if (!core::detail::hf_threshold_run(ctx, ws, p, n,
                                         {0, 0, core::kNoNode})) {
-      state.SkipWithError("the walk gave up");
+      state.SkipWithError("the path gave up: overflow, failed check or tie");
     }
     return out;
   };
@@ -455,7 +456,7 @@ void register_micro_core_benchmarks() {
       ->RangeMultiplier(8)
       ->Range(64, 1 << 15);
   // (n, distribution): U[0.1,0.5] from 64 to 2^20, and all four at
-  // 2^12-2^16, for parent/change runs across HF's threshold path.
+  // 2^12-2^17 and 2^20, for parent/change runs across HF's threshold path.
   benchmark::RegisterBenchmark("BM_HfPartitionWorkspace",
                                BM_HfPartitionWorkspace)
       ->Apply([](benchmark::internal::Benchmark* b) {
@@ -464,9 +465,10 @@ void register_micro_core_benchmarks() {
           b->Args({n, 0});
         }
         for (std::int64_t dist = 1; dist < 4; ++dist) {
-          for (std::int64_t n = 1 << 12; n <= (1 << 16); n *= 2) {
+          for (std::int64_t n = 1 << 12; n <= (1 << 17); n *= 2) {
             b->Args({n, dist});
           }
+          b->Args({1 << 20, dist});
         }
       });
   benchmark::RegisterBenchmark("BM_HfFullPath", BM_HfFullPath)
@@ -476,6 +478,8 @@ void register_micro_core_benchmarks() {
             b->Args({n, dist, 0});
             b->Args({n, dist, 1});
           }
+          b->Args({1 << 20, dist, 0});
+          b->Args({1 << 20, dist, 1});
         }
       });
   // BM_MaxSinkTrials/<algo>/<log2 n>/<dist>: mc_paper's max-sink cells.

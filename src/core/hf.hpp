@@ -42,7 +42,8 @@
 //     detail::kHfThresholdMinPieces on, the walk's n-1 heaviest nodes,
 //     sorted into pop order, give every piece's slot from its parent's pop
 //     rank (hf_threshold_run; section 7.7).
-// A walk that overflows its budget or meets a child it cannot order hands
+// A walk that overflows its budget or meets a child it cannot order, and a
+// threshold run whose ranked nodes tie (hf_select's seq orders ties), hand
 // the run to the queue, and both paths write the same bits.
 //
 // Hostile input: a bisection whose children are not both finite and > 0
@@ -183,9 +184,7 @@ inline constexpr unsigned kSecondHeavier = 4;
 ///
 /// `Full` (the threshold path of full partitions) also writes each visited
 /// node's weight to `weight` and its kKept* bits to `kept`, both in walk
-/// order, and gives up on a child as heavy as its parent too: with every
-/// child strictly lighter, the parents of equal-weight nodes are all
-/// heavier than them (hf_threshold_run's tie rule needs that).
+/// order.
 template <bool Full, TreeWalkable P>
 LBB_HOT HfWalk<P> hf_walk(TrialWorkspace<P>& ws, const P& root,
                           std::int32_t n, double* weight,
@@ -216,8 +215,7 @@ LBB_HOT HfWalk<P> hf_walk(TrialWorkspace<P>& ws, const P& root,
       std::pair<P, P> kids = x.bisect();
       const double aw = kids.first.weight();
       const double bw = kids.second.weight();
-      const bool lighter = Full ? aw < xw && bw < xw : aw <= xw && bw <= xw;
-      if (!(lighter && aw > 0.0 && bw > 0.0)) return {node, 0, t};
+      if (!(aw <= xw && bw <= xw && aw > 0.0 && bw > 0.0)) return {node, 0, t};
       node[end] = kids.first;
       if constexpr (Full) weight[end] = aw;
       end += static_cast<std::size_t>(aw >= t);
@@ -304,14 +302,12 @@ struct HfPieceRef {
 };
 
 /// The threshold path's scratch, carved from ws.hf_order.  Per walk node
-/// (up to the walk's budget): its kKept* bits, its pop rank, its slot and
-/// its parent link (filled only when a bucket holds ties).  Then the sorted
-/// nodes, and per slot the HfPieceRef.
+/// (up to the walk's budget): its kKept* bits, its pop rank and its slot.
+/// Then the sorted nodes, and per slot the HfPieceRef.
 struct HfOrderScratch {
   std::uint8_t* kept;
   std::int32_t* rank;
   std::int32_t* slot;
-  std::int32_t* parent;
   HfRankedNode* sorted;
   HfPieceRef* ref;
 };
@@ -327,7 +323,7 @@ HfOrderScratch hf_order_scratch(TrialWorkspace<P>& ws, std::int32_t n) {
   };
   const std::size_t kept = span(nodes);
   const std::size_t column = span(nodes * sizeof(std::int32_t));
-  const std::size_t sorted = kept + 3 * column;
+  const std::size_t sorted = kept + 2 * column;
   const std::size_t ref = sorted + span(nodes * sizeof(HfRankedNode));
   RawBuffer& buf = ws.hf_order;
   std::byte* const base =
@@ -338,33 +334,13 @@ HfOrderScratch hf_order_scratch(TrialWorkspace<P>& ws, std::int32_t n) {
   return {static_cast<std::uint8_t*>(at(0)),
           static_cast<std::int32_t*>(at(kept)),
           static_cast<std::int32_t*>(at(kept + column)),
-          static_cast<std::int32_t*>(at(kept + 2 * column)),
           static_cast<HfRankedNode*>(at(sorted)),
           static_cast<HfPieceRef*>(at(ref))};
 }
 
-/// Breadth-first bookkeeping over a walk's kKept* bits: visit nodes 0, 1,
-/// ... in walk order to learn each one's first kept child and depth.
-struct HfWalkCursor {
-  std::size_t next = 1;       ///< the visited node's first kept child
-  std::size_t level_end = 1;  ///< first node of the next level
-  std::int32_t depth = 0;     ///< the visited node's depth
-
-  /// Visits node i, with kept bits m; returns its first kept child.
-  std::size_t visit(std::size_t i, unsigned m) noexcept {
-    if (i == level_end) {
-      ++depth;
-      level_end = next;
-    }
-    const std::size_t first = next;
-    next += (m & kKeptFirst) + (m & kKeptSecond) / kKeptSecond;
-    return first;
-  }
-};
-
 /// Sorts [first, last) heaviest first: insertion sort for the few nodes of
-/// a typical bucket, std::sort for the large ones of ties (point(0.5)).
-/// Returns true when two of them weigh the same.
+/// a typical bucket, std::sort for a large one.  Returns true when two of
+/// them weigh the same.
 inline bool hf_sort_heaviest_first(HfRankedNode* first, HfRankedNode* last) {
   constexpr std::ptrdiff_t kInsertion = 32;
   if (last - first > kInsertion) {
@@ -388,65 +364,24 @@ inline bool hf_sort_heaviest_first(HfRankedNode* first, HfRankedNode* last) {
   return tie;
 }
 
-/// Writes each kept node's parent link, (walk index of its parent) << 1 |
-/// (1 when it is the lighter child), to parent[node].
-inline void hf_link_parents(const std::uint8_t* kept, std::size_t count,
-                            std::int32_t* parent) {
-  HfWalkCursor cursor;
-  for (std::size_t i = 0; i < count; ++i) {
-    const unsigned m = kept[i];
-    std::size_t c = cursor.visit(i, m);
-    const auto link = static_cast<std::int32_t>(i << 1);
-    const auto light_first = static_cast<std::int32_t>(m / kSecondHeavier);
-    if ((m & kKeptFirst) != 0) parent[c++] = link | light_first;
-    if ((m & kKeptSecond) != 0) parent[c] = link | (light_first ^ 1);
-  }
-}
-
-/// Ranks a sorted bucket [first, last) that holds equal weights, from
-/// `next` on, into rank[node]; returns the next rank.  Equal weights go in
-/// HF's pop order: by the parent's pop rank, then heavier child first --
-/// hf_select's seq order, since the k-th pop's children get seq 2k+1
-/// (heavier) and 2k+2.  Every parent outweighs its children, so it is
-/// ranked before its children's run is ordered.
-inline std::int32_t hf_rank_ties(HfRankedNode* first, HfRankedNode* last,
-                                 std::int32_t next, std::int32_t* rank,
-                                 const std::int32_t* parent) {
-  while (first < last) {
-    HfRankedNode* tie = first + 1;
-    while (tie < last && tie->weight == first->weight) ++tie;
-    if (tie - first > 1) {
-      // The run's weights are all equal: replace each by its seq, which
-      // then sorts as a double (both are below 2^53).
-      for (HfRankedNode* x = first; x < tie; ++x) {
-        const std::int32_t link = parent[x->node];
-        x->weight = 2.0 * rank[link >> 1] + (link & 1);
-      }
-      std::sort(first, tie, [](const HfRankedNode& a, const HfRankedNode& b) {
-        return a.weight < b.weight;
-      });
-    }
-    for (; first < tie; ++first) rank[first->node] = next++;
-  }
-  return next;
-}
-
 /// HF on `root` with n pieces under BuildContext, without a priority
 /// queue: the walk (hf_full_walk) visits the nodes of weight >= t, the n-1
 /// heaviest of them are HF's bisections, and every piece's slot follows
 /// from its parent's pop rank.  Writes what hf_select would (pieces,
 /// processors, depths; the tree is not recorded) and returns true; or
-/// returns false, having written nothing, when the walk gives up.
+/// returns false, having written nothing, when the walk gives up or two
+/// ranked nodes weigh the same: hf_select's seq orders a tie, so the queue
+/// takes the run.  A child as heavy as its parent, which the walk keeps,
+/// is such a tie, since both land in one bucket.
 ///
-/// Pop order: weight descending, a tie by (the parent's pop rank, heavier
-/// child first) (hf_rank_ties).  Three steps (DESIGN.md section 7.7):
+/// Pop order: weight descending.  Three steps (DESIGN.md section 7.7):
 ///  1. Rank.  The visited weights go to B+1 buckets, B = n/4, by
 ///     floor(t*B/x): about c*w/x nodes weigh x or more, so the buckets
 ///     hold nearly equal counts, and the key is monotone because IEEE
 ///     division rounds correctly.  Only the buckets up to the one holding
 ///     the (n-1)-th heaviest node are filled, (weight, index) pairs in
-///     walk order, sorted, and ranked in order; every other node is not
-///     popped.
+///     walk order, sorted, and ranked in order, unless one holds a tie;
+///     every other node is not popped.
 ///  2. Slots, in walk order, where parents come first.  A popped node's
 ///     heavier child keeps its slot, and its lighter child takes slot
 ///     rank + 1, which is where hf_select puts the lighter child of its
@@ -503,17 +438,11 @@ template <TreeWalkable P>
       o.rank[i] = kUnranked;
     }
   }
-  bool linked = false;  // o.parent holds the parent links
   std::int32_t rank = 0;
   HfRankedNode* run = o.sorted;
   for (std::size_t b = 0; b <= last; ++b) {
     HfRankedNode* const stop = o.sorted + end[b];
-    if (hf_sort_heaviest_first(run, stop)) [[unlikely]] {
-      if (!linked) hf_link_parents(o.kept, count, o.parent);
-      linked = true;
-      rank = hf_rank_ties(run, stop, rank, o.rank, o.parent);
-      run = stop;
-    }
+    if (hf_sort_heaviest_first(run, stop)) [[unlikely]] return false;
     for (; run < stop; ++run) o.rank[run->node] = rank++;
   }
 
@@ -524,10 +453,15 @@ template <TreeWalkable P>
   // nothing) go, and that later node overwrites it.
   HfPieceRef* const ref = o.ref;
   o.slot[0] = 0;
-  HfWalkCursor cursor;
+  std::size_t c = 1;          // node i's first kept child
+  std::size_t level_end = 1;  // the first node of the level below node i's
+  std::int32_t depth = 0;     // node i's depth
   for (std::size_t i = 0; i < count; ++i) {
     const unsigned m = o.kept[i];
-    const std::size_t c = cursor.visit(i, m);
+    if (i == level_end) {
+      ++depth;
+      level_end = c;
+    }
     const std::int32_t s = o.slot[i];
     const std::int32_t r = o.rank[i];
     const auto code = static_cast<std::uint32_t>(i << 2);
@@ -538,16 +472,15 @@ template <TreeWalkable P>
         const bool swapped = (m & kSecondHeavier) != 0;
         first = swapped ? r + 1 : s;
         second = swapped ? s : r + 1;
-        if ((m & kKeptFirst) == 0) ref[first] = {code | 2, cursor.depth + 1};
-        if ((m & kKeptSecond) == 0) {
-          ref[second] = {code | 3, cursor.depth + 1};
-        }
+        if ((m & kKeptFirst) == 0) ref[first] = {code | 2, depth + 1};
+        if ((m & kKeptSecond) == 0) ref[second] = {code | 3, depth + 1};
       } else {
-        ref[s] = {code, cursor.depth};
+        ref[s] = {code, depth};
       }
     }
     o.slot[c] = first;
     o.slot[c + (m & kKeptFirst)] = second;
+    c += (m & kKeptFirst) + (m & kKeptSecond) / kKeptSecond;
   }
 
   // 3. Pieces.
@@ -703,10 +636,11 @@ LBB_HOT void hf_run(Sink& sink, TrialWorkspace<P>& ws, P problem,
     sink.piece(std::move(problem), w, at);
     return;
   }
-  // Set when a walk gave up and the heap or the queue takes the run.  The
-  // walk is then not tried again on this workspace (sticky: a distribution
-  // whose walk overflowed once would do so again on most seeds), unless
-  // the selection throws on the input, which leaves the flag as it was.
+  // Set when a walk or a threshold run gave up and the heap or the queue
+  // takes the run.  The walk is then not tried again on this workspace
+  // (sticky: a distribution whose walk overflowed or tied once would do so
+  // again on most seeds), unless the selection throws on the input, which
+  // leaves the flag as it was.
   bool gave_up = false;
   if constexpr (kHfWalks<Sink, P>) {
     // Without a floor the walk loses to the heap below the cut-over (1.5x

@@ -89,10 +89,10 @@ class TrialWorkspace {
   /// per slot the node its piece comes from.
   detail::RawBuffer hf_order;
   /// True while HF tries the tree walk, under either sink; the first walk
-  /// that gives up clears it once the queue has built the run, and an input
-  /// the queue rejects leaves it set (experiments::BatchTrialRunner sets it
-  /// again when the distribution changes).  Both paths return the same
-  /// bits.
+  /// that gives up (or threshold run that meets a tie) clears it once the
+  /// queue has built the run, and an input the queue rejects leaves it set
+  /// (experiments::BatchTrialRunner sets it again when the distribution
+  /// changes).  Both paths return the same bits.
   bool hf_walk = true;
 
  private:

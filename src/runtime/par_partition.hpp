@@ -10,17 +10,20 @@
 //      descent (core::detail::ba_descend) from the root, stopping at every
 //      frame that holds at most `grain` processors or meets its family's
 //      leaf/switch condition.  Those frames are the *frontier*; a
-//      BuildContext on a scratch Partition counts the prefix bisections
-//      and, when recording, records the prefix tree.
+//      BuildContext on a scratch Partition counts the prefix bisections.
 //   2. Frames, on the pool: parallel_for_chunks deals the frontier frames
 //      to the workers, and each worker finishes its frame with the
 //      unmodified sequential kernel (detail::ba_run / ba_hf_run), drawing
 //      scratch from a worker-thread-local TrialWorkspace and building the
-//      frame's pieces (and, when recording, its local subtree) in the
-//      frame's own result slot.
-//   3. Join, on the caller: under record_tree, stitch_tree builds the
-//      output tree and remaps the slots' node ids in place; then the
-//      slots' pieces move to the output in frontier order.
+//      frame's pieces in the frame's own result slot.
+//   3. Join, on the caller: the slots' pieces move to the output in
+//      frontier order.
+//
+// A recorded tree comes from one frame: record_tree sets the grain to n,
+// so the root is the only frontier frame, its BuildContext numbers the
+// tree exactly as the sequential call does, and the join moves that tree
+// into the output.  Only tests record a tree through par:*; every timed
+// caller runs without one.
 //
 // Determinism argument (why the output is byte-identical to sequential
 // ba/ba_star/ba_hf for every thread count and grain):
@@ -35,11 +38,6 @@
 //      proc_lo; each frame's kernel emits its pieces in ascending
 //      processor order.  So the frames' runs, joined in frontier order,
 //      are the sequential output.
-//   3. The sequential kernels bisect a subtree's nodes contiguously,
-//      heavier subtree first, so walking the prefix tree heavier child
-//      first and splicing in each frame's local subtree at its leaf replays
-//      the sequential creation order: ids, parents, child links and depths
-//      all come out identical (stitch_tree).
 //
 // Allocation: once warm, the non-recording path performs ZERO heap
 // allocations -- the frontier and the result slots live in caller-thread
@@ -77,18 +75,20 @@ namespace lbb::runtime {
 struct ParOptions {
   core::PartitionOptions partition;  ///< record_tree, as sequential
   /// The most processors a frontier frame holds.  0 = auto:
-  /// n / (8 * workers), clamped to [1, 8192].  Affects decomposition
+  /// n / (8 * workers), clamped to [1, 8192].  Ignored under record_tree,
+  /// which runs the call as one frame (grain n).  Affects decomposition
   /// granularity only, never the output.
   std::int32_t grain = 0;
 };
 
 /// Per-call runtime counters of a direct par_*_partition call.
 struct ParStats {
-  std::int64_t spawns = 0;   ///< frontier frames dealt to the pool
+  /// Frontier frames dealt to the pool; 1 under record_tree.
+  std::int64_t spawns = 0;
   /// Always 0; kept only for benchmark/large_n.cpp, which reports it.
   std::int64_t steals = 0;
   std::int64_t idle_ns = 0;  ///< workers x join wall time - frame time
-  std::int32_t grain = 0;    ///< effective grain used
+  std::int32_t grain = 0;    ///< effective grain used; n under record_tree
 };
 
 namespace detail {
@@ -97,7 +97,7 @@ template <core::Bisectable P>
 using ParFrame = core::detail::BaFrame<P, core::detail::BuildContext<P>>;
 
 /// One frontier frame's result slot: the frame's run (its pieces,
-/// bisections, max depth and, when recording, local subtree) and the
+/// bisections, max depth and, when recording, the call's tree) and the
 /// worker's busy time on it.
 template <core::Bisectable P>
 struct FrameResult {
@@ -129,8 +129,8 @@ struct FrameJob {
 
 /// Finishes frontier frame `i` with the sequential kernel on this worker,
 /// building its run in the frame's result slot.  Absolute proc_lo/depth go
-/// straight through; node ids are local to the frame's subtree and
-/// remapped by stitch_tree after the join.
+/// straight through; node ids count from the frame's own root, which is
+/// the call's root when a tree is recorded (the only frame).
 template <core::Bisectable P>
 void run_frame(const FrameJob<P>& job, std::size_t i) {
   using Clock = std::chrono::steady_clock;
@@ -163,56 +163,6 @@ void run_frame(const FrameJob<P>& job, std::size_t i) {
                        .count();
 }
 
-/// Builds the output tree from the prefix tree and the frames' local
-/// subtrees, remapping the node ids of the frames' pieces in place.
-///
-/// The walk visits the prefix tree heavier (left) child first.  An
-/// internal prefix node adds its bisection to `tree`; a prefix leaf is a
-/// frontier frame, whose local subtree (root 0; local bisection j created
-/// nodes 2j+1 and 2j+2) is spliced in with local id l -> (l == 0 ? the
-/// leaf's id : base + l - 1).  Since the sequential kernels bisect a
-/// subtree's nodes contiguously, heavier subtree first, this replays the
-/// sequential creation order.
-template <core::Bisectable P>
-void stitch_tree(core::BisectionTree& tree, const core::BisectionTree& prefix,
-                 const FrameJob<P>& job, std::size_t frames) {
-  std::vector<std::size_t> frame_of(prefix.size());
-  for (std::size_t i = 0; i < frames; ++i) {
-    frame_of[static_cast<std::size_t>(job.frames[i].tag.node)] = i;
-  }
-  // (prefix node, output node) pairs still to visit.
-  std::vector<std::pair<core::NodeId, core::NodeId>> stack;
-  stack.emplace_back(0, 0);
-  while (!stack.empty()) {
-    const auto [pre, at] = stack.back();
-    stack.pop_back();
-    const core::BisectionTree::Node& node = prefix.node(pre);
-    if (node.left != core::kNoNode) {
-      const auto [left, right] =
-          tree.add_bisection(at, prefix.node(node.left).weight,
-                             prefix.node(node.right).weight);
-      stack.emplace_back(node.right, right);
-      stack.emplace_back(node.left, left);
-      continue;
-    }
-    const std::size_t i = frame_of[static_cast<std::size_t>(pre)];
-    core::Partition<P>& run = job.results[i].run;
-    const core::BisectionTree& sub = run.tree;
-    const auto base = static_cast<core::NodeId>(tree.size());
-    const auto to_global = [&](core::NodeId local) {
-      return local == 0 ? at : base + local - 1;
-    };
-    for (std::size_t j = 0; 2 * j + 2 < sub.size(); ++j) {
-      const auto& left = sub.node(static_cast<core::NodeId>(2 * j + 1));
-      const auto& right = sub.node(static_cast<core::NodeId>(2 * j + 2));
-      tree.add_bisection(to_global(left.parent), left.weight, right.weight);
-    }
-    for (core::Piece<P>& piece : run.pieces) {
-      piece.node = to_global(piece.node);
-    }
-  }
-}
-
 [[nodiscard]] inline std::int32_t effective_grain(std::int32_t requested,
                                                   std::int32_t n,
                                                   unsigned workers) {
@@ -234,7 +184,8 @@ template <core::Bisectable P>
                                          ParStats* stats) {
   using Clock = std::chrono::steady_clock;
   const bool record = opt.partition.record_tree;
-  const std::int32_t grain = effective_grain(opt.grain, n, pool.size());
+  const std::int32_t grain =
+      record ? n : effective_grain(opt.grain, n, pool.size());
 
   core::Partition<P> out;
   out.processors = n;
@@ -252,11 +203,11 @@ template <core::Bisectable P>
   // Phase 1: the frontier descent.
   scratch.frontier.clear();
   core::Partition<P> prefix;
-  core::detail::BuildContext<P> pctx(prefix, record);
-  const core::NodeId root = pctx.root(out.total_weight);
+  core::detail::BuildContext<P> pctx(prefix, /*record_tree=*/false);
   core::detail::ba_descend(
       pctx, scratch.ws,
-      ParFrame<P>(std::move(problem), out.total_weight, n, {0, 0, root}),
+      ParFrame<P>(std::move(problem), out.total_weight, n,
+                  {0, 0, core::kNoNode}),
       [&](const ParFrame<P>& f) {
         return f.n <= grain || f.weight <= prune_below ||
                f.n < switch_threshold;
@@ -279,12 +230,7 @@ template <core::Bisectable P>
 
   // Phase 3: the frames' runs, joined in frontier order.
   out.bisections = prefix.bisections;
-  if (record) {
-    core::detail::BuildContext<P> tctx(out, /*record_tree=*/true);
-    tctx.reserve(n);
-    (void)tctx.root(out.total_weight);
-    stitch_tree(out.tree, prefix.tree, job, frames);
-  }
+  if (record) out.tree = std::move(scratch.results[0].run.tree);
   std::int64_t busy_ns = 0;
   for (std::size_t i = 0; i < frames; ++i) {
     core::Partition<P>& run = scratch.results[i].run;

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <exception>
+#include <stdexcept>
 #include <thread>
 #include <utility>
 
@@ -40,21 +41,28 @@ ServiceConfig resolved(ServiceConfig config) {
   return config;
 }
 
-/// Projects a Partition into the transport/cache record.
+/// Projects a Partition into the transport/cache record in one pass over
+/// its pieces (max_weight and ratio as Partition computes them).
 template <typename P>
 void fill_result(PartitionResult& out, const core::Partition<P>& partition) {
   out.pieces.clear();
   out.pieces.reserve(partition.pieces.size());
+  double max_weight = 0.0;
   for (const auto& piece : partition.pieces) {
     out.pieces.push_back(PieceRecord{piece.weight, piece.processor,
                                      piece.depth});
+    max_weight = std::max(max_weight, piece.weight);
+  }
+  if (partition.pieces.empty() || partition.total_weight <= 0.0) {
+    throw std::logic_error("Partition::ratio on empty partition");
   }
   out.total_weight = partition.total_weight;
   out.processors = partition.processors;
   out.bisections = partition.bisections;
   out.max_depth = partition.max_depth;
-  out.max_weight = partition.max_weight();
-  out.ratio = partition.ratio();
+  out.max_weight = max_weight;
+  out.ratio = max_weight / (partition.total_weight /
+                            static_cast<double>(partition.processors));
 }
 
 }  // namespace
@@ -120,8 +128,8 @@ PartitionService::~PartitionService() { stop(); }
 bool PartitionService::try_submit(PartitionRequest& req) {
   // Canonicalize first: malformed specs throw before anything is queued.
   // The band bound mirrors AlphaDistribution::uniform (0 < lo <= hi <= 1/2),
-  // and the key refuses a band whose canonical lower end rounds to 0, so a
-  // queued request can only fail for server-side reasons.
+  // and the key refuses a band whose canonical lower end rounds to 0.  An
+  // out-of-range alpha or beta still passes and completes kError in compute.
   if (!(req.spec.alpha_lo > 0.0) || !(req.spec.alpha_lo <= req.spec.alpha_hi) ||
       !(req.spec.alpha_hi <= 0.5)) {
     throw std::invalid_argument(

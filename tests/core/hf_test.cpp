@@ -208,20 +208,25 @@ void expect_same_partition(const Partition<SyntheticProblem>& got,
 }
 
 TEST(Hf, MatchesPriorityQueueReferenceAcrossSelectionCutOver) {
+  // Which path builds a full partition from the cut-over on, with no tree
+  // recorded.
+  enum class Path { kThreshold, kQueue, kEither };
   struct Dist {
     const char* name;
     AlphaDistribution dist;
-    bool walks;  ///< its walk fits the budget at every n tested
+    Path path;
   };
-  // point(0.5) and two_point(0.1,0.5) tie on every level, also at the
-  // (n-1)-th weight; point(0.1)'s walk overflows its budget at some n
+  // The uniform classes' walks fit the budget and never tie; point(0.5) and
+  // two_point(0.1,0.5) tie on every level, so the threshold path hands
+  // them to the queue; point(0.1)'s walk overflows its budget at some n
   // (2^17) and not at others.
   const Dist dists[] = {
-      {"U[0.01,0.5]", AlphaDistribution::uniform(0.01, 0.5), true},
-      {"U[0.1,0.5]", AlphaDistribution::uniform(0.1, 0.5), true},
-      {"point(0.5)", AlphaDistribution::point(0.5), true},
-      {"point(0.1)", AlphaDistribution::point(0.1), false},
-      {"two_point(0.1,0.5)", AlphaDistribution::two_point(0.1, 0.5), true},
+      {"U[0.01,0.5]", AlphaDistribution::uniform(0.01, 0.5), Path::kThreshold},
+      {"U[0.1,0.5]", AlphaDistribution::uniform(0.1, 0.5), Path::kThreshold},
+      {"point(0.5)", AlphaDistribution::point(0.5), Path::kQueue},
+      {"point(0.1)", AlphaDistribution::point(0.1), Path::kEither},
+      {"two_point(0.1,0.5)", AlphaDistribution::two_point(0.1, 0.5),
+       Path::kQueue},
   };
   constexpr std::int32_t kCutOver = detail::kHfThresholdMinPieces;
   // One warm workspace for every case, so each run also checks that the
@@ -235,7 +240,7 @@ TEST(Hf, MatchesPriorityQueueReferenceAcrossSelectionCutOver) {
        {detail::kHfBandMinPieces - 1, detail::kHfBandMinPieces,
         std::int32_t{1} << 12, kCutOver - 1, kCutOver, kCutOver + 1,
         std::int32_t{1} << 17}) {
-    for (const auto& [name, dist, walks] : dists) {
+    for (const auto& [name, dist, path] : dists) {
       for (const std::uint64_t seed : {1ULL, 2ULL}) {
         for (const bool record : {false, true}) {
           const SyntheticProblem problem(seed, dist);
@@ -251,8 +256,10 @@ TEST(Hf, MatchesPriorityQueueReferenceAcrossSelectionCutOver) {
           // and the flag is untouched; otherwise it stays set only when
           // the threshold path built the partition.
           const bool queue = n < kCutOver || record;
-          if (queue || walks) {
+          if (queue || path == Path::kThreshold) {
             EXPECT_TRUE(ws.hf_walk) << what;
+          } else if (path == Path::kQueue) {
+            EXPECT_FALSE(ws.hf_walk) << what << ": the ties did not give up";
           }
           thresholded += !queue && ws.hf_walk ? 1 : 0;
           fell_back += !queue && !ws.hf_walk ? 1 : 0;

@@ -106,25 +106,29 @@ TEST(AllocGate, HfPartitionLargeNSteadyStateIsAllocationFree) {
 }
 
 TEST(AllocGate, HfPartitionFallbackSteadyStateIsAllocationFree) {
-  // U[0.02, 0.04] overflows the walk's budget at 2^16.  With the walk
-  // flag set again before every call, each call walks, gives up and builds
-  // the partition with the weight-band queue, whose chunk pool must be
-  // sized by n alone (thousands of bands are in use); neither path may
-  // allocate once warm.
+  // U[0.02, 0.04] overflows the walk's budget at 2^16, and point(0.5)'s
+  // walk fits it but its nodes tie.  With the walk flag set again before
+  // every call, each call walks, gives up (on the overflow, or in the
+  // threshold path on the tie) and builds the partition with the
+  // weight-band queue, whose chunk pool must be sized by n alone
+  // (thousands of bands are in use); no path may allocate once warm.
   constexpr std::int32_t kLargeN = std::int32_t{1} << 16;
-  const auto delta = steady_state_allocs(
-      [](TrialWorkspace<SyntheticProblem>& ws, std::uint64_t seed) {
-        ws.hf_walk = true;
-        auto part = hf_partition(
-            ws, SyntheticProblem(seed, AlphaDistribution::uniform(0.02, 0.04)),
-            kLargeN);
-        EXPECT_EQ(part.pieces.size(), static_cast<std::size_t>(kLargeN));
-        EXPECT_FALSE(ws.hf_walk) << "the walk did not give up";
-        ws.recycle(std::move(part));
-      });
-  EXPECT_EQ(delta.count, 0) << "hf_partition's fallback at n=2^16 allocated "
-                            << delta.bytes << " bytes across " << kTrials
-                            << " warm trials";
+  for (const AlphaDistribution& dist : {AlphaDistribution::uniform(0.02, 0.04),
+                                        AlphaDistribution::point(0.5)}) {
+    const auto delta = steady_state_allocs(
+        [&dist](TrialWorkspace<SyntheticProblem>& ws, std::uint64_t seed) {
+          ws.hf_walk = true;
+          auto part = hf_partition(ws, SyntheticProblem(seed, dist), kLargeN);
+          EXPECT_EQ(part.pieces.size(), static_cast<std::size_t>(kLargeN));
+          EXPECT_FALSE(ws.hf_walk)
+              << dist.describe() << ": the walk did not give up";
+          ws.recycle(std::move(part));
+        });
+    EXPECT_EQ(delta.count, 0)
+        << "hf_partition's fallback at n=2^16 on " << dist.describe()
+        << " allocated " << delta.bytes << " bytes across " << kTrials
+        << " warm trials";
+  }
 }
 
 TEST(AllocGate, BaPartitionSteadyStateIsAllocationFree) {

@@ -9,7 +9,8 @@
 //   * HF on two toy problem types that opt into the walk and break its
 //     assumptions -- a heavier child that sometimes outweighs its parent,
 //     and children that sum to 3/4 of the parent -- under the max sink,
-//     and as full partitions on the threshold path against the queue.
+//     and as full partitions on the threshold path against the queue,
+//     with a third whose heavier child at one depth weighs its parent.
 //   * BaLaneProperty: BA, BA' and BA-HF, instance by instance; and BA's
 //     skip of frames and BA-HF's floored HF phases, which cannot raise the
 //     maximum, counted by bisect() calls: they fire for a type that
@@ -71,6 +72,25 @@ struct ShrinkingProblem {
   }
 };
 
+/// A U[0.1,0.5] problem whose heavier child at depth 34 weighs exactly its
+/// parent (the other child alpha * w).  The walk keeps such a child; the
+/// threshold path either ranks neither it nor its parent, or meets the two
+/// as a tie in one bucket and hands the run to the queue.
+struct EqualChildProblem {
+  std::uint64_t hash;
+  double w;
+  std::int32_t depth = 0;
+  [[nodiscard]] double weight() const noexcept { return w; }
+  [[nodiscard]] std::pair<EqualChildProblem, EqualChildProblem> bisect()
+      const noexcept {
+    const double alpha =
+        0.1 + 0.4 * stats::hash_to_unit(stats::splitmix64(hash));
+    const double heavy = depth == 34 ? w : (1.0 - alpha) * w;
+    return {{stats::mix64(hash, 1), heavy, depth + 1},
+            {stats::mix64(hash, 2), alpha * w, depth + 1}};
+  }
+};
+
 /// A problem whose root weighs +inf while every child is finite: no
 /// threshold of at most +inf/n keeps a child, so a walk that only halved its
 /// threshold would never end.  Both walks give up on the root instead.
@@ -117,6 +137,9 @@ inline constexpr bool
 template <>
 inline constexpr bool
     lbb::core::pure_bisect_v<lbb::core::detail::InfiniteRootProblem> = true;
+template <>
+inline constexpr bool
+    lbb::core::pure_bisect_v<lbb::core::detail::EqualChildProblem> = true;
 template <bool Pure>
 inline constexpr bool lbb::core::monotone_bisect_v<
     lbb::core::detail::CountingProblem<true, Pure>> = true;
@@ -137,6 +160,7 @@ constexpr std::uint64_t kSeeds = 32;
 static_assert(TreeWalkable<SyntheticProblem>);
 static_assert(TreeWalkable<HeavierChildProblem>);
 static_assert(TreeWalkable<ShrinkingProblem>);
+static_assert(TreeWalkable<EqualChildProblem>);
 static_assert(!TreeWalkable<AnyProblem>);
 
 // BA's skip is opt-in: a type that merely wraps SyntheticProblem, erases it
@@ -311,6 +335,15 @@ TEST(HfLaneProperty, ThresholdPathMatchesTheQueueOnToyProblems) {
   const std::int64_t before = selected;
   expect_threshold_path_matches_queue<ShrinkingProblem>(selected, fell_back);
   EXPECT_GT(selected, before);
+  // Every one of these walks keeps a child as heavy as its parent (depth 34
+  // lies near the walk's threshold at 2^16): some runs never rank the pair
+  // and build the partition, others meet it as a tie and give up.
+  std::int64_t equal_selected = 0;
+  std::int64_t equal_fell_back = 0;
+  expect_threshold_path_matches_queue<EqualChildProblem>(equal_selected,
+                                                         equal_fell_back);
+  EXPECT_GT(equal_selected, 0);
+  EXPECT_GT(equal_fell_back, 0);
 }
 
 TEST(HfLaneProperty, InfiniteRootGivesUpTheWalk) {

@@ -72,27 +72,33 @@ SyntheticProblem make_problem(std::uint64_t seed) {
   return SyntheticProblem(seed, dist);
 }
 
+/// " tree" when `record` is set, for the labels of the cases below: with
+/// the tree recorded a call runs as one frame, without it the grain cuts
+/// it into many.
+std::string tree_label(bool record) { return record ? " tree" : ""; }
+
 TEST(ParPartition, BaByteIdenticalAcrossThreadsAndGrains) {
-  core::PartitionOptions record;
-  record.record_tree = true;
   for (const unsigned threads : {1u, 2u, 4u, 8u}) {
     ThreadPool pool(threads);
     for (const std::int32_t grain : {0, 1, 7}) {
-      ParOptions opt;
-      opt.partition = record;
-      opt.grain = grain;
-      for (const std::uint64_t seed : {1ull, 42ull}) {
-        for (const std::int32_t n : {1, 2, 3, 16, 127, 500}) {
-          core::TrialWorkspace<SyntheticProblem> seq_ws;
-          const auto seq = core::ba_partition(seq_ws, make_problem(seed), n,
-                                              record);
-          const auto par =
-              par_ba_partition(pool, make_problem(seed), n, opt);
-          expect_identical(par, seq,
-                           "threads=" + std::to_string(threads) +
-                               " grain=" + std::to_string(grain) +
-                               " seed=" + std::to_string(seed) +
-                               " n=" + std::to_string(n));
+      for (const bool record : {false, true}) {
+        ParOptions opt;
+        opt.partition.record_tree = record;
+        opt.grain = grain;
+        for (const std::uint64_t seed : {1ull, 42ull}) {
+          for (const std::int32_t n : {1, 2, 3, 16, 127, 500}) {
+            core::TrialWorkspace<SyntheticProblem> seq_ws;
+            const auto seq = core::ba_partition(seq_ws, make_problem(seed), n,
+                                                opt.partition);
+            const auto par =
+                par_ba_partition(pool, make_problem(seed), n, opt);
+            expect_identical(par, seq,
+                             "threads=" + std::to_string(threads) +
+                                 " grain=" + std::to_string(grain) +
+                                 " seed=" + std::to_string(seed) +
+                                 " n=" + std::to_string(n) +
+                                 tree_label(record));
+          }
         }
       }
     }
@@ -101,29 +107,30 @@ TEST(ParPartition, BaByteIdenticalAcrossThreadsAndGrains) {
 
 TEST(ParPartition, BaStarByteIdentical) {
   constexpr double kAlpha = 0.2;
-  core::PartitionOptions record;
-  record.record_tree = true;
   for (const unsigned threads : {1u, 4u}) {
     ThreadPool pool(threads);
     // Grain 1 descends on the caller wherever the recursion goes, so every
     // frame is one piece; at grains 0 and 7 frames prune inside
     // themselves, and a frame's run is shorter than its processor range.
     for (const std::int32_t grain : {0, 1, 7}) {
-      ParOptions opt;
-      opt.partition = record;
-      opt.grain = grain;
-      for (const std::uint64_t seed : {3ull, 99ull}) {
-        for (const std::int32_t n : {1, 2, 13, 64, 333}) {
-          core::TrialWorkspace<SyntheticProblem> seq_ws;
-          const auto seq = core::ba_star_partition(
-              seq_ws, make_problem(seed), n, kAlpha, record);
-          const auto par =
-              par_ba_star_partition(pool, make_problem(seed), n, kAlpha, opt);
-          expect_identical(par, seq,
-                           "threads=" + std::to_string(threads) +
-                               " grain=" + std::to_string(grain) +
-                               " seed=" + std::to_string(seed) +
-                               " n=" + std::to_string(n));
+      for (const bool record : {false, true}) {
+        ParOptions opt;
+        opt.partition.record_tree = record;
+        opt.grain = grain;
+        for (const std::uint64_t seed : {3ull, 99ull}) {
+          for (const std::int32_t n : {1, 2, 13, 64, 333}) {
+            core::TrialWorkspace<SyntheticProblem> seq_ws;
+            const auto seq = core::ba_star_partition(
+                seq_ws, make_problem(seed), n, kAlpha, opt.partition);
+            const auto par = par_ba_star_partition(pool, make_problem(seed),
+                                                   n, kAlpha, opt);
+            expect_identical(par, seq,
+                             "threads=" + std::to_string(threads) +
+                                 " grain=" + std::to_string(grain) +
+                                 " seed=" + std::to_string(seed) +
+                                 " n=" + std::to_string(n) +
+                                 tree_label(record));
+          }
         }
       }
     }
@@ -132,26 +139,27 @@ TEST(ParPartition, BaStarByteIdentical) {
 
 TEST(ParPartition, BaHfByteIdentical) {
   const core::BaHfParams params{0.25, 1.0};
-  core::PartitionOptions record;
-  record.record_tree = true;
   for (const unsigned threads : {1u, 2u, 8u}) {
     ThreadPool pool(threads);
     for (const std::int32_t grain : {0, 1}) {
-      ParOptions opt;
-      opt.partition = record;
-      opt.grain = grain;
-      for (const std::uint64_t seed : {5ull, 77ull}) {
-        for (const std::int32_t n : {1, 2, 16, 200}) {
-          core::TrialWorkspace<SyntheticProblem> seq_ws;
-          const auto seq = core::ba_hf_partition(
-              seq_ws, make_problem(seed), n, params, record);
-          const auto par = par_ba_hf_partition(pool, make_problem(seed), n,
-                                               params, opt);
-          expect_identical(par, seq,
-                           "threads=" + std::to_string(threads) +
-                               " grain=" + std::to_string(grain) +
-                               " seed=" + std::to_string(seed) +
-                               " n=" + std::to_string(n));
+      for (const bool record : {false, true}) {
+        ParOptions opt;
+        opt.partition.record_tree = record;
+        opt.grain = grain;
+        for (const std::uint64_t seed : {5ull, 77ull}) {
+          for (const std::int32_t n : {1, 2, 16, 200}) {
+            core::TrialWorkspace<SyntheticProblem> seq_ws;
+            const auto seq = core::ba_hf_partition(
+                seq_ws, make_problem(seed), n, params, opt.partition);
+            const auto par = par_ba_hf_partition(pool, make_problem(seed), n,
+                                                 params, opt);
+            expect_identical(par, seq,
+                             "threads=" + std::to_string(threads) +
+                                 " grain=" + std::to_string(grain) +
+                                 " seed=" + std::to_string(seed) +
+                                 " n=" + std::to_string(n) +
+                                 tree_label(record));
+          }
         }
       }
     }
@@ -160,9 +168,8 @@ TEST(ParPartition, BaHfByteIdentical) {
 
 TEST(ParPartition, LargeNByteIdenticalAtEveryThreadCount) {
   // The one large-N schedule: every par:* family at the default
-  // grain on U[0.1, 0.5], pieces at N = 2^13 and recorded trees at
-  // N = 2^12 (the stitch logic has no N-dependent branch that 2^12 does
-  // not already reach).
+  // grain on U[0.1, 0.5], pieces at N = 2^13 and recorded trees (one
+  // frame) at N = 2^12.
   const SyntheticProblem root(1, AlphaDistribution::uniform(0.1, 0.5));
   const core::BaHfParams params{0.25, 1.0};
   for (const unsigned threads : {1u, 2u, 4u, 8u}) {
@@ -197,15 +204,15 @@ TEST(ParPartition, ExpensiveBisectionProblem) {
   // overlap between frames (and shared_ptr refcounting across threads).
   const auto fe_tree = lbb::problems::FeTree::adaptive_refinement(3, 2000, 2.0);
   const auto make_fe = [&] { return lbb::problems::FeTreeProblem(fe_tree); };
-  core::PartitionOptions record;
-  record.record_tree = true;
-  ParOptions opt;
-  opt.partition = record;
   ThreadPool pool(4);
-  core::TrialWorkspace<lbb::problems::FeTreeProblem> seq_ws;
-  const auto seq = core::ba_partition(seq_ws, make_fe(), 24, record);
-  const auto par = par_ba_partition(pool, make_fe(), 24, opt);
-  expect_identical(par, seq, "fe_tree n=24");
+  for (const bool record : {false, true}) {
+    ParOptions opt;
+    opt.partition.record_tree = record;
+    core::TrialWorkspace<lbb::problems::FeTreeProblem> seq_ws;
+    const auto seq = core::ba_partition(seq_ws, make_fe(), 24, opt.partition);
+    const auto par = par_ba_partition(pool, make_fe(), 24, opt);
+    expect_identical(par, seq, "fe_tree n=24" + tree_label(record));
+  }
 }
 
 TEST(ParPartition, WorkspaceOverloadMatchesAndRecycles) {
@@ -233,6 +240,13 @@ TEST(ParPartition, StatsCountSpawnsAndBisections) {
   EXPECT_EQ(stats.spawns, 256);
   EXPECT_EQ(stats.steals, 0);
   EXPECT_EQ(stats.grain, 1);
+  // A recorded tree comes from one frame, whatever grain was asked for.
+  opt.partition.record_tree = true;
+  const auto tree =
+      par_ba_partition(pool, make_problem(123), 256, opt, &stats);
+  EXPECT_EQ(tree.bisections, 255);
+  EXPECT_EQ(stats.spawns, 1);
+  EXPECT_EQ(stats.grain, 256);
 }
 
 /// A SyntheticProblem padded past 192 bytes: frontier frames of any size
@@ -251,8 +265,7 @@ static_assert(sizeof(PaddedProblem) > 192);
 
 TEST(ParPartition, OversizedProblemRunsOnThePool) {
   const core::BaHfParams params{0.25, 1.0};
-  ParOptions opt;
-  opt.partition.record_tree = true;
+  ParOptions opt;  // no tree, so that the calls cut into many frames
   constexpr std::int32_t kN = 300;
   for (const unsigned threads : {1u, 4u}) {
     ThreadPool pool(threads);
@@ -336,7 +349,6 @@ TEST(ParPartition, TaskExceptionPropagatesToCaller) {
   // same shape reuses every one of them.
   ParOptions opt;
   opt.grain = 64;
-  opt.partition.record_tree = true;
   const ThrowingProblem sound{1.0, /*trip=*/0.0};
   expect_identical(par_ba_partition(pool, sound, 512, opt),
                    core::ba_partition(sound, 512, opt.partition),
@@ -350,8 +362,6 @@ TEST(ParPartition, ConcurrentCallersGetIndependentIdenticalResults) {
   constexpr int kCallers = 4;
   constexpr int kRounds = 8;
   ThreadPool pool(4);
-  core::PartitionOptions record;
-  record.record_tree = true;
 
   std::vector<std::string> failures(kCallers);
   std::vector<std::thread> callers;
@@ -363,12 +373,10 @@ TEST(ParPartition, ConcurrentCallersGetIndependentIdenticalResults) {
             static_cast<std::uint64_t>(c * 1000 + r + 1);
         // Vary shape and grain per caller/round.
         const std::int32_t n = 32 + 61 * ((c + r) % 5);
-        ParOptions opt;
-        opt.partition = record;
+        ParOptions opt;  // no tree, so that each call cuts into many frames
         opt.grain = 1 + (r % 3);
         core::TrialWorkspace<SyntheticProblem> ws;
-        const auto seq =
-            core::ba_partition(ws, make_problem(seed), n, record);
+        const auto seq = core::ba_partition(ws, make_problem(seed), n);
         const auto par = par_ba_partition(pool, make_problem(seed), n, opt);
         if (par.pieces.size() != seq.pieces.size() ||
             par.bisections != seq.bisections ||
