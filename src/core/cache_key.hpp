@@ -119,7 +119,8 @@ enum class ProblemClass : std::uint64_t {
 /// U[alpha_lo, alpha_hi]) into n pieces with `algo`(alpha, beta).  Throws
 /// std::invalid_argument for malformed inputs (algo too long, n < 1,
 /// inverted band, a band whose lower end rounds to 0, out-of-range
-/// parameters).
+/// parameters, a canonical alpha outside (0, 1/2] or beta that rounds
+/// to 0).
 [[nodiscard]] inline PartitionCacheKey make_synthetic_cache_key(
     std::string_view algo, std::uint64_t problem_seed, std::int32_t n,
     double alpha_lo, double alpha_hi, double alpha = 0.25,
@@ -147,6 +148,14 @@ enum class ProblemClass : std::uint64_t {
   }
   key.alpha_q = quantize_param(alpha);
   key.beta_q = quantize_param(beta);
+  // Likewise the canonical partitioner parameters, which every compute of
+  // the key passes to the registry: the paper's Definition 1 range
+  // 0 < alpha <= 1/2, and beta > 0.
+  if (key.alpha_q == 0 || key.alpha() > 0.5 || key.beta_q == 0) {
+    throw std::invalid_argument(
+        "PartitionCacheKey: alpha outside (0, 1/2] or beta not > 0 after "
+        "rounding");
+  }
   return key;
 }
 

@@ -3,8 +3,9 @@
 // The library's one pool, and its only source of threads: the experiment
 // engine (src/experiments) fans Monte-Carlo trial chunks out over it, the
 // par:* partitioners finish their frontier frames on it (both through
-// parallel_for_chunks), PartitionService (src/service) runs each accepted
-// request as one task on a private instance, and the examples run a
+// parallel_for_chunks), PartitionService (src/service) runs each request
+// it cannot answer or batch at admission as one task on a private
+// instance, and the examples run a
 // partition's subproblems on it to measure the realized balance.  RAII:
 // the destructor drains the queue and joins all workers.
 //

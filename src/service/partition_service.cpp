@@ -1,6 +1,7 @@
 #include "service/partition_service.hpp"
 
 #include <algorithm>
+#include <cmath>
 #include <exception>
 #include <stdexcept>
 #include <thread>
@@ -86,13 +87,23 @@ std::string_view to_string(ServiceStatus status) noexcept {
 }
 
 void PartitionRequest::set_deadline_after(double seconds) {
-  if (seconds <= 0.0) {
-    has_deadline_ = false;
-    return;
+  if (std::isnan(seconds)) {
+    throw std::invalid_argument("PartitionRequest: deadline is NaN");
   }
-  deadline_ = Clock::now() + std::chrono::duration_cast<Clock::duration>(
-                                 std::chrono::duration<double>(seconds));
-  has_deadline_ = true;
+  has_deadline_ = seconds > 0.0;
+  if (!has_deadline_) return;
+  // Converting a delay to integer ticks is defined only below the largest
+  // tick count, and adding it to now only within the ticks the clock has
+  // left; a later deadline (+inf included) is the clock's last tick, which
+  // never passes.
+  const auto now = Clock::now();
+  const std::chrono::duration<double, Clock::period> delay =
+      std::chrono::duration<double>(seconds);
+  deadline_ = Clock::time_point::max();
+  if (delay.count() < static_cast<double>(Clock::duration::max().count())) {
+    const auto ticks = std::chrono::duration_cast<Clock::duration>(delay);
+    if (ticks < Clock::time_point::max() - now) deadline_ = now + ticks;
+  }
 }
 
 ServiceStatus PartitionRequest::wait() noexcept {
@@ -111,13 +122,14 @@ PartitionService::PartitionService(ServiceConfig config)
   // runtime's par:* hook has run (idempotent; the sim families register
   // from the experiments layer, which embedders pull in as needed).
   runtime::register_par_partitioners();
-  // Preallocate everything the warm serving path touches: the in-flight
-  // table (never deeper than the worker count), the latency window, and
-  // the cache's bucket array.
+  // Preallocate everything the warm serving path touches: the latency
+  // window and the key table's buckets, for every cached key plus one
+  // pending key per queued or running task, so it never rehashes.
   core::MutexLock lock(mu_);
-  inflight_.reserve(static_cast<std::size_t>(config_.workers));
   latency_ = stats::PercentileReservoir(kLatencyWindow);
-  cache_.reserve(config_.cache_capacity);
+  cache_.reserve(config_.cache_capacity +
+                 static_cast<std::size_t>(config_.queue_capacity) +
+                 static_cast<std::size_t>(config_.workers));
   clock_.reserve(config_.cache_capacity);
   epoch_ = Clock::now();
   counters_.workers = config_.workers;
@@ -127,9 +139,9 @@ PartitionService::~PartitionService() { stop(); }
 
 bool PartitionService::try_submit(PartitionRequest& req) {
   // Canonicalize first: malformed specs throw before anything is queued.
-  // The band bound mirrors AlphaDistribution::uniform (0 < lo <= hi <= 1/2),
-  // and the key refuses a band whose canonical lower end rounds to 0.  An
-  // out-of-range alpha or beta still passes and completes kError in compute.
+  // The band bound mirrors AlphaDistribution::uniform (0 < lo <= hi <= 1/2);
+  // the key also refuses a band whose canonical lower end rounds to 0 and
+  // canonical partitioner parameters outside their range.
   if (!(req.spec.alpha_lo > 0.0) || !(req.spec.alpha_lo <= req.spec.alpha_hi) ||
       !(req.spec.alpha_hi <= 0.5)) {
     throw std::invalid_argument(
@@ -145,55 +157,59 @@ bool PartitionService::try_submit(PartitionRequest& req) {
   req.latency_ns_ = 0.0;
   req.enqueue_ = Clock::now();
   req.state_.store(raw(ServiceStatus::kPending));
+  const bool keyed = !req.bypass_cache && !req.cancelled_at(req.enqueue_);
 
-  ServiceStatus refusal = ServiceStatus::kRejected;
-  std::shared_ptr<const PartitionResult> hit;
-  double hit_latency_ns = 0.0;
+  ServiceStatus status = ServiceStatus::kPending;
   {
     core::MutexLock lock(mu_);
-    if (!stop_ && !req.bypass_cache && !req.cancelled_at(req.enqueue_)) {
-      hit = cache_lookup(req.key_);
-    }
-    if (hit != nullptr) {
-      // Answered at admission: no task, no queued_ slot, no worker
-      // wake-up.  dispatch() looks keys up again, for those cached while
-      // their request waited in the queue.
-      ++counters_.submitted;
-      hit_latency_ns = ns_since(req.enqueue_);
-      account(ServiceStatus::kOk, Outcome::kHit, hit_latency_ns);
-    } else if (stop_) {
-      refusal = ServiceStatus::kShutdown;
+    const auto entry = keyed && !stop_ ? cache_.find(req.key_) : cache_.end();
+    if (stop_) {
+      status = ServiceStatus::kShutdown;
       ++counters_.shutdown_drained;
+    } else if (entry != cache_.end() && entry->second.result != nullptr) {
+      // Cached: answered here, with no task, no queued_ slot and no worker
+      // wake-up.  Second chance: a hit entry survives the next sweep pass.
+      clock_[entry->second.slot].referenced = true;
+      req.result_ = entry->second.result;
+      req.from_cache_ = true;
+      req.latency_ns_ = ns_since(req.enqueue_);
+      status = ServiceStatus::kOk;
+      ++counters_.submitted;
+      ++counters_.cache_hits;
+      account(status, req.latency_ns_);
+    } else if (entry != cache_.end()) {
+      // Pending: the key's leader computes it once for its whole batch, so
+      // the request joins that batch and takes no task and no slot.
+      PartitionRequest* leader = entry->second.leader;
+      req.batch_next_ = leader->batch_next_;
+      leader->batch_next_ = &req;
+      ++counters_.submitted;
+      ++counters_.coalesced;
     } else if (queued_ < config_.queue_capacity) {
       // Enqueued under mu_, so stop() cannot set stop_ between admission
       // and enqueue: every accepted request reaches handle(), and stop()'s
       // wait for the idle pool covers it.  Lock order: mu_, then the
       // pool's mutex (the pool runs no task while holding it).
+      req.leads_ = keyed;
       try {
+        if (keyed) cache_.emplace(req.key_, CacheEntry{nullptr, 0, &req});
         pool_.submit([this, r = &req] { handle(r); });
         ++queued_;
         ++counters_.submitted;
-        refusal = ServiceStatus::kPending;
       } catch (...) {
-        // The pool could not grow its queue: refuse the request rather
+        // The table or the pool could not grow: refuse the request rather
         // than leave it pending.
+        if (keyed) cache_.erase(req.key_);
+        status = ServiceStatus::kRejected;
         ++counters_.rejected;
       }
     } else {
+      status = ServiceStatus::kRejected;
       ++counters_.rejected;
     }
   }
-  if (hit != nullptr) {
-    publish(&req, ServiceStatus::kOk, std::move(hit), Outcome::kHit,
-            hit_latency_ns);
-    return true;
-  }
-  if (refusal != ServiceStatus::kPending) {
-    req.state_.store(raw(refusal));
-    req.state_.notify_all();
-    return false;
-  }
-  return true;
+  if (status != ServiceStatus::kPending) publish(&req, status);
+  return status == ServiceStatus::kPending || status == ServiceStatus::kOk;
 }
 
 void PartitionService::submit(PartitionRequest& req) {
@@ -231,19 +247,57 @@ void PartitionService::stop() {
     stop_ = true;
   }
   // Every accepted request is terminal already (a hit answered at
-  // admission) or has its task on the pool; the tasks that start from here
-  // on complete with kShutdown, so an idle pool means every accepted
-  // request is terminal.
+  // admission) or belongs to the batch of a task on the pool; the tasks
+  // that start from here on complete their batches with kShutdown, so an
+  // idle pool means every accepted request is terminal.
   pool_.wait_idle();
 }
 
 void PartitionService::handle(PartitionRequest* req) noexcept {
-  // Attribute this worker's heap traffic to the request it served.  A hit
-  // found here (its key was cached while the request waited) must
-  // contribute zero; misses pay for the cached result and its cache node,
-  // which is the cold path by definition.
+  // Attribute this worker's heap traffic to the batch it served: a compute
+  // pays for the cached result, which is the cold path by definition.
   const stats::AllocStats before = stats::alloc_stats();
-  dispatch(req);
+  ServiceStatus status = ServiceStatus::kOk;
+  {
+    core::MutexLock lock(mu_);
+    --queued_;  // the task has started
+    if (stop_) {
+      status = ServiceStatus::kShutdown;
+    } else {
+      // A batch computes only for a request still waiting for the answer.
+      const auto now = Clock::now();
+      status = ServiceStatus::kCancelled;
+      for (PartitionRequest* r = req; r != nullptr; r = r->batch_next_) {
+        if (!r->cancelled_at(now)) {
+          status = ServiceStatus::kOk;
+          break;
+        }
+      }
+    }
+    if (status != ServiceStatus::kOk) settle(req, status, nullptr, {});
+  }
+  if (status == ServiceStatus::kOk) {
+    std::shared_ptr<const PartitionResult> result;
+    std::string error;
+    try {
+      result = compute(req->key_);
+    } catch (const std::exception& e) {
+      status = ServiceStatus::kError;
+      error = e.what();
+    }
+    core::MutexLock lock(mu_);
+    settle(req, status, result, error);
+  }
+  // settle() retired the key, so the batch is final.  Every request in it
+  // that was not served ends as the batch did, or kCancelled when the
+  // batch computed.
+  const ServiceStatus unserved =
+      status == ServiceStatus::kOk ? ServiceStatus::kCancelled : status;
+  for (PartitionRequest* r = req; r != nullptr;) {
+    PartitionRequest* next = r->batch_next_;
+    publish(r, r->result_ != nullptr ? ServiceStatus::kOk : unserved);
+    r = next;
+  }
   const stats::AllocStats delta = stats::alloc_stats() - before;
   if (delta.count != 0) {
     alloc_count_ += delta.count;
@@ -251,125 +305,56 @@ void PartitionService::handle(PartitionRequest* req) noexcept {
   }
 }
 
-void PartitionService::dispatch(PartitionRequest* req) {
-  const auto now = Clock::now();
-  // The batch this request leads if it computes: on this task's stack,
-  // reachable by other tasks only through inflight_ under mu_, and
-  // unregistered by compute_batch before this frame unwinds.
-  Batch batch{req->key_, req};
-  req->batch_next_ = nullptr;
-  const bool share = !req->bypass_cache;
-  ServiceStatus early = ServiceStatus::kPending;  // terminal without compute
-  std::shared_ptr<const PartitionResult> hit;
-  bool attached = false;
-  {
-    core::MutexLock lock(mu_);
-    --queued_;  // the task has started
-    if (stop_) {
-      early = ServiceStatus::kShutdown;
-    } else if (req->cancelled_at(now)) {
-      early = ServiceStatus::kCancelled;
-    } else if (share) {
-      hit = cache_lookup(req->key_);
-      if (hit == nullptr) {
-        // Single-flight: a same-key compute already running absorbs this
-        // request; the computing task completes it with the shared result.
-        for (Batch* running : inflight_) {
-          if (running->key == req->key_) {
-            req->batch_next_ = running->head;
-            running->head = req;
-            attached = true;
-            // Counted at attach (not completion) so the batcher's effect
-            // is observable while the batch is still computing.
-            ++counters_.coalesced;
-            break;
-          }
-        }
-        // Register in the critical section that found the miss, so a
-        // second task missing the same key attaches here instead of
-        // computing it again.
-        if (!attached) inflight_.push_back(&batch);
-      }
-    }
-  }
-  if (early != ServiceStatus::kPending) {
-    complete(req, early, nullptr, Outcome::kNone);
-  } else if (hit != nullptr) {
-    complete(req, ServiceStatus::kOk, std::move(hit), Outcome::kHit);
-  } else if (!attached) {
-    compute_batch(req, batch, share);
-  }
-}
-
-void PartitionService::compute_batch(PartitionRequest* root, Batch& batch,
-                                     bool share) {
-  std::shared_ptr<const PartitionResult> result;
-  ServiceStatus status = ServiceStatus::kOk;
-  std::string error;
-  try {
-    result = compute(batch.key);
-  } catch (const std::exception& e) {
-    status = ServiceStatus::kError;
-    error = e.what();
-  }
-
-  PartitionRequest* head = nullptr;
-  {
-    core::MutexLock lock(mu_);
-    if (share) {
-      inflight_.erase(
-          std::remove(inflight_.begin(), inflight_.end(), &batch),
-          inflight_.end());
-    }
-    // After unregistration nothing new can attach; the head is final.
-    head = batch.head;
-    if (share && status == ServiceStatus::kOk &&
-        cache_.find(batch.key) == cache_.end()) {
-      // (The find() is defensive: single-flight leaves no other shared
-      // compute of this key that could have cached it meanwhile.)
-      if (cache_.size() < config_.cache_capacity) {
-        const std::size_t slot = clock_.size();
-        clock_.push_back(ClockSlot{batch.key, false});
-        cache_.emplace(batch.key, CacheEntry{result, slot});
-      } else if (!clock_.empty()) {
-        // Second-chance (clock) eviction: sweep the hand, giving each
-        // referenced entry one more pass, and replace the first cold one.
-        // Terminates within two passes (the first clears every bit).  The
-        // victim's bytes are recoverable by recomputing its canonical key,
-        // so eviction never perturbs served results -- only hit counts.
-        while (clock_[clock_hand_].referenced) {
-          clock_[clock_hand_].referenced = false;
-          clock_hand_ = (clock_hand_ + 1) % clock_.size();
-        }
-        cache_.erase(clock_[clock_hand_].key);
-        ++counters_.cache_evictions;
-        clock_[clock_hand_] = ClockSlot{batch.key, false};
-        cache_.emplace(batch.key, CacheEntry{result, clock_hand_});
+void PartitionService::settle(
+    PartitionRequest* leader, ServiceStatus status,
+    const std::shared_ptr<const PartitionResult>& result,
+    const std::string& error) {
+  if (leader->leads_) {
+    const auto entry = cache_.find(leader->key_);
+    if (result == nullptr || config_.cache_capacity == 0) {
+      cache_.erase(entry);  // errors and uncomputed keys are never cached
+    } else if (clock_.size() < config_.cache_capacity) {
+      entry->second = CacheEntry{result, clock_.size(), nullptr};
+      clock_.push_back(ClockSlot{leader->key_, false});
+    } else {
+      // Second-chance (clock) eviction: sweep the hand, giving each
+      // referenced entry one more pass, and replace the first cold one.
+      // Terminates within two passes (the first clears every bit).  The
+      // victim's bytes are recoverable by recomputing its canonical key,
+      // so eviction never perturbs served results -- only hit counts.
+      while (clock_[clock_hand_].referenced) {
+        clock_[clock_hand_].referenced = false;
         clock_hand_ = (clock_hand_ + 1) % clock_.size();
       }
+      cache_.erase(clock_[clock_hand_].key);
+      ++counters_.cache_evictions;
+      clock_[clock_hand_] = ClockSlot{leader->key_, false};
+      entry->second = CacheEntry{result, clock_hand_, nullptr};
+      clock_hand_ = (clock_hand_ + 1) % clock_.size();
     }
-    counters_.cache_entries = static_cast<std::int64_t>(cache_.size());
+    counters_.cache_entries = static_cast<std::int64_t>(clock_.size());
   }
-
+  if (status == ServiceStatus::kOk || status == ServiceStatus::kError) {
+    ++(leader->leads_ ? counters_.cache_misses : counters_.bypassed);
+  }
   const auto now = Clock::now();
-  for (PartitionRequest* req = head; req != nullptr;) {
-    PartitionRequest* next = req->batch_next_;
-    req->batch_next_ = nullptr;
-    const Outcome outcome =
-        req == root ? (share ? Outcome::kMiss : Outcome::kBypass)
-                    : Outcome::kCoalesced;
-    if (status != ServiceStatus::kOk) {
+  for (PartitionRequest* req = leader; req != nullptr; req = req->batch_next_) {
+    // Cancelled while the batch computed: the requester gets kCancelled,
+    // but the computed value is still correct for the key and stays
+    // cached -- cancellation never poisons the cache.
+    const ServiceStatus mine =
+        status == ServiceStatus::kOk && req->cancelled_at(now)
+            ? ServiceStatus::kCancelled
+            : status;
+    req->latency_ns_ =
+        std::chrono::duration<double, std::nano>(now - req->enqueue_).count();
+    account(mine, req->latency_ns_);
+    if (mine == ServiceStatus::kOk) {
+      req->result_ = result;
+      req->from_cache_ = req != leader;
+    } else if (mine == ServiceStatus::kError) {
       req->error_ = error;
-      complete(req, ServiceStatus::kError, nullptr, outcome);
-    } else if (req->cancelled_at(now)) {
-      // Cancelled while the batch computed: the requester gets kCancelled,
-      // but the computed value is still correct for the key and stays
-      // cached -- cancellation never poisons the cache.
-      complete(req, ServiceStatus::kCancelled, nullptr, outcome);
-    } else {
-      complete(req, ServiceStatus::kOk, result, outcome);
     }
-    req = next;
   }
 }
 
@@ -423,28 +408,7 @@ const core::Partitioner& PartitionService::partitioner_for(
   return *it->second;
 }
 
-std::shared_ptr<const PartitionResult> PartitionService::cache_lookup(
-    const core::PartitionCacheKey& key) {
-  auto it = cache_.find(key);
-  if (it == cache_.end()) return nullptr;
-  // Second chance: a hit entry survives the next sweep pass.
-  clock_[it->second.slot].referenced = true;
-  return it->second.result;
-}
-
-void PartitionService::complete(PartitionRequest* req, ServiceStatus status,
-                                std::shared_ptr<const PartitionResult> result,
-                                Outcome outcome) {
-  const double latency_ns = ns_since(req->enqueue_);
-  {
-    core::MutexLock lock(mu_);
-    account(status, outcome, latency_ns);
-  }
-  publish(req, status, std::move(result), outcome, latency_ns);
-}
-
-void PartitionService::account(ServiceStatus status, Outcome outcome,
-                               double latency_ns) {
+void PartitionService::account(ServiceStatus status, double latency_ns) {
   ++counters_.completed;
   switch (status) {
     case ServiceStatus::kOk:
@@ -463,32 +427,12 @@ void PartitionService::account(ServiceStatus status, Outcome outcome,
     default:
       break;
   }
-  switch (outcome) {
-    case Outcome::kHit:
-      ++counters_.cache_hits;
-      break;
-    case Outcome::kMiss:
-      ++counters_.cache_misses;
-      break;
-    case Outcome::kCoalesced:
-      break;  // counted when the request attached to the batch
-    case Outcome::kBypass:
-      ++counters_.bypassed;
-      break;
-    case Outcome::kNone:
-      break;
-  }
 }
 
-void PartitionService::publish(PartitionRequest* req, ServiceStatus status,
-                               std::shared_ptr<const PartitionResult> result,
-                               Outcome outcome, double latency_ns) noexcept {
-  req->latency_ns_ = latency_ns;
-  req->from_cache_ =
-      outcome == Outcome::kHit || outcome == Outcome::kCoalesced;
-  req->result_ = std::move(result);
-  // The terminal-state store is the caller's release point: every field
-  // above must be written first.  All atomics here are seq_cst (project
+void PartitionService::publish(PartitionRequest* req,
+                               ServiceStatus status) noexcept {
+  // The terminal-state store is the caller's release point: every reply
+  // field must be written first.  All atomics here are seq_cst (project
   // memory-order contract).
   req->state_.store(raw(status));
   req->state_.notify_all();

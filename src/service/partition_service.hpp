@@ -4,28 +4,31 @@
 //
 // Request lifecycle:
 //
-//   caller: try_submit(req), one critical section  a task on the pool
-//   ---------------------------------------------  ------------------
+//   caller: try_submit(req), one critical section  the leader's pool task
+//   ---------------------------------------------  ----------------------
 //   a. stopped?                  -> kShutdown (false)
-//   b. cached key, not bypass_cache, not cancelled/expired?
-//                                -> kOk (hit) on the caller's thread,
+//   b. key cached?               -> kOk (hit) on the caller's thread,
 //                                   before try_submit returns; no task
-//   c. queue_capacity tasks wait -> kRejected (false)
-//   d. else enqueue one task ───────────────────►  1. stopped? -> kShutdown
-//                                                  2. cancelled/expired?
-//                                                     -> kCancelled
-//                                                  3. memo-cache lookup
-//                                                     -> kOk (hit)
-//                                                  4. same key in flight?
-//                                                     -> attach to its batch
-//                                                  5. else compute once,
-//                                                     fill the cache, and
-//   req.wait()  ◄───────────────────────────────      complete every
-//                                                     request the batch
-//                                                     coalesced
+//   c. key pending?              -> join its leader's batch (coalesced);
+//                                   no task, no queue slot
+//   d. queue_capacity tasks wait -> kRejected (false)
+//   e. else enter the key pending
+//      and enqueue one task ────────────────────►  1. stopped? -> the batch
+//                                                     is kShutdown
+//                                                  2. every request in the
+//                                                     batch cancelled or
+//                                                     expired? -> kCancelled
+//                                                  3. else compute once,
+//                                                     cache or drop the
+//   req.wait()  ◄───────────────────────────────      key, and complete
+//                                                     every request in the
+//                                                     batch
 //
-// Steps 3 and 4 catch a key that was cached, or put in flight, while the
-// request waited in the queue.
+// The key table holds each key once: pending from its leader's admission
+// until that leader's task completes the batch, then cached (or dropped).
+// Steps b and c skip requests that bypass the cache or are already
+// cancelled at admission: they neither read nor enter the table, and each
+// takes its own task.
 //
 // Determinism & memoization: requests are canonicalized into a
 // core::PartitionCacheKey (quantized alpha-band; see core/cache_key.hpp)
@@ -38,13 +41,14 @@
 // Allocation contract: warm serving (cache hits) is allocation-free -- a
 // hit found at admission touches only the caller's thread, the latency
 // reservoir and the completion protocol (C++20 atomic wait/notify) are
-// preallocated, and a hit only copies a shared_ptr.  On the task path the
-// batcher's in-flight table is preallocated and the pool's task ring
-// stops growing once it has held the deepest backlog.  Worker-side
-// allocations are measured per request (stats/alloc_stats.hpp) and
-// surface as ServiceStats::alloc_count, which the perf alloc gate pins to
-// zero in the warm steady state.  Misses allocate (the cached result, the
-// cache node): that is the cold path by definition.
+// preallocated, and a hit only copies a shared_ptr.  The key table's
+// buckets are reserved for every cached and pending key, and the pool's
+// task ring stops growing once it has held the deepest backlog.
+// Worker-side allocations are measured per task (stats/alloc_stats.hpp)
+// and surface as ServiceStats::alloc_count, which the perf alloc gate pins
+// to zero in the warm steady state.  Misses allocate (the table node at
+// admission, the cached result in the task): that is the cold path by
+// definition.
 //
 // Tail latency: every served request records submit-to-completion time in
 // a stats::PercentileReservoir; snapshot() exposes p50/p95/p99 and
@@ -148,17 +152,21 @@ class PartitionRequest {
   RequestSpec spec;
 
   /// Optional cooperative cancellation (not owned; may be nullptr).
-  /// Checked at admission (a cancelled request is not answered there, even
-  /// from the cache), when the request's task starts and again when its
-  /// batch completes: firing mid-batch yields kCancelled without poisoning
-  /// the cache -- the computed value is still valid for the key.
+  /// Checked at admission (a cancelled request neither reads nor enters
+  /// the key table, so it is not answered from the cache), when its
+  /// batch's task starts (a batch whose every request is cancelled
+  /// computes nothing) and again when the batch completes: firing mid-batch
+  /// yields kCancelled without poisoning the cache -- the computed value is
+  /// still valid for the key.
   const core::CancelToken* cancel = nullptr;
 
   /// Skip the memo cache and the batcher entirely: always compute, never
   /// insert.  For byte-identity checks against a fresh compute.
   bool bypass_cache = false;
 
-  /// Sets a per-request deadline `seconds` from now (<= 0 clears).
+  /// Sets a per-request deadline `seconds` from now (<= 0 clears).  Throws
+  /// std::invalid_argument for NaN; a deadline later than the steady clock
+  /// can represent (+inf included) never passes.
   void set_deadline_after(double seconds);
 
   /// Blocks until the request reaches a terminal state; returns it.
@@ -175,7 +183,8 @@ class PartitionRequest {
       const noexcept {
     return result_;
   }
-  /// True when the answer came from the memo cache or an in-flight batch.
+  /// True when a kOk answer came from the memo cache or from a batch the
+  /// request joined.
   [[nodiscard]] bool served_from_cache() const noexcept {
     return from_cache_;
   }
@@ -206,6 +215,7 @@ class PartitionRequest {
   Clock::time_point enqueue_{};
   Clock::time_point deadline_{};
   bool has_deadline_ = false;
+  bool leads_ = false;  ///< entered its key pending; its task retires it
   PartitionRequest* batch_next_ = nullptr;  ///< intrusive coalescing link
   std::shared_ptr<const PartitionResult> result_;
   std::string error_;
@@ -222,7 +232,9 @@ struct ServiceConfig {
   /// Admission bound: accepted requests whose task has not started yet.
   /// Submissions beyond it are rejected with a typed error (admission
   /// control), never queued unboundedly.  A request answered from the
-  /// cache at admission takes no slot, so a full queue still serves hits.
+  /// cache at admission takes no slot, so a full queue still serves hits,
+  /// and neither does a request whose key is queued or computing: it joins
+  /// that key's batch.
   std::int32_t queue_capacity = 1024;
   /// Memoization cache entry bound (0 caches nothing).  At capacity, a new
   /// entry evicts a cold one by second-chance (clock): a hit sets the
@@ -240,9 +252,9 @@ struct ServiceStats {
   std::int64_t submitted = 0;
   std::int64_t completed = 0;
   std::int64_t served_ok = 0;
-  std::int64_t cache_hits = 0;        ///< answered from the memo table
+  std::int64_t cache_hits = 0;        ///< answered from the cache at admission
   std::int64_t cache_misses = 0;      ///< computed (batch leaders)
-  std::int64_t coalesced = 0;         ///< attached to an in-flight batch
+  std::int64_t coalesced = 0;         ///< joined a pending key's batch
   std::int64_t bypassed = 0;          ///< bypass_cache computes
   std::int64_t rejected = 0;          ///< admission-control rejections
   std::int64_t cancelled = 0;
@@ -281,10 +293,12 @@ class PartitionService {
   /// the caller must req.wait() before reusing or destroying the block.  A
   /// cached key (not bypass_cache, not cancelled or expired) is answered
   /// here, on the calling thread: true with req.status() already kOk and
-  /// no task enqueued.  Every other accepted request becomes one pool task.
-  /// Throws std::invalid_argument for malformed specs (unknown-size algo
-  /// name, n < 1, an alpha band that is empty or rounds to 0) before the
-  /// request is admitted.
+  /// no task enqueued.  A request for a pending key joins its leader's
+  /// batch, also with no task.  Every other accepted request becomes one
+  /// pool task.  Throws std::invalid_argument for malformed specs
+  /// (unknown-size algo name, n < 1, an alpha band that is empty or rounds
+  /// to 0, a canonical alpha outside (0, 1/2], a beta that rounds to 0)
+  /// before the request is admitted.
   [[nodiscard]] bool try_submit(PartitionRequest& req) LBB_EXCLUDES(mu_);
 
   /// Like try_submit, but refusal throws AdmissionError (typed, carries
@@ -316,14 +330,6 @@ class PartitionService {
  private:
   using Clock = std::chrono::steady_clock;
 
-  /// An in-flight compute: one leader request plus every same-key request
-  /// that arrived while it ran.  Lives on the computing task's stack;
-  /// reachable from other tasks only through inflight_ (under mu_).
-  struct Batch {
-    core::PartitionCacheKey key;
-    PartitionRequest* head = nullptr;
-  };
-
   /// Identity of a cached Partitioner instance (creation knobs only;
   /// n and the problem spec are per-request).
   struct PartitionerId {
@@ -338,56 +344,47 @@ class PartitionService {
     }
   };
 
-  /// How a completion was produced, for the hit/miss/coalesced counters.
-  enum class Outcome : std::uint8_t { kHit, kMiss, kCoalesced, kBypass,
-                                      kNone };
-
-  /// The pool task of one accepted request.  noexcept: an exception
-  /// would otherwise leave the request pending and resurface from stop().
+  /// The pool task of one accepted request, which leads its batch: a
+  /// start section, the compute, a finish section that settle()s the
+  /// batch, then publish() for every request in it.  noexcept: an
+  /// exception would otherwise leave the batch pending and resurface from
+  /// stop().
   void handle(PartitionRequest* req) noexcept;
-  void dispatch(PartitionRequest* req) LBB_EXCLUDES(mu_);
-  /// Computes the key of `batch`, which `root` leads, and completes every
-  /// request in it.  `share`: dispatch registered the batch in inflight_
-  /// (other tasks may attach until it is unregistered) and the result
-  /// goes to the cache.
-  void compute_batch(PartitionRequest* root, Batch& batch, bool share)
-      LBB_EXCLUDES(mu_);
   [[nodiscard]] std::shared_ptr<const PartitionResult> compute(
       const core::PartitionCacheKey& key);
   [[nodiscard]] const core::Partitioner& partitioner_for(
       const core::PartitionCacheKey& key) LBB_EXCLUDES(part_mu_);
-  /// The cached answer for `key` (nullptr on a miss); a hit sets the
-  /// entry's second-chance bit.
-  [[nodiscard]] std::shared_ptr<const PartitionResult> cache_lookup(
-      const core::PartitionCacheKey& key) LBB_REQUIRES(mu_);
-  /// The accounting half of a completion: counters and, for kOk, the
-  /// latency sample.
-  void account(ServiceStatus status, Outcome outcome, double latency_ns)
-      LBB_REQUIRES(mu_);
-  /// The publishing half: the request's fields, then the terminal-state
-  /// store that releases wait().  Runs without mu_.
-  static void publish(PartitionRequest* req, ServiceStatus status,
-                      std::shared_ptr<const PartitionResult> result,
-                      Outcome outcome, double latency_ns) noexcept;
-  /// account() under mu_, then publish(): the task path's completion.
-  void complete(PartitionRequest* req, ServiceStatus status,
-                std::shared_ptr<const PartitionResult> result,
-                Outcome outcome) LBB_EXCLUDES(mu_);
+  /// Ends the batch `leader` leads.  A leader's pending key is retired
+  /// first -- cached when `result` is set and cache_capacity > 0, dropped
+  /// otherwise -- so nothing more joins; then every request in the batch
+  /// is accounted and gets its reply fields for `status`, or for
+  /// kCancelled if it was cancelled while its batch computed.
+  void settle(PartitionRequest* leader, ServiceStatus status,
+              const std::shared_ptr<const PartitionResult>& result,
+              const std::string& error) LBB_REQUIRES(mu_);
+  /// Counts one completion and, for kOk, its latency sample.
+  void account(ServiceStatus status, double latency_ns) LBB_REQUIRES(mu_);
+  /// The terminal-state store that releases wait(), once the request's
+  /// reply fields are written.  Runs without mu_.
+  static void publish(PartitionRequest* req, ServiceStatus status) noexcept;
 
   ServiceConfig config_;
 
   mutable core::Mutex mu_;
-  /// Accepted requests whose task has not yet entered dispatch's critical
-  /// section; bounded by config_.queue_capacity.  Hits answered at
-  /// admission never count here.
+  /// Accepted requests whose task has not yet entered its start section;
+  /// bounded by config_.queue_capacity.  Hits and requests that joined a
+  /// batch at admission never count here.
   std::int32_t queued_ LBB_GUARDED_BY(mu_) = 0;
   bool stop_ LBB_GUARDED_BY(mu_) = false;
 
-  /// A memoized answer plus its position in the clock ring (so a hit can
-  /// set the referenced bit without a second lookup).
+  /// A key's one table entry.  Pending: `result` is null and `leader`'s
+  /// task will compute the key for its batch.  Cached: `result` plus its
+  /// position in the clock ring (so a hit can set the referenced bit
+  /// without a second lookup).
   struct CacheEntry {
     std::shared_ptr<const PartitionResult> result;
     std::size_t slot = 0;
+    PartitionRequest* leader = nullptr;
   };
   /// One clock-ring slot; the ring holds exactly the cached keys, in
   /// insertion order, and clock_hand_ sweeps it for second-chance victims.
@@ -401,7 +398,6 @@ class PartitionService {
       cache_ LBB_GUARDED_BY(mu_);
   std::vector<ClockSlot> clock_ LBB_GUARDED_BY(mu_);
   std::size_t clock_hand_ LBB_GUARDED_BY(mu_) = 0;
-  std::vector<Batch*> inflight_ LBB_GUARDED_BY(mu_);  ///< <= workers deep
 
   // Counters (under mu_; account() folds latency in the same critical
   // section so percentiles and counts never disagree).

@@ -99,6 +99,20 @@ TEST(CacheKey, ValidatesInputs) {
   EXPECT_THROW((void)make_synthetic_cache_key("ba", 1, 64, 4e-7, 0.5),
                std::invalid_argument);
   EXPECT_EQ(make_synthetic_cache_key("ba", 1, 64, 1e-6, 0.5).alpha_lo_q, 1u);
+  // Partitioner parameters whose canonical value leaves 0 < alpha <= 1/2
+  // or beta > 0: an alpha or a beta that rounds to 0, and alpha one quantum
+  // above 1/2; alpha = 1/2 itself is accepted.
+  const double quantum = 1.0 / PartitionCacheKey::kQuantum;
+  EXPECT_THROW((void)make_synthetic_cache_key("ba", 1, 64, 0.1, 0.5, 4e-7),
+               std::invalid_argument);
+  EXPECT_THROW(
+      (void)make_synthetic_cache_key("ba", 1, 64, 0.1, 0.5, 0.25, 4e-7),
+      std::invalid_argument);
+  EXPECT_THROW(
+      (void)make_synthetic_cache_key("ba", 1, 64, 0.1, 0.5, 0.5 + quantum),
+      std::invalid_argument);
+  EXPECT_DOUBLE_EQ(make_synthetic_cache_key("ba", 1, 64, 0.1, 0.5, 0.5).alpha(),
+                   0.5);
   // Out-of-range parameters (negative, NaN, too large).
   EXPECT_THROW((void)quantize_param(-0.1), std::invalid_argument);
   EXPECT_THROW((void)quantize_param(2048.0), std::invalid_argument);

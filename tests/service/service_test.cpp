@@ -8,10 +8,12 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <limits>
 #include <memory>
 #include <stdexcept>
 #include <string>
 #include <thread>
+#include <tuple>
 #include <utility>
 #include <vector>
 
@@ -147,9 +149,24 @@ TEST(PartitionService, RejectsMalformedSpecsBeforeQueueing) {
   bool accepted = false;
   EXPECT_THROW(accepted = svc.try_submit(req), std::invalid_argument);
   if (accepted) (void)req.wait();  // the block must not be re-armed pending
+  // Partitioner parameters outside alpha in (0, 1/2] and beta > 0, on
+  // their canonical values, would fail in every compute of their key.
+  for (const auto& [algo, alpha, beta] :
+       {std::tuple{"ba_star", 0.7, 1.0}, std::tuple{"ba_star", 1e-7, 1.0},
+        std::tuple{"ba_hf", 0.25, 0.0}, std::tuple{"ba_hf", 0.25, 1e-7}}) {
+    SCOPED_TRACE(testing::Message() << algo << " alpha " << alpha
+                                    << " beta " << beta);
+    req.spec = spec_for(algo);
+    req.spec.alpha = alpha;
+    req.spec.beta = beta;
+    accepted = false;
+    EXPECT_THROW(accepted = svc.try_submit(req), std::invalid_argument);
+    if (accepted) (void)req.wait();
+  }
   const ServiceStats stats = svc.snapshot();
   EXPECT_EQ(stats.submitted, 0);
   // One quantum is the smallest band that is served.
+  req.spec = spec_for("ba");
   req.spec.alpha_lo = 1e-6;
   svc.submit(req);
   EXPECT_EQ(req.wait(), ServiceStatus::kOk) << req.error_message();
@@ -169,10 +186,10 @@ TEST(PartitionService, UnknownAlgoCompletesWithTypedError) {
   EXPECT_EQ(stats.cache_entries, 0);  // failures are never cached
 }
 
-// A failed compute never reaches the cache, so neither lookup -- at
-// admission or at task start -- can answer its key: a repeat computes
-// again, a follower coalesced onto the failing batch shares its error, and
-// once the partitioner recovers the key is computed, not hit.
+// A failed compute never reaches the cache: its key leaves the table, so
+// admission cannot answer it.  A repeat computes again, a follower that
+// joined the failing batch shares its error, and once the partitioner
+// recovers the key is computed, not hit.
 TEST(PartitionService, FailedComputeNeverReachesTheCache) {
   PartitionRequest first, again, leader, follower, later;
   auto gate = install_gate();
@@ -374,8 +391,8 @@ TEST(PartitionService, CoalescesSameKeyRequestsIntoOneCompute) {
   svc.submit(leader);
   ASSERT_TRUE(eventually([&] { return gate->entered.load() == 1; }));
 
-  // Same key while the leader computes: the free worker must attach it to
-  // the in-flight batch instead of computing again.
+  // Same key while the leader computes: admission must join it to the
+  // leader's batch instead of computing again.
   PartitionRequest follower;
   follower.spec = spec_for("svc_test:gate");
   svc.submit(follower);
@@ -531,6 +548,56 @@ TEST(PartitionService, CancelledCachedKeyCompletesThroughItsTask) {
   EXPECT_EQ(stats.cache_hits, 0);
 }
 
+// A request whose key is queued joins its leader's batch at admission: it
+// takes no queue slot, so a full queue still accepts it.
+TEST(PartitionService, TwinOfAQueuedLeaderJoinsAtAdmission) {
+  PartitionRequest leader, twin;
+  ServiceConfig cfg = small_config(1);
+  cfg.queue_capacity = 1;
+  HeldWorker held(cfg);
+  ASSERT_TRUE(held.held());
+  leader.spec = twin.spec = spec_for("ba", 40);
+  ASSERT_TRUE(held.svc.try_submit(leader));  // fills the queue
+  ASSERT_TRUE(held.svc.try_submit(twin));
+  EXPECT_EQ(twin.status(), ServiceStatus::kPending);
+  EXPECT_EQ(held.svc.snapshot().coalesced, 1);
+
+  held.gate->open.store(true);
+  ASSERT_EQ(leader.wait(), ServiceStatus::kOk);
+  ASSERT_EQ(twin.wait(), ServiceStatus::kOk);
+  EXPECT_FALSE(leader.served_from_cache());
+  EXPECT_TRUE(twin.served_from_cache());
+  EXPECT_EQ(twin.result().get(), leader.result().get());
+  EXPECT_EQ(held.svc.snapshot().rejected, 0);
+}
+
+// A batch computes while any request in it still waits: a leader cancelled
+// in the queue computes for its live twin, and the value is cached.
+TEST(PartitionService, CancelledLeaderStillComputesForItsLiveTwin) {
+  core::CancelToken token;
+  PartitionRequest leader, twin, after;
+  HeldWorker held(small_config(1));
+  ASSERT_TRUE(held.held());
+  leader.spec = twin.spec = after.spec = spec_for("ba", 50);
+  leader.cancel = &token;
+  held.svc.submit(leader);
+  held.svc.submit(twin);
+  token.cancel();
+
+  held.gate->open.store(true);
+  EXPECT_EQ(leader.wait(), ServiceStatus::kCancelled);
+  EXPECT_EQ(leader.result(), nullptr);
+  ASSERT_EQ(twin.wait(), ServiceStatus::kOk);
+  ASSERT_TRUE(held.svc.try_submit(after));
+  EXPECT_EQ(after.status(), ServiceStatus::kOk);  // cached at admission
+  EXPECT_EQ(after.result().get(), twin.result().get());
+  const ServiceStats stats = held.svc.snapshot();
+  // One compute for the key, after HeldWorker's two.
+  EXPECT_EQ(stats.cache_misses, 3);
+  EXPECT_EQ(stats.coalesced, 1);
+  EXPECT_EQ(stats.cancelled, 1);
+}
+
 // ---------------------------------------------------------------------------
 // Admission control
 
@@ -545,9 +612,12 @@ TEST(PartitionService, AdmissionControlRejectsWhenQueueFull) {
   svc.submit(blocker);
   ASSERT_TRUE(eventually([&] { return gate->entered.load() == 1; }));
 
-  // The single worker is busy; fill the queue to capacity.
+  // The single worker is busy; fill the queue to capacity.  Distinct keys:
+  // a request whose key is queued joins that batch and takes no slot.
   PartitionRequest q1, q2, overflow;
-  q1.spec = q2.spec = overflow.spec = spec_for("ba");
+  q1.spec = spec_for("ba", 1);
+  q2.spec = spec_for("ba", 2);
+  overflow.spec = spec_for("ba", 3);
   ASSERT_TRUE(svc.try_submit(q1));
   ASSERT_TRUE(svc.try_submit(q2));
 
@@ -668,6 +738,24 @@ TEST(PartitionService, DeadlineExpiryCancelsQueuedRequest) {
   EXPECT_GT(doomed.latency_ms(), 0.0);
 }
 
+// A NaN delay is refused; a deadline later than the steady clock can hold
+// never passes, so the request is served.
+TEST(PartitionService, DeadlinesPastTheClockNeverPass) {
+  PartitionService svc(small_config(1));
+  PartitionRequest req;
+  EXPECT_THROW(req.set_deadline_after(std::numeric_limits<double>::quiet_NaN()),
+               std::invalid_argument);
+  std::uint64_t seed = 60;  // a fresh key each, so each runs its task
+  for (const double seconds :
+       {1e10, std::numeric_limits<double>::infinity()}) {
+    SCOPED_TRACE(seconds);
+    req.spec = spec_for("ba", seed++);
+    req.set_deadline_after(seconds);
+    svc.submit(req);
+    EXPECT_EQ(req.wait(), ServiceStatus::kOk);
+  }
+}
+
 // ---------------------------------------------------------------------------
 // Shutdown
 
@@ -686,11 +774,14 @@ TEST(PartitionService, StopDrainsQueueAndRefusesNewWork) {
     }
     ASSERT_TRUE(eventually([&] { return gate->entered.load() == workers; }));
 
-    PartitionRequest queued[3];
+    PartitionRequest queued[3], twin;
     for (std::uint64_t i = 0; i < 3; ++i) {
       queued[i].spec = spec_for("ba", 10 + i);
       svc.submit(queued[i]);
     }
+    // A twin of a queued request joins its batch and drains with it.
+    twin.spec = spec_for("ba", 10);
+    svc.submit(twin);
 
     // stop() waits for the workers, which are blocked on the gate: release
     // them from a helper thread once the drain has begun.
@@ -706,9 +797,9 @@ TEST(PartitionService, StopDrainsQueueAndRefusesNewWork) {
     for (PartitionRequest& req : inflight) {
       EXPECT_EQ(req.status(), ServiceStatus::kOk);
     }
-    for (PartitionRequest& req : queued) {
-      EXPECT_EQ(req.status(), ServiceStatus::kShutdown);
-      EXPECT_EQ(req.result(), nullptr);
+    for (PartitionRequest* req : {&queued[0], &queued[1], &queued[2], &twin}) {
+      EXPECT_EQ(req->status(), ServiceStatus::kShutdown);
+      EXPECT_EQ(req->result(), nullptr);
     }
 
     PartitionRequest late;
@@ -721,8 +812,8 @@ TEST(PartitionService, StopDrainsQueueAndRefusesNewWork) {
     } catch (const AdmissionError& e) {
       EXPECT_EQ(e.status(), ServiceStatus::kShutdown);
     }
-    // Three drained plus two refused.
-    EXPECT_EQ(svc.snapshot().shutdown_drained, 5);
+    // Four drained plus two refused.
+    EXPECT_EQ(svc.snapshot().shutdown_drained, 6);
     svc.stop();  // idempotent
   }
 }
@@ -791,9 +882,7 @@ TEST(PartitionService, StopRacingSubmittersLeavesNothingPending) {
 // ---------------------------------------------------------------------------
 // Stats and reporting
 
-// The name predates ServiceStats being the service's only report: the same
-// numbers now come straight from snapshot().
-TEST(PartitionService, ReportsCoherentStatsThroughMetricsSink) {
+TEST(PartitionService, ReportsCoherentStats) {
   PartitionService svc(small_config(1));
   for (int i = 0; i < 3; ++i) (void)svc.call(spec_for("ba", 1));
   (void)svc.call(spec_for("ba", 2));

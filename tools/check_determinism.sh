@@ -47,8 +47,8 @@
 #
 # The ubsan preset adds float-cast-overflow, which GCC's "undefined" group
 # leaves out (a NaN or infinite double converted to an integer), and the
-# ubsan-core test preset (labels core|property|experiments) runs the
-# kernels and the max-sink trials under it:
+# ubsan-core test preset (labels core|property|experiments|service) runs
+# the kernels, the max-sink trials and the service under it:
 #
 #   cmake --preset ubsan && cmake --build --preset ubsan -j
 #   ctest --preset ubsan-core
