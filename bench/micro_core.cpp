@@ -27,6 +27,7 @@
 #include "runtime/par_partition.hpp"
 #include "runtime/thread_pool.hpp"
 #include "stats/alloc_stats.hpp"
+#include "stats/rng.hpp"
 
 namespace {
 
@@ -92,6 +93,13 @@ AlphaDistribution hf_distribution(std::int64_t which) {
   }
 }
 
+/// Instance mix64(1, i) of `dist` for the i-th call, as large_n draws one
+/// per round: HF's walk then starts from the previous instance's answer
+/// (TrialWorkspace::hf_walk_start), not from a replay of this one's.
+SyntheticProblem hf_instance(std::uint64_t i, const AlphaDistribution& dist) {
+  return SyntheticProblem(lbb::stats::mix64(1, i), dist);
+}
+
 // Workspace variants of the partition benchmarks: the steady-state hot
 // path of the experiment engine (warm TrialWorkspace, pieces recycled).
 // The allocs_per_op counter reads 0 here -- the `perf` ctest gate asserts
@@ -101,12 +109,12 @@ void BM_HfPartitionWorkspace(benchmark::State& state) {
   const auto n = static_cast<std::int32_t>(state.range(0));
   const AlphaDistribution dist = hf_distribution(state.range(1));
   state.SetLabel(dist.describe());
-  const SyntheticProblem p(1, dist);
   lbb::core::TrialWorkspace<SyntheticProblem> ws;
-  ws.recycle(lbb::core::hf_partition(ws, p, n));  // warm-up
+  std::uint64_t call = 0;
+  ws.recycle(lbb::core::hf_partition(ws, hf_instance(call++, dist), n));
   const auto before = lbb::stats::alloc_stats();
   for (auto _ : state) {
-    auto part = lbb::core::hf_partition(ws, p, n);
+    auto part = lbb::core::hf_partition(ws, hf_instance(call++, dist), n);
     benchmark::DoNotOptimize(part.pieces.data());
     ws.recycle(std::move(part));
   }
@@ -118,6 +126,7 @@ void BM_HfPartitionWorkspace(benchmark::State& state) {
 /// the band queue (the walk flag cleared before each call), 1 the
 /// threshold path (detail::hf_threshold_run, called directly, so it runs
 /// below kHfThresholdMinPieces too; a run that gives it up is skipped).
+/// Each call partitions the next instance (hf_instance).
 /// Run with --benchmark_repetitions and
 /// --benchmark_enable_random_interleaving=true, so both paths alternate
 /// in one process: the ratio of their medians per (n, distribution) is
@@ -128,9 +137,10 @@ void BM_HfFullPath(benchmark::State& state) {
   const AlphaDistribution dist = hf_distribution(state.range(1));
   const bool threshold = state.range(2) != 0;
   state.SetLabel(dist.describe() + (threshold ? " threshold" : " queue"));
-  const SyntheticProblem p(1, dist);
   core::TrialWorkspace<SyntheticProblem> ws;
+  std::uint64_t call = 0;
   const auto run = [&] {
+    const SyntheticProblem p = hf_instance(call++, dist);
     if (!threshold) {
       ws.hf_walk = false;
       return core::hf_partition(ws, p, n);

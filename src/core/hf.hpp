@@ -42,6 +42,9 @@
 //     detail::kHfThresholdMinPieces on, the walk's n-1 heaviest nodes,
 //     sorted into pop order, give every piece's slot from its parent's pop
 //     rank (hf_threshold_run; section 7.7).
+// A walk without a floor starts at the workspace's last answer less 1/16
+// (TrialWorkspace::hf_walk_start), and again just below w/n if fewer than
+// n nodes weigh that much: about 1.07n bisections instead of 1.7-2.0n.
 // A walk that overflows its budget or meets a child it cannot order, and a
 // threshold run whose ranked nodes tie (hf_select's seq orders ties), hand
 // the run to the queue, and both paths write the same bits.
@@ -87,9 +90,10 @@ concept TreeWalkable =
 
 /// The walk's budget: an n-piece walk may visit at most kHfWalkPerPiece * n
 /// tree nodes before it gives up and HF falls back to the selection queue.
-/// Wide uniform distributions visit 1.4-2.71 nodes per piece, narrow and
-/// point ones 3.1-27, where the queue is cheaper; 3n separates the two
-/// groups at every n measured (DESIGN.md section 7.6).
+/// From w/n (a cold walk), wide uniform distributions visit 1.4-2.71 nodes
+/// per piece, narrow and point ones 3.1-27, where the queue is cheaper; 3n
+/// separates the two groups at every n measured (DESIGN.md section 7.6).
+/// A warm walk starts near the answer and visits fewer.
 inline constexpr std::int64_t kHfWalkPerPiece = 3;
 
 /// Most nodes an n-piece walk may visit (see kHfWalkPerPiece).
@@ -103,6 +107,15 @@ inline constexpr std::int64_t kHfWalkPerPiece = 3;
 [[nodiscard]] constexpr double hf_walk_threshold(double w,
                                                  std::int32_t n) noexcept {
   return w / static_cast<double>(n) * (1.0 - 0x1p-20);
+}
+
+/// What a walk whose answer is `x`, on a root of weight w with n pieces,
+/// leaves in TrialWorkspace::hf_walk_start for the next walk: x as a
+/// multiple of w/n, less 1/16, which the answer's spread between instances
+/// of one class stays within from about 2^10 pieces on (DESIGN.md 7.6).
+[[nodiscard]] constexpr double hf_walk_start(double x, double w,
+                                             std::int32_t n) noexcept {
+  return x / (w / static_cast<double>(n)) * (1.0 - 0x1p-4);
 }
 
 /// The n-th largest weight among the `count` nodes of a finished walk,
@@ -167,13 +180,18 @@ inline constexpr unsigned kSecondHeavier = 4;
 /// every node it visits and keeps only children >= t visits exactly that
 /// subtree.  The pieces sum to w, so HF's heaviest piece is at least w/n:
 /// the walk starts just below it (hf_walk_threshold) and halves t until at
-/// least n nodes come back.
+/// least n nodes come back.  It starts at ws.hf_walk_start times w/n
+/// instead when that is higher (the last walk's answer, less a margin:
+/// hf_walk_start), and just below w/n again if fewer than n nodes weigh
+/// that much.  Any start is exact, since a walk that returns n nodes holds
+/// the n heaviest; a NaN start reads as none.
 ///
 /// A positive `floor`, which hf_run passes only when it is at least that
 /// first threshold (the max sink's heaviest piece so far), is the walk's
 /// only threshold: it visits the nodes >= floor once and returns them even
 /// when fewer than n come back (the root counts as one, and a root below
-/// the floor is not bisected).  A full-partition walk takes no floor (0).
+/// the floor is not bisected); it ignores the start.  A full-partition walk
+/// takes no floor (0).
 ///
 /// Breadth-first over ws.hf_slots' storage, at once the queue and the
 /// visited list, so consecutive bisections overlap in the core; children
@@ -197,7 +215,11 @@ LBB_HOT HfWalk<P> hf_walk(TrialWorkspace<P>& ws, const P& root,
     return {node, 0, 0.0};
   }
   const bool floored = !Full && floor > 0.0;
-  double t = floored ? floor : hf_walk_threshold(w, n);
+  const double first = hf_walk_threshold(w, n);
+  // std::max returns `first` on a NaN start.
+  double t = floored ? floor
+                     : std::max(first, ws.hf_walk_start *
+                                           (w / static_cast<double>(n)));
   // A root below the floor is the only node the walk could return.
   if (floored && w < t) return {node, 1, t};
   for (;;) {
@@ -230,15 +252,16 @@ LBB_HOT HfWalk<P> hf_walk(TrialWorkspace<P>& ws, const P& root,
       }
     }
     if (end >= static_cast<std::size_t>(n) || floored) return {node, end, t};
-    t *= 0.5;
+    t = t > first ? first : t * 0.5;
   }
 }
 
 /// HF's heaviest piece on `root` with n pieces, into `nth`: the n-th
 /// heaviest node of the bisection tree (hf_walk), or 0.0 when a floor at or
 /// above the walk's first threshold leaves fewer than n nodes, because then
-/// HF's heaviest piece is below the floor (hf_run).  Returns false, leaving
-/// `nth` unset, when the walk gives up.
+/// HF's heaviest piece is below the floor (hf_run).  An unfloored walk's
+/// answer becomes the next walk's start.  Returns false, leaving `nth`
+/// unset, when the walk gives up.
 template <TreeWalkable P>
 LBB_HOT bool hf_tree_walk(TrialWorkspace<P>& ws, const P& root,
                           std::int32_t n, double floor, double& nth) {
@@ -248,6 +271,7 @@ LBB_HOT bool hf_tree_walk(TrialWorkspace<P>& ws, const P& root,
             ? 0.0
             : hf_walk_select(ws, walk.node, root.weight(), walk.t,
                              walk.count, n);
+  if (floor == 0.0) ws.hf_walk_start = hf_walk_start(nth, root.weight(), n);
   return true;
 }
 
@@ -381,7 +405,8 @@ inline bool hf_sort_heaviest_first(HfRankedNode* first, HfRankedNode* last) {
 ///     division rounds correctly.  Only the buckets up to the one holding
 ///     the (n-1)-th heaviest node are filled, (weight, index) pairs in
 ///     walk order, sorted, and ranked in order, unless one holds a tie;
-///     every other node is not popped.
+///     every other node is not popped.  The (n-1)-th pop gives the next
+///     walk's start (hf_walk_start).
 ///  2. Slots, in walk order, where parents come first.  A popped node's
 ///     heavier child keeps its slot, and its lighter child takes slot
 ///     rank + 1, which is where hf_select puts the lighter child of its
@@ -445,6 +470,7 @@ template <TreeWalkable P>
     if (hf_sort_heaviest_first(run, stop)) [[unlikely]] return false;
     for (; run < stop; ++run) o.rank[run->node] = rank++;
   }
+  ws.hf_walk_start = hf_walk_start(o.sorted[pops - 1].weight, root.weight(), n);
 
   // 2. Slots.  A node whose parent is not popped gets slot -1 and is no
   // piece.  Each node writes its first child's slot at c and its second

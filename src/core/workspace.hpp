@@ -94,6 +94,11 @@ class TrialWorkspace {
   /// (experiments::BatchTrialRunner sets it again when the distribution
   /// changes).  Both paths return the same bits.
   bool hf_walk = true;
+  /// Where HF's next walk without a floor starts, as a multiple of w/n: the
+  /// last such walk's answer less 1/16 (detail::hf_walk_start; 0 starts
+  /// just below w/n).  Any value, NaN included, gives the same bits, and
+  /// BatchTrialRunner clears it with hf_walk.
+  double hf_walk_start = 0.0;
 
  private:
   std::vector<Piece<P>> piece_pool_;

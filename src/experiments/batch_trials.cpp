@@ -51,9 +51,11 @@ void BatchTrialRunner::run(const BuiltinAlgo& algo,
   }
   if (dist_ == nullptr || !(*dist_ == dist)) {
     // The walk's give-up is sticky per distribution: a narrow one that
-    // overflowed the walk once would do so again on most seeds.
+    // overflowed the walk once would do so again on most seeds.  Its start
+    // is the last answer, which another distribution does not predict.
     dist_ = dist.interned();
     ws_.hf_walk = true;
+    ws_.hf_walk_start = 0.0;
   }
   // Full-partition constants, computed identically: every trial's root
   // weight is 1.0, so the BA' prune threshold and the ratio denominator

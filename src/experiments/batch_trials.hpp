@@ -44,7 +44,8 @@ class BatchTrialRunner {
   /// Largest n ws_'s HF scratch has been sized for (it only grows).
   std::int32_t hf_reserved_ = 0;
   /// Distribution of the previous run (interned).  A new one re-enables
-  /// HF's walk in ws_ (see TrialWorkspace::hf_walk).
+  /// HF's walk in ws_ and clears its start (see TrialWorkspace::hf_walk
+  /// and hf_walk_start).
   const problems::AlphaDistribution* dist_ = nullptr;
 };
 

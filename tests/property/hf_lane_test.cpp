@@ -11,6 +11,9 @@
 //     and children that sum to 3/4 of the parent -- under the max sink,
 //     and as full partitions on the threshold path against the queue,
 //     with a third whose heavier child at one depth weighs its parent.
+//   * HF's walk from any start (TrialWorkspace::hf_walk_start), NaN and
+//     +inf included, under both sinks; and, counted by bisect() calls, how
+//     few nodes a warm walk bisects once the start is carried over.
 //   * BaLaneProperty: BA, BA' and BA-HF, instance by instance; and BA's
 //     skip of frames and BA-HF's floored HF phases, which cannot raise the
 //     maximum, counted by bisect() calls: they fire for a type that
@@ -18,11 +21,14 @@
 //     core::pure_bisect_v), and nowhere else.
 #include <gtest/gtest.h>
 
+#include <array>
 #include <bit>
+#include <cmath>
 #include <cstdint>
 #include <cstdio>
 #include <limits>
 #include <string>
+#include <type_traits>
 #include <utility>
 
 #include "core/ba.hpp"
@@ -173,6 +179,55 @@ static_assert(!monotone_bisect_v<HeavierChildProblem>);
 
 std::uint64_t bits(double x) { return std::bit_cast<std::uint64_t>(x); }
 
+/// HF's max-sink cases: the two wide classes the walk is for, narrow ones
+/// whose walks overflow, and point ones that tie.
+std::array<AlphaDistribution, 8> hf_dists() {
+  return {AlphaDistribution::uniform(0.1, 0.5),
+          AlphaDistribution::uniform(0.01, 0.5),
+          AlphaDistribution::uniform(0.02, 0.04),
+          AlphaDistribution::uniform(0.05, 0.1),
+          AlphaDistribution::point(0.5),
+          AlphaDistribution::point(0.1),
+          AlphaDistribution::point(0.01),
+          AlphaDistribution::two_point(0.01, 0.5)};
+}
+constexpr std::int32_t kHfSizes[] = {kCutOver - 1, kCutOver, 64, 100, 1024,
+                                     kMaxPieces};
+
+/// Walk starts, as multiples of w/n: none, below and at w/n, around the
+/// answers of the two wide classes, far above any answer, +inf and NaN.
+constexpr double kStarts[] = {
+    0.0, 0.5, 1.0, 1.5, 1.73, 1.96, 2.5, 64.0,
+    std::numeric_limits<double>::infinity(),
+    std::numeric_limits<double>::quiet_NaN()};
+
+/// A node's identity: SyntheticProblem's node hash, the toy types' hash.
+template <typename P>
+std::uint64_t node_id(const P& p) {
+  if constexpr (std::is_same_v<P, SyntheticProblem>) {
+    return p.node_hash();
+  } else {
+    return p.hash;
+  }
+}
+
+/// Asserts that two full partitions are equal piece for piece.
+template <typename P>
+void expect_same_pieces(const Partition<P>& got, const Partition<P>& want,
+                        const std::string& what) {
+  ASSERT_EQ(got.pieces.size(), want.pieces.size()) << what;
+  ASSERT_EQ(got.bisections, want.bisections) << what;
+  ASSERT_EQ(got.max_depth, want.max_depth) << what;
+  for (std::size_t i = 0; i < want.pieces.size(); ++i) {
+    const auto& g = got.pieces[i];
+    const auto& w = want.pieces[i];
+    ASSERT_EQ(bits(g.weight), bits(w.weight)) << what << " piece " << i;
+    ASSERT_EQ(node_id(g.problem), node_id(w.problem)) << what << " piece " << i;
+    ASSERT_EQ(g.processor, w.processor) << what << " piece " << i;
+    ASSERT_EQ(g.depth, w.depth) << what << " piece " << i;
+  }
+}
+
 struct MaxResult {
   double max = 0.0;
   std::int64_t bisections = 0;
@@ -197,18 +252,6 @@ std::string describe(const AlphaDistribution& dist, std::int32_t n,
 }
 
 TEST(HfLaneProperty, MatchesScalarHfOnWalkAndFallback) {
-  const AlphaDistribution dists[] = {
-      AlphaDistribution::uniform(0.1, 0.5),
-      AlphaDistribution::uniform(0.01, 0.5),
-      AlphaDistribution::uniform(0.02, 0.04),
-      AlphaDistribution::uniform(0.05, 0.1),
-      AlphaDistribution::point(0.5),
-      AlphaDistribution::point(0.1),
-      AlphaDistribution::point(0.01),
-      AlphaDistribution::two_point(0.01, 0.5),
-  };
-  const std::int32_t sizes[] = {kCutOver - 1, kCutOver, 64, 100, 1024,
-                                kMaxPieces};
   TrialWorkspace<SyntheticProblem> ws;
   hf_reserve<MaxSink>(ws, kMaxPieces);
   // The reference builds its partitions with the selection queue, which
@@ -217,12 +260,12 @@ TEST(HfLaneProperty, MatchesScalarHfOnWalkAndFallback) {
   full_ws.hf_walk = false;
   std::int64_t walked = 0;
   std::int64_t fell_back = 0;
-  for (const AlphaDistribution& dist : dists) {
+  for (const AlphaDistribution& dist : hf_dists()) {
     // The wide uniform distributions are what the walk is for: their walks
     // visit 1.7-2.0 nodes per piece, well inside the budget.
     const bool wide = dist.kind() == AlphaDistribution::Kind::kUniform &&
                       dist.upper_bound() == 0.5;
-    for (const std::int32_t n : sizes) {
+    for (const std::int32_t n : kHfSizes) {
       for (std::uint64_t seed = 0; seed < kSeeds; ++seed) {
         const std::uint64_t instance = stats::mix64(0x1a7e, seed);
         const std::string what = describe(dist, n, seed);
@@ -309,17 +352,8 @@ void expect_threshold_path_matches_queue(std::int64_t& selected,
       const Partition<P> got = hf_partition(ws, root, n);
       (ws.hf_walk ? selected : fell_back) += 1;
       const Partition<P> want = hf_partition(queue_ws, root, n);
-      ASSERT_EQ(got.pieces.size(), want.pieces.size()) << what;
-      ASSERT_EQ(got.bisections, want.bisections) << what;
-      ASSERT_EQ(got.max_depth, want.max_depth) << what;
-      for (std::size_t i = 0; i < want.pieces.size(); ++i) {
-        const auto& g = got.pieces[i];
-        const auto& w = want.pieces[i];
-        ASSERT_EQ(bits(g.weight), bits(w.weight)) << what << " piece " << i;
-        ASSERT_EQ(g.problem.hash, w.problem.hash) << what << " piece " << i;
-        ASSERT_EQ(g.processor, w.processor) << what << " piece " << i;
-        ASSERT_EQ(g.depth, w.depth) << what << " piece " << i;
-      }
+      expect_same_pieces(got, want, what);
+      if (::testing::Test::HasFatalFailure()) return;
     }
   }
 }
@@ -357,6 +391,124 @@ TEST(HfLaneProperty, InfiniteRootGivesUpTheWalk) {
     const Partition<InfiniteRootProblem> part = hf_partition(full_ws, root, n);
     EXPECT_EQ(full_ws.hf_walk, n < kHfThresholdMinPieces) << "n=" << n;
     EXPECT_EQ(part.bisections, n - 1) << "n=" << n;
+  }
+}
+
+/// Instance `seed` of a toy problem type.
+template <typename P>
+P toy_root(std::uint64_t seed) {
+  return P{stats::mix64(0x57a9, seed), 1.0 + static_cast<double>(seed)};
+}
+
+/// Full partitions at the threshold path's cut-over and one above, from
+/// every start, against the queue piece for piece; `root_of(seed)` draws
+/// the instances.
+template <typename P, typename RootOf>
+void expect_any_start_matches_queue(const RootOf& root_of,
+                                    const std::string& name) {
+  TrialWorkspace<P> ws;
+  TrialWorkspace<P> queue_ws;
+  queue_ws.hf_walk = false;
+  for (const std::int32_t n :
+       {kHfThresholdMinPieces, kHfThresholdMinPieces + 1}) {
+    for (std::uint64_t seed = 0; seed < 2; ++seed) {
+      const P root = root_of(seed);
+      const Partition<P> want = hf_partition(queue_ws, root, n);
+      for (const double start : kStarts) {
+        const std::string what = name + " n=" + std::to_string(n) +
+                                 " seed=" + std::to_string(seed) +
+                                 " start=" + std::to_string(start);
+        ws.hf_walk = true;
+        ws.hf_walk_start = start;
+        Partition<P> got = hf_partition(ws, root, n);
+        expect_same_pieces(got, want, what);
+        if (::testing::Test::HasFatalFailure()) return;
+        ws.recycle(std::move(got));
+      }
+    }
+  }
+}
+
+TEST(HfLaneProperty, AnyWalkStartMatchesTheQueue) {
+  // The max sink: the queue's maximum and count from every start.  A start
+  // above the answer finds fewer than n nodes and walks again from w/n; a
+  // NaN start reads as none.  A walk leaves its own answer as the start.
+  TrialWorkspace<SyntheticProblem> ws;
+  hf_reserve<MaxSink>(ws, kMaxPieces);
+  TrialWorkspace<SyntheticProblem> full_ws;
+  full_ws.hf_walk = false;
+  for (const AlphaDistribution& dist : hf_dists()) {
+    for (const std::int32_t n : kHfSizes) {
+      for (std::uint64_t seed = 0; seed < 8; ++seed) {
+        const SyntheticProblem root(stats::mix64(0x57a7, seed), dist);
+        Partition<SyntheticProblem> want = hf_partition(full_ws, root, n);
+        for (const double start : kStarts) {
+          const std::string what =
+              describe(dist, n, seed) + " start=" + std::to_string(start);
+          ws.hf_walk_start = start;
+          const MaxResult got = run_max_hf(ws, root, n, true);
+          ASSERT_EQ(bits(got.max), bits(want.max_weight())) << what;
+          ASSERT_EQ(got.bisections, want.bisections) << what;
+          if (got.walked) {
+            EXPECT_TRUE(std::isfinite(ws.hf_walk_start)) << what;
+          }
+        }
+        full_ws.recycle(std::move(want));
+      }
+    }
+  }
+
+  // Full partitions on the threshold path, piece for piece: the two wide
+  // classes, children that shrink (every answer lies below w/n) and a
+  // heavier child that sends some walks to the queue.
+  for (const AlphaDistribution& dist :
+       {AlphaDistribution::uniform(0.1, 0.5),
+        AlphaDistribution::uniform(0.01, 0.5)}) {
+    expect_any_start_matches_queue<SyntheticProblem>(
+        [&dist](std::uint64_t seed) {
+          return SyntheticProblem(stats::mix64(0x57a8, seed), dist);
+        },
+        dist.describe());
+    if (HasFatalFailure()) return;
+  }
+  expect_any_start_matches_queue<ShrinkingProblem>(
+      toy_root<ShrinkingProblem>, "shrinking");
+  if (HasFatalFailure()) return;
+  expect_any_start_matches_queue<HeavierChildProblem>(
+      toy_root<HeavierChildProblem>, "heavier child");
+  if (HasFatalFailure()) return;
+
+  // The start carried over, counted by bisect() calls: on 32 consecutive
+  // instances of an mc_paper cell, the first walk starts cold and bisects
+  // the 1.73n-1.96n nodes >= w/n, every later one about 1.07n.
+  using PureOnly = CountingProblem<false, true>;
+  for (const AlphaDistribution& dist :
+       {AlphaDistribution::uniform(0.01, 0.5),
+        AlphaDistribution::uniform(0.1, 0.5)}) {
+    for (const std::int32_t n : {1024, 16384}) {
+      constexpr std::int32_t kInstances = 32;
+      TrialWorkspace<PureOnly> counted_ws;
+      std::int64_t calls = 0;
+      for (std::int32_t i = 0; i < kInstances; ++i) {
+        const std::uint64_t instance =
+            stats::mix64(0x57aa, static_cast<std::uint64_t>(n) * kInstances +
+                                     static_cast<std::uint64_t>(i));
+        const SyntheticProblem root(instance, dist);
+        const std::string what = describe(dist, n, instance);
+        Partition<SyntheticProblem> want = hf_partition(full_ws, root, n);
+        MaxSink sink;
+        hf_run(sink, counted_ws, PureOnly{root, &calls}, n, {});
+        ASSERT_EQ(bits(sink.max), bits(want.max_weight())) << what;
+        ASSERT_EQ(sink.bisections, n - 1) << what;
+        ASSERT_TRUE(counted_ws.hf_walk) << what << " fell back";
+        full_ws.recycle(std::move(want));
+      }
+      const double per_piece =
+          static_cast<double>(calls) / (double{kInstances} * n);
+      std::printf("[  walked  ] HF %s n=%d: %.3f bisect() calls per piece\n",
+                  dist.describe().c_str(), n, per_piece);
+      EXPECT_LE(per_piece, 1.25) << dist.describe() << " n=" << n;
+    }
   }
 }
 
@@ -571,7 +723,8 @@ TEST(BaLaneProperty, MaxSinkBaHfBoundsOnlyWhereAllowed) {
       // The share of BA-HF's bisections the max sink still makes (DESIGN.md
       // section 10.1 records these).  Unfloored walks (the first phase, and
       // phases heavier per processor than the maximum so far) bisect about
-      // two nodes per piece, so a single trial on U[0.01,0.5] at 1024 may make
+      // two nodes per piece from a cold start and fewer from the last
+      // walk's answer, so a single trial on U[0.01,0.5] at 1024 may make
       // more than n - 1 calls; the cell's total may not.
       const std::int64_t all = std::int64_t{kInstances} * (n - 1);
       std::printf("[   kept   ] BA-HF %s n=%d: %.3f of n-1 bisections\n",

@@ -112,6 +112,22 @@ std::shared_ptr<GateState> install_gate() {
   return state;
 }
 
+/// Opens the gate when it leaves scope.  Declare it right after the
+/// service, and the requests (and their cancel tokens) before the service:
+/// an ASSERT that returns before the test opens the gate then releases the
+/// gated compute before the service's destructor waits for it, so the test
+/// fails instead of hanging, and the requests outlive what the service
+/// drains.
+struct GateOpener {
+  explicit GateOpener(std::shared_ptr<GateState> state)
+      : gate(std::move(state)) {}
+  ~GateOpener() { gate->open.store(true); }
+  GateOpener(const GateOpener&) = delete;
+  GateOpener& operator=(const GateOpener&) = delete;
+
+  std::shared_ptr<GateState> gate;
+};
+
 // ---------------------------------------------------------------------------
 // Basic serving
 
@@ -196,6 +212,7 @@ TEST(PartitionService, FailedComputeNeverReachesTheCache) {
   gate->fail.store(true);
   gate->open.store(true);
   PartitionService svc(small_config(2));
+  const GateOpener opener{gate};
 
   first.spec = again.spec = spec_for("svc_test:gate");
   svc.submit(first);
@@ -383,17 +400,17 @@ TEST(PartitionService, ClockSweepWrapsWhenEveryEntryIsReferenced) {
 // Batching (single-flight coalescing)
 
 TEST(PartitionService, CoalescesSameKeyRequestsIntoOneCompute) {
+  PartitionRequest leader, follower;
   auto gate = install_gate();
   PartitionService svc(small_config(2));
+  const GateOpener opener{gate};
 
-  PartitionRequest leader;
   leader.spec = spec_for("svc_test:gate");
   svc.submit(leader);
   ASSERT_TRUE(eventually([&] { return gate->entered.load() == 1; }));
 
   // Same key while the leader computes: admission must join it to the
   // leader's batch instead of computing again.
-  PartitionRequest follower;
   follower.spec = spec_for("svc_test:gate");
   svc.submit(follower);
   ASSERT_TRUE(
@@ -602,19 +619,19 @@ TEST(PartitionService, CancelledLeaderStillComputesForItsLiveTwin) {
 // Admission control
 
 TEST(PartitionService, AdmissionControlRejectsWhenQueueFull) {
+  PartitionRequest blocker, q1, q2, overflow;
   auto gate = install_gate();
   ServiceConfig cfg = small_config(1);
   cfg.queue_capacity = 2;
   PartitionService svc(cfg);
+  const GateOpener opener{gate};
 
-  PartitionRequest blocker;
   blocker.spec = spec_for("svc_test:gate");
   svc.submit(blocker);
   ASSERT_TRUE(eventually([&] { return gate->entered.load() == 1; }));
 
   // The single worker is busy; fill the queue to capacity.  Distinct keys:
   // a request whose key is queued joins that batch and takes no slot.
-  PartitionRequest q1, q2, overflow;
   q1.spec = spec_for("ba", 1);
   q2.spec = spec_for("ba", 2);
   overflow.spec = spec_for("ba", 3);
@@ -645,16 +662,16 @@ TEST(PartitionService, AdmissionControlRejectsWhenQueueFull) {
 // Cancellation under load
 
 TEST(PartitionService, CancelledWhileQueuedCompletesWithoutComputing) {
+  core::CancelToken token;
+  PartitionRequest blocker, c1, c2, again;
   auto gate = install_gate();
   PartitionService svc(small_config(1));
+  const GateOpener opener{gate};
 
-  PartitionRequest blocker;
   blocker.spec = spec_for("svc_test:gate");
   svc.submit(blocker);
   ASSERT_TRUE(eventually([&] { return gate->entered.load() == 1; }));
 
-  core::CancelToken token;
-  PartitionRequest c1, c2;
   c1.spec = c2.spec = spec_for("ba", 77);
   c1.cancel = &token;
   c2.cancel = &token;
@@ -674,7 +691,6 @@ TEST(PartitionService, CancelledWhileQueuedCompletesWithoutComputing) {
   // was cached for it; the gate key is the single entry.
   EXPECT_EQ(stats.cache_entries, 1);
   // And the key still serves normally afterwards.
-  PartitionRequest again;
   again.spec = spec_for("ba", 77);
   svc.submit(again);
   EXPECT_EQ(again.wait(), ServiceStatus::kOk);
@@ -682,16 +698,16 @@ TEST(PartitionService, CancelledWhileQueuedCompletesWithoutComputing) {
 }
 
 TEST(PartitionService, CancelledMidBatchDoesNotPoisonTheCache) {
+  core::CancelToken token;
+  PartitionRequest leader, follower, after;
   auto gate = install_gate();
   PartitionService svc(small_config(2));
+  const GateOpener opener{gate};
 
-  PartitionRequest leader;
   leader.spec = spec_for("svc_test:gate");
   svc.submit(leader);
   ASSERT_TRUE(eventually([&] { return gate->entered.load() == 1; }));
 
-  core::CancelToken token;
-  PartitionRequest follower;
   follower.spec = spec_for("svc_test:gate");
   follower.cancel = &token;
   svc.submit(follower);
@@ -708,7 +724,6 @@ TEST(PartitionService, CancelledMidBatchDoesNotPoisonTheCache) {
 
   // The computed value stayed valid for the key: a third request hits the
   // cache and matches the leader byte for byte.
-  PartitionRequest after;
   after.spec = spec_for("svc_test:gate");
   svc.submit(after);
   ASSERT_EQ(after.wait(), ServiceStatus::kOk);
@@ -718,15 +733,15 @@ TEST(PartitionService, CancelledMidBatchDoesNotPoisonTheCache) {
 }
 
 TEST(PartitionService, DeadlineExpiryCancelsQueuedRequest) {
+  PartitionRequest blocker, doomed;
   auto gate = install_gate();
   PartitionService svc(small_config(1));
+  const GateOpener opener{gate};
 
-  PartitionRequest blocker;
   blocker.spec = spec_for("svc_test:gate");
   svc.submit(blocker);
   ASSERT_TRUE(eventually([&] { return gate->entered.load() == 1; }));
 
-  PartitionRequest doomed;
   doomed.spec = spec_for("ba", 99);
   doomed.set_deadline_after(1e-4);
   svc.submit(doomed);
@@ -762,19 +777,20 @@ TEST(PartitionService, DeadlinesPastTheClockNeverPass) {
 TEST(PartitionService, StopDrainsQueueAndRefusesNewWork) {
   for (const std::int32_t workers : {1, 2}) {
     SCOPED_TRACE("workers=" + std::to_string(workers));
+    std::vector<PartitionRequest> inflight(static_cast<std::size_t>(workers));
+    PartitionRequest queued[3], twin, late;
     auto gate = install_gate();
     PartitionService svc(small_config(workers));
+    const GateOpener opener{gate};
 
     // One gated request per worker, with distinct keys so that none
     // coalesces: every worker is busy and the next requests queue.
-    std::vector<PartitionRequest> inflight(static_cast<std::size_t>(workers));
     for (std::size_t i = 0; i < inflight.size(); ++i) {
       inflight[i].spec = spec_for("svc_test:gate", i + 1);
       svc.submit(inflight[i]);
     }
     ASSERT_TRUE(eventually([&] { return gate->entered.load() == workers; }));
 
-    PartitionRequest queued[3], twin;
     for (std::uint64_t i = 0; i < 3; ++i) {
       queued[i].spec = spec_for("ba", 10 + i);
       svc.submit(queued[i]);
@@ -785,12 +801,12 @@ TEST(PartitionService, StopDrainsQueueAndRefusesNewWork) {
 
     // stop() waits for the workers, which are blocked on the gate: release
     // them from a helper thread once the drain has begun.
-    std::thread opener([&] {
+    std::thread releaser([&] {
       std::this_thread::sleep_for(std::chrono::milliseconds(20));
       gate->open.store(true);
     });
     svc.stop();
-    opener.join();
+    releaser.join();
 
     // The in-flight batches completed normally; the queued requests
     // drained, and stop() returned only after all of them were terminal.
@@ -802,7 +818,6 @@ TEST(PartitionService, StopDrainsQueueAndRefusesNewWork) {
       EXPECT_EQ(req->result(), nullptr);
     }
 
-    PartitionRequest late;
     late.spec = spec_for("ba");
     EXPECT_FALSE(svc.try_submit(late));
     EXPECT_EQ(late.status(), ServiceStatus::kShutdown);
